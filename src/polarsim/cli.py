@@ -221,38 +221,37 @@ def _config(args: _Args) -> QPEConfig:
     return QPEConfig(bits=args.bits, kappa_tilde=getattr(args, "kappa_tilde", None))
 
 
-def _read_state(path: str, dim: int, what: str) -> np.ndarray:
-    vec = io.read_matrix(path)
+def _state(args: _Args, dim: int, what: str) -> np.ndarray:
+    """The ``--state`` file checked against ``dim``, or the uniform state without one."""
+    if not getattr(args, "state", None):
+        return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    vec = io.read_matrix(args.state)
     if vec.shape[1] != 1:
         raise io.FormatError(
-            f"{path}: expected a single-column state, got {vec.shape[1]} columns"
+            f"{args.state}: expected a single-column state, got {vec.shape[1]} columns"
         )
-    vec = vec[:, 0]
     if vec.shape[0] != dim:
         raise io.FormatError(
-            f"{path}: state has dimension {vec.shape[0]}, {what} needs {dim}"
+            f"{args.state}: state has dimension {vec.shape[0]}, {what} needs {dim}"
         )
-    return vec
-
-
-def _uniform_state(dim: int) -> np.ndarray:
-    return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    return vec[:, 0]
 
 
 def _dilation_state(args: _Args, n: int, m: int) -> DilationVector:
-    if getattr(args, "state", None):
-        vec = _read_state(args.state, n + m, "this dilation")
-    else:
-        vec = _uniform_state(n + m)
-    return DilationVector.from_vector(vec, n)
+    return DilationVector.from_vector(_state(args, n + m, "this dilation"), n)
 
 
-def _echo_config(rep: Report, args: _Args) -> None:
+def _input_report(args: _Args) -> Report:
+    """Report opened with the command, its input file and the echoed configuration."""
+    rep = Report()
+    rep.add("command", args.command)
+    rep.add("input", args.input)
     rep.add("config.mode", args.mode)
     rep.add("config.bits", args.bits)
     if getattr(args, "kappa_tilde", None) is not None:
         rep.add("config.kappa_tilde", args.kappa_tilde)
     rep.add("config.tolerance", _tolerance(args))
+    return rep
 
 
 def _add_vector(rep: Report, key: str, vec: np.ndarray) -> None:
@@ -277,46 +276,23 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     a = io.read_matrix(args.input)
     m, n = a.shape
     tol = _tolerance(args)
-    rep = Report()
-    rep.add("command", "polar")
-    rep.add("input", args.input)
-    _echo_config(rep, args)
+    rep = _input_report(args)
     rep.add("rows", m)
     rep.add("cols", n)
     config = _config(args)
-    kt = args.kappa_tilde
-    u_pipe = np.zeros((m, n), dtype=complex)
-    min_fid = 1.0
-    max_leak = 0.0
-    flag_total = 0.0
-    for j in range(n):
-        psi = embedding.inject_right(np.eye(n, dtype=complex)[:, j], m)
-        if kt is None:
-            result = polar.apply_polar_isometry(a, psi, mode=args.mode, config=config)
-        else:
-            result = polar.apply_polar_wellconditioned(
-                a, psi, kt, mode=args.mode, config=config
-            )
-        u_pipe[:, j] = np.asarray(result.output.bottom)
-        d = result.diagnostics
-        min_fid = min(min_fid, d.fidelity_vs_exact)
-        max_leak = max(max_leak, d.leakage_norm)
-        flag_total += d.flag_probability
-    u_oracle = _restricted_isometry(a, kt)
-    deviation = float(np.linalg.norm(u_pipe - u_oracle, ord=2))
+    basis = embedding.inject_right(np.eye(n, dtype=complex), m)
+    result = polar.apply_polar_isometry(a, basis, mode=args.mode, config=config)
+    u_pipe = result.output.bottom
+    deviation = float(
+        np.linalg.norm(u_pipe - _restricted_isometry(a, args.kappa_tilde), ord=2)
+    )
     rep.add("isometry_deviation", deviation)
-    rep.add("min_column_fidelity", min_fid)
-    rep.add("max_leakage", max_leak)
-    rep.add("mean_flag_probability", flag_total / n)
+    rep.add("min_column_fidelity", result.diagnostics.fidelity_vs_exact)
+    rep.add("max_leakage", result.diagnostics.leakage_norm)
+    rep.add("mean_flag_probability", result.diagnostics.flag_probability / n)
     if getattr(args, "state", None):
-        vec = _read_state(args.state, n + m, "this dilation")
-        psi = DilationVector.from_vector(vec, n)
-        if kt is None:
-            result = polar.apply_polar_isometry(a, psi, mode=args.mode, config=config)
-        else:
-            result = polar.apply_polar_wellconditioned(
-                a, psi, kt, mode=args.mode, config=config
-            )
+        psi = _dilation_state(args, n, m)
+        result = polar.apply_polar_isometry(a, psi, mode=args.mode, config=config)
         rep.add("state_fidelity", result.diagnostics.fidelity_vs_exact)
         rep.add("state_flag_probability", result.diagnostics.flag_probability)
         _add_vector(rep, "state_output", result.output.to_vector())
@@ -331,10 +307,7 @@ def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
     a = io.read_matrix(args.input)
     m, n = a.shape
     tol = _tolerance(args)
-    rep = Report()
-    rep.add("command", "evolve")
-    rep.add("input", args.input)
-    _echo_config(rep, args)
+    rep = _input_report(args)
     rep.add("function", args.function)
     rep.add("time", args.time)
     psi = _dilation_state(args, n, m)
@@ -343,14 +316,8 @@ def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
         result = polar.evolve_positive_factor(
             a, args.time, psi, mode=args.mode, config=config
         )
-        factors = linalg.classical_polar(a)
-        expected = np.concatenate(
-            [
-                linalg.matrix_exp_hermitian(factors.right_positive, args.time)
-                @ psi.top,
-                linalg.matrix_exp_hermitian(factors.left_positive, args.time)
-                @ psi.bottom,
-            ]
+        expected = verify.positive_factor_expected(
+            linalg.classical_polar(a), args.time, psi
         )
     else:
         ext = ParityExtension(base=lambda x: x, parity="odd")
@@ -372,19 +339,13 @@ def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
 def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     inst = io.read_procrustes_instance(args.input)
     tol = _tolerance(args)
-    rep = Report()
-    rep.add("command", "procrustes")
-    rep.add("input", args.input)
-    _echo_config(rep, args)
+    rep = _input_report(args)
     rep.add("pairs", inst.n_pairs)
     rep.add("input_dim", inst.input_dim)
     rep.add("output_dim", inst.output_dim)
     u, residual = procrustes.solve_procrustes_classical(inst)
     rep.add("residual", residual)
-    if getattr(args, "state", None):
-        chi = _read_state(args.state, inst.input_dim, "this instance")
-    else:
-        chi = _uniform_state(inst.input_dim)
+    chi = _state(args, inst.input_dim, "this instance")
     n_steps = args.steps if (args.mode == "qpe" and args.steps > 0) else None
     bottom, diag = procrustes.apply_procrustes_quantum(
         inst, chi, mode=args.mode, config=_config(args), n_steps=n_steps
@@ -403,10 +364,7 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
 def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
     inst, rho = io.read_pgm_instance(args.input)
     tol = _tolerance(args)
-    rep = Report()
-    rep.add("command", "pgm")
-    rep.add("input", args.input)
-    _echo_config(rep, args)
+    rep = _input_report(args)
     rep.add("dim", inst.dim)
     rep.add("n_states", inst.n_states)
     if rho is None:
@@ -418,17 +376,10 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
     p_direct = pgm.pgm_probabilities(inst, rho)
     p_polar, u = pgm.pgm_via_polar(inst, rho, mode=args.mode, config=_config(args))
     gap = float(np.max(np.abs(p_direct - p_polar)))
-    chi = pgm.pgm_vectors(inst)
-    svd_states = linalg.svd(inst.states)
-    keep = svd_states.singular_values > linalg.rank_cutoff(svd_states.singular_values)
-    w = svd_states.left_vectors[:, keep]
-    completeness = float(
-        np.linalg.norm(chi @ chi.conj().T - w @ w.conj().T, ord=2)
-    )
-    reprep = float(np.max(np.linalg.norm(u.conj().T - chi, axis=0)))
+    completeness, reprep = verify.pgm_residuals(inst, u)
     for j, p in enumerate(p_direct):
         rep.add(f"probability.{j}", float(p))
-    rep.add("outside_span_probability", float(max(0.0, 1.0 - p_direct.sum())))
+    rep.add("outside_span_probability", float(np.maximum(0.0, 1.0 - p_direct.sum())))
     rep.add("dual_path_gap", gap)
     rep.add("completeness_residual", completeness)
     rep.add("repreparation_error", reprep)
@@ -446,20 +397,13 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
 def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     sh = io.read_split_hamiltonian(args.input, split=args.split)
     tol = _tolerance(args)
-    rep = Report()
-    rep.add("command", "hsvt")
-    rep.add("input", args.input)
-    _echo_config(rep, args)
+    rep = _input_report(args)
     rep.add("split", sh.split)
     rep.add("function", args.function)
     rep.add("time", args.time)
     rep.add("steps", args.steps)
     n, m = sh.top_dim, sh.bottom_dim
-    isolated = hsvt.isolate_offdiagonal(sh).to_matrix()
-    direct = np.zeros_like(sh.matrix)
-    direct[n:, :n] = sh.matrix[n:, :n]
-    direct[:n, n:] = sh.matrix[:n, n:]
-    rep.add("isolation_deviation", float(np.max(np.abs(isolated - direct))))
+    rep.add("isolation_deviation", verify.isolation_error(sh))
     psi = _dilation_state(args, n, m)
     _, tr = hsvt.trotter_offdiagonal_evolution(sh, args.time, args.steps, psi)
     rep.add("trotter_deviation", tr.deviation)

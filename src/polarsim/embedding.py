@@ -56,7 +56,10 @@ class BlockHamiltonian:
 
 @dataclasses.dataclass(frozen=True)
 class DilationVector:
-    """State on the dilated space, kept as explicit (top, bottom) blocks."""
+    """State on the dilated space, kept as explicit (top, bottom) blocks.
+
+    The blocks may also be (n, k) and (m, k) arrays holding k states.
+    """
 
     top: np.ndarray
     bottom: np.ndarray
@@ -99,20 +102,17 @@ def embed(a: np.ndarray) -> BlockHamiltonian:
 
 
 def inject_right(psi: np.ndarray, left_dim: int) -> DilationVector:
-    """Place a state in the input (top) block, zero elsewhere."""
+    """Place a state, or an (n, k) block of states, in the input (top) block."""
     psi = np.asarray(psi, dtype=complex)
-    return DilationVector(top=psi, bottom=np.zeros(left_dim, dtype=complex))
+    bottom = np.zeros((left_dim,) + psi.shape[1:], dtype=complex)
+    return DilationVector(top=psi, bottom=bottom)
 
 
 def inject_left(psi: np.ndarray, right_dim: int) -> DilationVector:
-    """Place a state in the output (bottom) block, zero elsewhere."""
+    """Place a state, or an (m, k) block of states, in the output (bottom) block."""
     psi = np.asarray(psi, dtype=complex)
-    return DilationVector(top=np.zeros(right_dim, dtype=complex), bottom=psi)
-
-
-def project_blocks(v: DilationVector) -> tuple[np.ndarray, np.ndarray]:
-    """Return (top, bottom) components of a dilated state."""
-    return np.asarray(v.top, dtype=complex), np.asarray(v.bottom, dtype=complex)
+    top = np.zeros((right_dim,) + psi.shape[1:], dtype=complex)
+    return DilationVector(top=top, bottom=psi)
 
 
 def _orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:

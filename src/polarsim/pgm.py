@@ -105,9 +105,9 @@ def pgm_via_polar(
 
     The isometry U is learned from the pairing (phi_j -> |j>) with the
     Procrustes solver, the state is conjugated through it, and outcomes are
-    read in the index basis: p(j) = <j| U rho U^dag |j>.  In qpe mode each
-    eigenvector of rho rides the simulated sign-transform pipeline instead of
-    the exact one.
+    read in the index basis: p(j) = <j| U rho U^dag |j>.  In qpe mode the
+    eigenvectors of rho ride the simulated sign-transform pipeline as one
+    block instead of the exact one.
 
     Returns:
         (probabilities, U); U^dag maps index states back to the measurement
@@ -122,15 +122,13 @@ def pgm_via_polar(
     if mode == "exact":
         probs = np.real(np.diag(u @ rho @ u.conj().T)).copy()
     else:
-        a = inst.stacking_map()
         w, vecs = linalg.hermitian_eig(rho)
-        probs = np.zeros(inst.n_states)
-        for weight, vec in zip(w, vecs.T):
-            if weight <= 1e-14:
-                continue
-            psi = embedding.inject_right(vec, inst.n_states)
-            result = polar.apply_polar_isometry(a, psi, mode="qpe", config=config)
-            probs += weight * np.abs(np.asarray(result.output.bottom)) ** 2
+        keep = w > 1e-14
+        psi = embedding.inject_right(vecs[:, keep], inst.n_states)
+        result = polar.apply_polar_isometry(
+            inst.stacking_map(), psi, mode="qpe", config=config
+        )
+        probs = np.abs(result.output.bottom) ** 2 @ w[keep]
     return probs, u
 
 

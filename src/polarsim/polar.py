@@ -15,6 +15,10 @@ through the simulated phase-estimation pipeline:
 A thresholded sign function splits the state into a well-conditioned branch
 (singular values >= 1/kappa_tilde, after rescaling) that receives the
 isometry and a flagged branch left untouched.
+
+Each call factors its dilation once; the state may be a block of k states
+(``DilationVector`` with (n, k) and (m, k) blocks), and the diagnostics then
+aggregate over the columns as ``SimDiagnostics`` describes.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import embedding, spectral
-from .embedding import BlockHamiltonian, DilationVector
+from . import embedding, linalg, spectral
+from .embedding import DilationVector
 from .spectral import QPEConfig, SimDiagnostics, SpectralFunction
 
 
@@ -74,64 +78,41 @@ class PolarApplyResult:
     scale: float
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), ord=2))
+def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """Eigenpairs of the dilation of A/sigma_max and the scale divided out.
 
-
-def _prepared(a: np.ndarray) -> tuple[BlockHamiltonian, float]:
-    """Dilation of A/sigma_max and the scale divided out (1.0 for A = 0)."""
-    a = np.asarray(a, dtype=complex)
-    scale = _spectral_norm(a)
-    if scale == 0.0:
-        return embedding.embed(a), 1.0
-    return embedding.embed(a / scale), scale
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "qpe"):
-        raise ValueError(f"mode must be 'exact' or 'qpe', got {mode!r}")
+    The dilation's spectrum is +/- sigma_j padded with zeros, so one
+    eigendecomposition gives both: sigma_max = max |eigenvalue| (1.0 for A = 0).
+    """
+    w, v = linalg.hermitian_eig(embedding.embed(a).to_matrix())
+    scale = float(np.max(np.abs(w), initial=0.0)) or 1.0
+    return (w / scale, v), scale
 
 
 def _run(
-    h: BlockHamiltonian,
+    eig: tuple[np.ndarray, np.ndarray],
+    scale: float,
     f: SpectralFunction,
     psi: DilationVector,
     mode: str,
     config: QPEConfig | None,
-    scale: float,
 ) -> PolarApplyResult:
-    """Dispatch one spectral function over the exact or simulated route."""
-    n = h.right_dim
+    """Apply one spectral function of the prepared dilation, exact or simulated."""
+    if mode not in ("exact", "qpe"):
+        raise ValueError(f"mode must be 'exact' or 'qpe', got {mode!r}")
+    n = np.shape(psi.top)[0]
     vec = psi.to_vector()
-    hmat = h.to_matrix()
     if mode == "exact":
-        if f.flag_threshold is None:
-            out = spectral.exact_spectral_transform(hmat, f, vec)
-            return PolarApplyResult(
-                output=DilationVector.from_vector(out, n),
-                flagged=None,
-                diagnostics=SimDiagnostics(),
-                mode=mode,
-                scale=scale,
-            )
-        kept, flagged = spectral.exact_flag_branches(hmat, f, vec)
+        kept, flagged = spectral.exact_flag_branches(eig, f, vec)
         diag = SimDiagnostics(flag_probability=float(np.linalg.norm(flagged) ** 2))
-        return PolarApplyResult(
-            output=DilationVector.from_vector(kept, n),
-            flagged=DilationVector.from_vector(flagged, n),
-            diagnostics=diag,
-            mode=mode,
-            scale=scale,
-        )
-    cfg = config if config is not None else QPEConfig()
-    system, diag = spectral.spectral_transform_qpe(hmat, f, vec, cfg)
-    kept = system * diag.projected_norm
-    flagged_vec = diag.flagged_system
+    else:
+        cfg = config if config is not None else QPEConfig()
+        kept, flagged, diag = spectral.spectral_transform_qpe(eig, f, vec, cfg)
     return PolarApplyResult(
         output=DilationVector.from_vector(kept, n),
         flagged=None
-        if flagged_vec is None
-        else DilationVector.from_vector(flagged_vec, n),
+        if f.flag_threshold is None
+        else DilationVector.from_vector(flagged, n),
         diagnostics=diag,
         mode=mode,
         scale=scale,
@@ -151,11 +132,10 @@ def apply_polar_isometry(
     factorization; kernel and cokernel components pass through unchanged, or
     are flagged instead when the config carries kappa_tilde.
     """
-    _check_mode(mode)
     if config is not None and config.kappa_tilde is not None:
         return apply_polar_wellconditioned(a, psi, config.kappa_tilde, mode, config)
-    h, scale = _prepared(a)
-    return _run(h, SpectralFunction.sign_phase(), psi, mode, config, scale)
+    eig, scale = _prepared(a)
+    return _run(eig, scale, SpectralFunction.sign_phase(), psi, mode, config)
 
 
 def apply_polar_wellconditioned(
@@ -172,14 +152,11 @@ def apply_polar_wellconditioned(
     remainder (including kernel/cokernel).  Branch weights add to the input
     weight in exact mode; in qpe mode the flag is set by the decoded estimate.
     """
-    _check_mode(mode)
     if kappa_tilde <= 1:
         raise ValueError("effective condition number must exceed 1")
-    h, scale = _prepared(a)
+    eig, scale = _prepared(a)
     f = SpectralFunction.sign_phase(kappa_tilde=kappa_tilde)
-    if config is not None and config.kappa_tilde is None and mode == "qpe":
-        config = dataclasses.replace(config, kappa_tilde=kappa_tilde)
-    return _run(h, f, psi, mode, config, scale)
+    return _run(eig, scale, f, psi, mode, config)
 
 
 def evolve_positive_factor(
@@ -195,9 +172,8 @@ def evolve_positive_factor(
     B = (A^dag A)^(1/2), B~ = (A A^dag)^(1/2), as the single dilated
     transform e^{-i |H| t}.
     """
-    _check_mode(mode)
-    h, scale = _prepared(a)
-    return _run(h, SpectralFunction.abs_times(t * scale), psi, mode, config, scale)
+    eig, scale = _prepared(a)
+    return _run(eig, scale, SpectralFunction.abs_times(t * scale), psi, mode, config)
 
 
 def evolve_generalized(
@@ -216,8 +192,7 @@ def evolve_generalized(
     evaluated at unscaled singular values even though the dilation is
     rescaled internally.
     """
-    _check_mode(mode)
-    h, scale = _prepared(a)
+    eig, scale = _prepared(a)
 
     def phase(x: np.ndarray) -> np.ndarray:
         # band on the rescaled spectrum, where the rank cutoff is calibrated
@@ -225,4 +200,4 @@ def evolve_generalized(
         banded = np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x)
         return ext.extend(banded * scale) * t
 
-    return _run(h, SpectralFunction.tabulated(phase), psi, mode, config, scale)
+    return _run(eig, scale, SpectralFunction.tabulated(phase), psi, mode, config)

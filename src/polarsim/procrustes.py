@@ -21,8 +21,6 @@ from . import embedding, linalg, polar, spectral
 from .embedding import DilationVector
 from .spectral import QPEConfig, SimDiagnostics, SpectralFunction
 
-_UNIT_ATOL = 1e-12
-
 
 @dataclasses.dataclass(frozen=True)
 class ProcrustesInstance:
@@ -269,9 +267,8 @@ def apply_procrustes_quantum(
         f = SpectralFunction.sign_phase(kappa_tilde=cfg.kappa_tilde)
         state = spectral.qpe_correlate_unitary(walk, psi.to_vector(), cfg)
         state = spectral.apply_phase_function(state, f, cfg)
-        system, diag = spectral.qpe_uncompute_unitary(state, walk, cfg)
-        kept = system * diag.projected_norm
-        bottom = DilationVector.from_vector(kept, inst.input_dim).bottom
+        kept, _, diag = spectral.qpe_uncompute_unitary(state, walk, cfg)
+        bottom = kept[inst.input_dim :]
     norm_bottom = float(np.linalg.norm(bottom))
     norm_oracle = float(np.linalg.norm(oracle_out))
     if norm_bottom > 0 and norm_oracle > 0:

@@ -1,14 +1,18 @@
 """Spectral-function application, exact or through a simulated phase register.
 
 The transform implemented here sends a state psi to e^{-i f(H)} psi for a
-Hermitian H and a scalar function f.  Two routes are provided:
+Hermitian H and a scalar function f.  Every route takes H as its
+precomputed (eigenvalues, eigenvectors) pair, so the caller factors each
+operator once, and states as one vector or a (d, k) block.  Two routes are
+provided:
 
-* ``exact_spectral_transform`` evaluates f on the true spectrum (the oracle
+* ``exact_flag_branches`` evaluates f on the true spectrum (the oracle
   route used by every downstream comparison);
 * the three-stage pipeline ``qpe_correlate`` -> ``apply_phase_function`` ->
   ``qpe_uncompute`` simulates textbook phase estimation with a b-bit pointer
   register, applies e^{-i f(.)} at the decoded grid values only, and inverts
-  the estimation, tracking leakage, flag weight and rounding behavior.
+  the estimation, tracking leakage, flag weight and rounding behavior;
+  ``spectral_transform_qpe`` runs it over a block, one state at a time.
 
 Pointer conventions, fixed once here: the walk unitary is
 W = e^{2 pi i H / (4 Lambda)}, so for ||H|| <= Lambda the eigenphases live in
@@ -24,8 +28,6 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
-
-from . import linalg
 
 _NORM_ATOL = 1e-6
 
@@ -149,6 +151,9 @@ class PointerState:
 class SimDiagnostics:
     """What the simulated pipeline knew about its own accuracy.
 
+    For a (d, k) block of states each field aggregates over the columns: the
+    largest leakage, the smallest fidelity and the summed flag probability.
+
     Attributes:
         leakage_norm: 2-norm of the amplitude not returned to pointer code 0.
         fidelity_vs_exact: overlap with the exact-route output (1.0 when the
@@ -156,66 +161,44 @@ class SimDiagnostics:
         flag_probability: squared norm of the flag=1 branch.
         rounding_table: (k, 2) array of (true eigenvalue, decoded estimate at
             the nearest grid code); None for exact runs.
-        projected_norm: norm of the kept flag=0 component before it was
-            renormalized into the returned state.
-        flagged_system: unnormalized flag=1 system vector after uncompute and
-            pointer projection; None when the flag branch is empty.
     """
 
     leakage_norm: float = 0.0
     fidelity_vs_exact: float = 1.0
     flag_probability: float = 0.0
     rounding_table: np.ndarray | None = None
-    projected_norm: float = 1.0
-    flagged_system: np.ndarray | None = None
 
 
 def _check_unit_norm(psi: np.ndarray) -> np.ndarray:
+    """One state (d,) or a (d, k) block of states, every column of unit norm."""
     psi = np.asarray(psi, dtype=complex)
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > _NORM_ATOL:
-        raise ValueError(f"state must be normalized, got norm {nrm}")
+    norms = np.linalg.norm(psi, axis=0)
+    if not np.all(np.abs(norms - 1.0) <= _NORM_ATOL):
+        raise ValueError(f"state must be normalized, got norm {norms}")
     return psi
 
 
-def exact_spectral_transform(
-    h: np.ndarray, f: SpectralFunction, psi: np.ndarray
-) -> np.ndarray:
-    """Apply e^{-i f(H)} psi on the true spectrum of H.
-
-    Thresholded sign functions are evaluated with their plain values here (no
-    flag branch); use ``exact_flag_branches`` when the split matters.
-    """
-    psi = _check_unit_norm(psi)
-    w, v = linalg.hermitian_eig(h)
-    coeff = v.conj().T @ psi
-    return v @ (np.exp(-1j * f(w)) * coeff)
-
-
 def exact_flag_branches(
-    h: np.ndarray, f: SpectralFunction, psi: np.ndarray
+    eig: tuple[np.ndarray, np.ndarray], f: SpectralFunction, psi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-route counterpart of the flag split.
+    """Apply e^{-i f(H)} on the true spectrum of H, split by the flag threshold.
 
-    Returns (kept, flagged): eigencomponents with |eigenvalue| below the flag
-    threshold pass through unphased into the flagged vector, the rest receive
-    e^{-i f}.  With no threshold the flagged vector is zero.
+    ``eig`` is the (eigenvalues, eigenvectors) pair of H and ``psi`` one state
+    or a (d, k) block.  Returns (kept, flagged) shaped like ``psi``:
+    eigencomponents with |eigenvalue| below the flag threshold pass through
+    unphased into the flagged part, the rest receive e^{-i f}.  With no
+    threshold the flagged part is zero.
     """
     psi = _check_unit_norm(psi)
-    w, v = linalg.hermitian_eig(h)
-    coeff = v.conj().T @ psi
+    w, v = eig
+    coeff = v.conj().T @ psi.reshape(w.size, -1)
     if f.flag_threshold is None:
-        ill = np.zeros_like(w, dtype=bool)
+        ill = np.zeros(w.size, dtype=bool)
     else:
         ill = np.abs(w) < f.flag_threshold
-    kept = v @ (np.exp(-1j * f(w)) * np.where(ill, 0.0, 1.0) * coeff)
-    flagged = v @ (np.where(ill, 1.0, 0.0) * coeff)
-    return kept, flagged
-
-
-def _eig_for_pointer(h: np.ndarray, config: QPEConfig) -> tuple[np.ndarray, np.ndarray]:
-    w, v = linalg.hermitian_eig(h)
-    return w, v
+    kept = v @ (np.where(ill, 0.0, np.exp(-1j * f(w)))[:, None] * coeff)
+    flagged = v @ (ill[:, None] * coeff)
+    return kept.reshape(psi.shape), flagged.reshape(psi.shape)
 
 
 def _pointer_qft(x: np.ndarray) -> np.ndarray:
@@ -229,19 +212,22 @@ def _pointer_qft_inverse(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(x, axis=1) / np.sqrt(n)
 
 
-def qpe_correlate(h: np.ndarray, psi: np.ndarray, config: QPEConfig) -> PointerState:
+def qpe_correlate(
+    eig: tuple[np.ndarray, np.ndarray], psi: np.ndarray, config: QPEConfig
+) -> PointerState:
     """Entangle the pointer with the spectrum of H (stage one).
 
-    Simulates pointer-in-uniform-superposition, controlled powers of
+    ``eig`` is the (eigenvalues, eigenvectors) pair of H and ``psi`` one
+    state.  Simulates pointer-in-uniform-superposition, controlled powers of
     W = e^{2 pi i H/(4 Lambda)}, inverse Fourier transform on the pointer,
-    all as one exact linear map.  Rejects inputs where ||H psi|| exceeds
-    Lambda ||psi||, the cheap necessary condition for the stated bound.
+    all as one exact linear map.  Rejects H whose spectrum leaves
+    [-Lambda, Lambda].
     """
     psi = _check_unit_norm(psi)
-    w, v = _eig_for_pointer(h, config)
+    w, v = eig
     bound = config.eigenvalue_bound
-    if np.linalg.norm(h @ psi) > bound * np.linalg.norm(psi) * (1.0 + 1e-12):
-        raise ValueError("eigenvalue bound violated: ||H psi|| > bound * ||psi||")
+    if np.max(np.abs(w), initial=0.0) > bound * (1.0 + 1e-12):
+        raise ValueError("eigenvalue bound violated: max |eigenvalue| > bound")
     n = config.grid_size
     phases = w / (4.0 * bound)
     coeff = v.conj().T @ psi
@@ -273,6 +259,35 @@ def apply_phase_function(
     return PointerState(flag0=flag0, flag1=flag1)
 
 
+def _uncompute(
+    state: PointerState,
+    uncompute_branch: Callable[[np.ndarray], np.ndarray],
+    rounding: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
+    """Invert stage one on each flag branch and project the pointer onto code 0.
+
+    ``uncompute_branch`` inverts the correlate map on one (d, 2^b) branch;
+    each branch's output table is dropped as soon as it is projected.
+    """
+
+    def project(branch: np.ndarray) -> tuple[np.ndarray, float]:
+        out = uncompute_branch(branch)
+        return out[:, 0].copy(), float(np.linalg.norm(out[:, 1:]) ** 2)
+
+    kept, leak_sq = project(state.flag0)
+    flagged = np.zeros_like(kept)
+    flag_probability = state.flag_weight
+    if flag_probability > 0.0:
+        flagged, leak_flagged = project(state.flag1)
+        leak_sq += leak_flagged
+    diag = SimDiagnostics(
+        leakage_norm=float(np.sqrt(leak_sq)),
+        flag_probability=flag_probability,
+        rounding_table=rounding,
+    )
+    return kept, flagged, diag
+
+
 def _uncompute_branch(
     branch: np.ndarray, w: np.ndarray, v: np.ndarray, config: QPEConfig
 ) -> np.ndarray:
@@ -287,67 +302,60 @@ def _uncompute_branch(
 
 
 def qpe_uncompute(
-    state: PointerState, h: np.ndarray, config: QPEConfig
-) -> tuple[np.ndarray, SimDiagnostics]:
+    state: PointerState, eig: tuple[np.ndarray, np.ndarray], config: QPEConfig
+) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
     """Invert stage one and project the pointer back onto code 0 (stage three).
 
-    Returns the renormalized flag=0 system vector.  Diagnostics carry the
-    leakage (amplitude stuck at nonzero codes), the flag weight, the
-    unnormalized flag=1 system vector, and the per-eigenvalue rounding table
-    of H under the configured grid.
+    Returns the unnormalized flag=0 and flag=1 system vectors (the latter
+    zero when the flag branch is empty).  Diagnostics carry the leakage
+    (amplitude stuck at nonzero codes), the flag weight and the
+    per-eigenvalue rounding table of H under the configured grid.
     """
-    w, v = _eig_for_pointer(h, config)
+    w, v = eig
     n = config.grid_size
-    out0 = _uncompute_branch(state.flag0, w, v, config)
-    kept0 = out0[:, 0]
-    leak_sq = float(np.linalg.norm(out0[:, 1:]) ** 2)
-    flag_probability = state.flag_weight
-    flagged_system: np.ndarray | None = None
-    if flag_probability > 0.0:
-        out1 = _uncompute_branch(state.flag1, w, v, config)
-        flagged_system = out1[:, 0]
-        leak_sq += float(np.linalg.norm(out1[:, 1:]) ** 2)
-    projected_norm = float(np.linalg.norm(kept0))
-    if projected_norm > 0.0:
-        system = kept0 / projected_norm
-    else:
-        system = kept0
     codes = np.mod(np.rint(w / (4.0 * config.eigenvalue_bound) * n), n).astype(int)
     rounding = np.column_stack([w, config.decode(codes)])
-    diag = SimDiagnostics(
-        leakage_norm=float(np.sqrt(leak_sq)),
-        fidelity_vs_exact=1.0,
-        flag_probability=flag_probability,
-        rounding_table=rounding,
-        projected_norm=projected_norm,
-        flagged_system=flagged_system,
+    return _uncompute(
+        state, lambda branch: _uncompute_branch(branch, w, v, config), rounding
     )
-    return system, diag
 
 
 def spectral_transform_qpe(
-    h: np.ndarray, f: SpectralFunction, psi: np.ndarray, config: QPEConfig
-) -> tuple[np.ndarray, SimDiagnostics]:
+    eig: tuple[np.ndarray, np.ndarray],
+    f: SpectralFunction,
+    psi: np.ndarray,
+    config: QPEConfig,
+) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
     """Full pipeline: correlate, phase at decoded values, uncompute.
 
-    The returned diagnostics include the overlap with the exact route, taken
-    branch-by-branch when f carries a flag threshold (the flag register is
-    part of the state, so overlaps add before the modulus is taken).
+    ``psi`` is one state or a (d, k) block; columns ride the pointer one at a
+    time, so only one state's (d, 2^b) tables are alive at once.  Returns the
+    unnormalized (kept, flagged) parts shaped like ``psi`` and the
+    diagnostics, including the overlap with the exact route.
     """
-    state = qpe_correlate(h, psi, config)
-    state = apply_phase_function(state, f, config)
-    system, diag = qpe_uncompute(state, h, config)
-    exact_kept, exact_flagged = exact_flag_branches(h, f, psi)
-    got_kept = system * diag.projected_norm
-    got_flagged = diag.flagged_system if diag.flagged_system is not None else np.zeros_like(got_kept)
-    overlap = np.vdot(exact_kept, got_kept) + np.vdot(exact_flagged, got_flagged)
-    norm_got = np.sqrt(np.linalg.norm(got_kept) ** 2 + np.linalg.norm(got_flagged) ** 2)
-    norm_exact = np.sqrt(np.linalg.norm(exact_kept) ** 2 + np.linalg.norm(exact_flagged) ** 2)
-    if norm_got > 0 and norm_exact > 0:
-        diag.fidelity_vs_exact = float(abs(overlap) / (norm_got * norm_exact))
-    else:
-        diag.fidelity_vs_exact = 0.0
-    return system, diag
+    psi = _check_unit_norm(psi)
+    block = psi.reshape(psi.shape[0], -1)
+    kept = np.empty_like(block)
+    flagged = np.empty_like(block)
+    leakage = np.empty(block.shape[1])
+    flag_probability = np.empty(block.shape[1])
+    for j in range(block.shape[1]):
+        kept[:, j], flagged[:, j], diag = qpe_uncompute(
+            apply_phase_function(qpe_correlate(eig, block[:, j], config), f, config),
+            eig,
+            config,
+        )
+        leakage[j], flag_probability[j] = diag.leakage_norm, diag.flag_probability
+    # the flag register is part of the state: stack both branches before the overlap
+    got = np.concatenate([kept, flagged])
+    exact = np.concatenate(exact_flag_branches(eig, f, block))
+    overlap = np.abs(np.sum(exact.conj() * got, axis=0))
+    norms = np.linalg.norm(got, axis=0) * np.linalg.norm(exact, axis=0)
+    fidelity = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0)
+    diag.fidelity_vs_exact = float(np.min(fidelity))
+    diag.leakage_norm = float(np.max(leakage))
+    diag.flag_probability = float(np.sum(flag_probability))
+    return kept.reshape(psi.shape), flagged.reshape(psi.shape), diag
 
 
 def qpe_correlate_unitary(
@@ -379,31 +387,19 @@ def _uncompute_branch_unitary(
     n = config.grid_size
     y = _pointer_qft(branch)
     power = np.eye(walk_dag.shape[0], dtype=complex)
-    out = np.empty_like(y)
     for k in range(n):
-        out[:, k] = power @ y[:, k]
+        y[:, k] = power @ y[:, k]
         if k + 1 < n:
             power = walk_dag @ power
-    return _pointer_qft_inverse(out)
+    return _pointer_qft_inverse(y)
 
 
 def qpe_uncompute_unitary(
     state: PointerState, walk: np.ndarray, config: QPEConfig
-) -> tuple[np.ndarray, SimDiagnostics]:
-    """Stage three for the black-box-unitary pipeline."""
+) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
+    """Stage three for the black-box-unitary pipeline, returning as ``qpe_uncompute``."""
     walk = np.asarray(walk, dtype=complex)
     walk_dag = walk.conj().T
-    out0 = _uncompute_branch_unitary(state.flag0, walk_dag, config)
-    kept0 = out0[:, 0]
-    leak_sq = float(np.linalg.norm(out0[:, 1:]) ** 2)
-    flag_probability = state.flag_weight
-    flagged_system: np.ndarray | None = None
-    if flag_probability > 0.0:
-        out1 = _uncompute_branch_unitary(state.flag1, walk_dag, config)
-        flagged_system = out1[:, 0]
-        leak_sq += float(np.linalg.norm(out1[:, 1:]) ** 2)
-    projected_norm = float(np.linalg.norm(kept0))
-    system = kept0 / projected_norm if projected_norm > 0.0 else kept0
     eigvals = np.linalg.eigvals(walk)
     phi = np.mod(np.angle(eigvals) / (2.0 * np.pi), 1.0)
     n = config.grid_size
@@ -411,12 +407,6 @@ def qpe_uncompute_unitary(
     implied = 4.0 * config.eigenvalue_bound * np.where(phi < 0.5, phi, phi - 1.0)
     order = np.argsort(implied, kind="stable")
     rounding = np.column_stack([implied[order], config.decode(codes[order])])
-    diag = SimDiagnostics(
-        leakage_norm=float(np.sqrt(leak_sq)),
-        fidelity_vs_exact=1.0,
-        flag_probability=flag_probability,
-        rounding_table=rounding,
-        projected_norm=projected_norm,
-        flagged_system=flagged_system,
+    return _uncompute(
+        state, lambda branch: _uncompute_branch_unitary(branch, walk_dag, config), rounding
     )
-    return system, diag

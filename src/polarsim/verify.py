@@ -44,6 +44,42 @@ def _block_isometry_action(u: np.ndarray, psi: np.ndarray, split: int) -> np.nda
     return np.concatenate([new_top, new_bottom])
 
 
+def positive_factor_expected(
+    factors: linalg.PolarFactors, t: float, psi: DilationVector
+) -> np.ndarray:
+    """Oracle for e^{-i|H|t}: e^{-iBt} on the top block, e^{-iB~t} on the bottom."""
+    return np.concatenate(
+        [
+            linalg.matrix_exp_hermitian(factors.right_positive, t) @ psi.top,
+            linalg.matrix_exp_hermitian(factors.left_positive, t) @ psi.bottom,
+        ]
+    )
+
+
+def isolation_error(sh: hsvt.SplitHamiltonian) -> float:
+    """Largest entry gap between algebraic isolation and direct block extraction."""
+    n = sh.split
+    direct = np.zeros_like(sh.matrix)
+    direct[n:, :n] = sh.matrix[n:, :n]
+    direct[:n, n:] = sh.matrix[:n, n:]
+    return float(np.max(np.abs(hsvt.isolate_offdiagonal(sh).to_matrix() - direct)))
+
+
+def pgm_residuals(inst: pgm.PGMInstance, u: np.ndarray) -> tuple[float, float]:
+    """Completeness and re-preparation residuals of the square-root measurement.
+
+    Completeness compares sum_j |chi_j><chi_j| with the projector onto the
+    ensemble span, taken from an SVD of the states; re-preparation compares
+    U^dag |j> with chi_j column by column.
+    """
+    chi = pgm.pgm_vectors(inst)
+    res = linalg.svd(inst.states)
+    w = res.left_vectors[:, res.singular_values > linalg.rank_cutoff(res.singular_values)]
+    completeness = float(np.linalg.norm(chi @ chi.conj().T - w @ w.conj().T, ord=2))
+    reprep = float(np.max(np.linalg.norm(u.conj().T - chi, axis=0)))
+    return completeness, reprep
+
+
 def _random_dilation_state(
     n: int, m: int, rng: np.random.Generator
 ) -> DilationVector:
@@ -75,8 +111,8 @@ def check_polar_oracle_equivalence(seed: int) -> tuple[bool, dict]:
         u = linalg.classical_polar(a).isometry
         expected = _block_isometry_action(u, psi.to_vector(), n)
         err = float(np.linalg.norm(result.output.to_vector() - expected))
-        worst = max(worst, err)
-    return worst <= tol, {
+        worst = np.maximum(worst, err)
+    return bool(worst <= tol), {
         "instances": n_instances,
         "max_error": worst,
         "tolerance": tol,
@@ -105,9 +141,9 @@ def check_qpe_dyadic_exactness(seed: int) -> tuple[bool, dict]:
             result = polar.apply_polar_isometry(
                 a, psi, mode="qpe", config=QPEConfig(bits=bits)
             )
-            worst_fid = min(worst_fid, result.diagnostics.fidelity_vs_exact)
-            worst_leak = max(worst_leak, result.diagnostics.leakage_norm)
-    passed = worst_fid >= fid_floor and worst_leak <= leak_cap
+            worst_fid = np.minimum(worst_fid, result.diagnostics.fidelity_vs_exact)
+            worst_leak = np.maximum(worst_leak, result.diagnostics.leakage_norm)
+    passed = bool(worst_fid >= fid_floor and worst_leak <= leak_cap)
     return passed, {
         "instances": 3 * per_bits,
         "min_fidelity": worst_fid,
@@ -157,15 +193,15 @@ def check_condition_number_scaling(seed: int) -> tuple[bool, dict]:
                 if inst == 0:
                     metrics[f"fidelity.kappa{kappa}.b{bits}"] = fid
                 if bits >= b_req:
-                    min_required_fid = min(min_required_fid, fid)
-                    if fid < 0.99:
+                    min_required_fid = np.minimum(min_required_fid, fid)
+                    if not fid >= 0.99:
                         passed = False
             drop = float(-np.diff(np.asarray(fids)).min())
-            worst_drop = max(worst_drop, drop)
-            if drop > 1e-10:
+            worst_drop = np.maximum(worst_drop, drop)
+            if not drop <= 1e-10:
                 passed = False
     metrics["min_fidelity_at_required_bits"] = min_required_fid
-    metrics["worst_monotonicity_violation"] = max(worst_drop, 0.0)
+    metrics["worst_monotonicity_violation"] = np.maximum(worst_drop, 0.0)
     return passed, metrics
 
 
@@ -191,15 +227,10 @@ def check_positive_factor_evolution(seed: int) -> tuple[bool, dict]:
         psi = _random_dilation_state(n, m, rng)
         for t in (0.1, 1.0, math.pi):
             result = polar.evolve_positive_factor(a, t, psi, mode="exact")
-            expected = np.concatenate(
-                [
-                    linalg.matrix_exp_hermitian(factors.right_positive, t) @ psi.top,
-                    linalg.matrix_exp_hermitian(factors.left_positive, t) @ psi.bottom,
-                ]
-            )
+            expected = positive_factor_expected(factors, t, psi)
             err = float(np.linalg.norm(result.output.to_vector() - expected))
-            worst = max(worst, err)
-    return worst <= tol, {
+            worst = np.maximum(worst, err)
+    return bool(worst <= tol), {
         "instances": n_instances,
         "max_error": worst,
         "tolerance": tol,
@@ -246,9 +277,9 @@ def check_flag_semantics(seed: int) -> tuple[bool, dict]:
             branch_err = float(
                 np.linalg.norm(result.output.to_vector() - expected_branch)
             )
-            worst_prob = max(worst_prob, prob_err)
-            worst_branch = max(worst_branch, branch_err)
-    passed = worst_prob <= 1e-10 and worst_branch <= 1e-9
+            worst_prob = np.maximum(worst_prob, prob_err)
+            worst_branch = np.maximum(worst_branch, branch_err)
+    passed = bool(worst_prob <= 1e-10 and worst_branch <= 1e-9)
     return passed, {
         "cases": len(cases),
         "max_flag_probability_error": worst_prob,
@@ -320,9 +351,9 @@ def check_procrustes_optimality(seed: int) -> tuple[bool, dict]:
         for k in range(n_samples):
             q = generate.random_unitary(n, rng)
             sampled[k] = np.linalg.norm(q @ inst.inputs - inst.outputs) ** 2
-        margin_low = min(margin_low, float(sampled.min() - res_min))
-        margin_high = min(margin_high, float(res_max - sampled.max()))
-    passed = margin_low >= -slack and margin_high >= -slack
+        margin_low = np.minimum(margin_low, float(sampled.min() - res_min))
+        margin_high = np.minimum(margin_high, float(res_max - sampled.max()))
+    passed = bool(margin_low >= -slack and margin_high >= -slack)
     return passed, {
         "instances": n_instances,
         "samples_per_instance": n_samples,
@@ -345,12 +376,8 @@ def check_hsvt_isolation(seed: int) -> tuple[bool, dict]:
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
         sh = generate.random_split_hamiltonian(n, m, rng)
-        isolated = hsvt.isolate_offdiagonal(sh).to_matrix()
-        direct = np.zeros_like(sh.matrix)
-        direct[n:, :n] = sh.matrix[n:, :n]
-        direct[:n, n:] = sh.matrix[:n, n:]
-        worst = max(worst, float(np.max(np.abs(isolated - direct))))
-    return worst <= tol, {
+        worst = np.maximum(worst, isolation_error(sh))
+    return bool(worst <= tol), {
         "instances": n_instances,
         "max_entry_error": worst,
         "tolerance": tol,
@@ -379,21 +406,11 @@ def check_pgm_dual_path(seed: int) -> tuple[bool, dict]:
             rho = np.outer(v, v.conj())
         p_direct = pgm.pgm_probabilities(inst, rho)
         p_polar, u = pgm.pgm_via_polar(inst, rho, mode="exact")
-        worst_gap = max(worst_gap, float(np.max(np.abs(p_direct - p_polar))))
-        chi = pgm.pgm_vectors(inst)
-        svd_states = linalg.svd(inst.states)
-        keep = svd_states.singular_values > linalg.rank_cutoff(
-            svd_states.singular_values
-        )
-        w = svd_states.left_vectors[:, keep]
-        projector = w @ w.conj().T
-        completeness = float(
-            np.linalg.norm(chi @ chi.conj().T - projector, ord=2)
-        )
-        worst_complete = max(worst_complete, completeness)
-        reprep = float(np.max(np.linalg.norm(u.conj().T - chi, axis=0)))
-        worst_reprep = max(worst_reprep, reprep)
-    passed = worst_gap <= 1e-8 and worst_complete <= 1e-10 and worst_reprep <= 1e-8
+        worst_gap = np.maximum(worst_gap, float(np.max(np.abs(p_direct - p_polar))))
+        completeness, reprep = pgm_residuals(inst, u)
+        worst_complete = np.maximum(worst_complete, completeness)
+        worst_reprep = np.maximum(worst_reprep, reprep)
+    passed = bool(worst_gap <= 1e-8 and worst_complete <= 1e-10 and worst_reprep <= 1e-8)
     return passed, {
         "instances": n_instances,
         "max_probability_gap": worst_gap,
@@ -413,25 +430,28 @@ def check_core_oracle_invariants(seed: int) -> tuple[bool, dict]:
         n = int(rng.integers(1, 13))
         a = generate.random_complex_matrix(m, n, rng)
         res = linalg.svd(a)
-        worst = max(worst, float(np.linalg.norm(res.reconstruct() - a)))
+        worst = np.maximum(worst, float(np.linalg.norm(res.reconstruct() - a)))
         k = res.singular_values.size
-        worst = max(
-            worst,
-            float(
-                np.linalg.norm(
-                    res.right_vectors.conj().T @ res.right_vectors - np.eye(k)
-                )
-            ),
-            float(
-                np.linalg.norm(
-                    res.left_vectors.conj().T @ res.left_vectors - np.eye(k)
-                )
-            ),
+        worst = np.max(
+            [
+                worst,
+                float(
+                    np.linalg.norm(
+                        res.right_vectors.conj().T @ res.right_vectors - np.eye(k)
+                    )
+                ),
+                float(
+                    np.linalg.norm(
+                        res.left_vectors.conj().T @ res.left_vectors - np.eye(k)
+                    )
+                ),
+            ]
         )
         for j in range(k):
             col = res.right_vectors[:, j]
             top = col[int(np.argmax(np.abs(col)))]
-            worst = max(worst, abs(top.imag), float(max(0.0, -top.real)))
+            # worst >= 0, so -top.real only counts when the entry is negative
+            worst = np.max([worst, abs(top.imag), -top.real])
         again = linalg.svd(a)
         determinism_ok = determinism_ok and bool(
             np.array_equal(res.singular_values, again.singular_values)
@@ -439,21 +459,23 @@ def check_core_oracle_invariants(seed: int) -> tuple[bool, dict]:
             and np.array_equal(res.left_vectors, again.left_vectors)
         )
         factors = linalg.classical_polar(a)
-        worst = max(
-            worst,
-            float(np.linalg.norm(factors.isometry @ factors.right_positive - a)),
-            float(np.linalg.norm(factors.left_positive @ factors.isometry - a)),
+        worst = np.max(
+            [
+                worst,
+                float(np.linalg.norm(factors.isometry @ factors.right_positive - a)),
+                float(np.linalg.norm(factors.left_positive @ factors.isometry - a)),
+            ]
         )
         q = generate.random_unitary(m, rng)
         rotated = linalg.svd(q @ a)
-        worst = max(
+        worst = np.maximum(
             worst,
             float(np.max(np.abs(rotated.singular_values - res.singular_values))),
         )
         h = generate.random_hermitian(int(rng.integers(1, 13)), rng)
         pos = linalg.closest_positive(h)
-        worst = max(worst, float(np.linalg.norm(pos @ h - h @ pos)))
-    passed = worst <= tol and determinism_ok
+        worst = np.maximum(worst, float(np.linalg.norm(pos @ h - h @ pos)))
+    passed = bool(worst <= tol and determinism_ok)
     return passed, {
         "max_residual": worst,
         "deterministic": str(determinism_ok),
@@ -483,29 +505,31 @@ def check_embedding_spectrum(seed: int) -> tuple[bool, dict]:
         cut = linalg.rank_cutoff(sig)
         nonzero = sig[sig > cut]
         expected = np.sort(np.concatenate([nonzero, -nonzero, np.zeros(m + n - 2 * nonzero.size)]))
-        worst = max(
+        worst = np.maximum(
             worst, float(np.max(np.abs(np.linalg.eigvalsh(hmat) - expected)))
         )
         counts_ok = counts_ok and len(kernel) == (m + n - 2 * len(pairs))
         for pair in pairs:
             for val, vec in ((pair.sigma, pair.plus), (-pair.sigma, pair.minus)):
                 v = vec.to_vector()
-                worst = max(worst, float(np.linalg.norm(hmat @ v - val * v)))
-                worst = max(
-                    worst,
-                    abs(float(np.linalg.norm(vec.top)) - 1.0 / math.sqrt(2.0)),
-                    abs(float(np.linalg.norm(vec.bottom)) - 1.0 / math.sqrt(2.0)),
+                worst = np.max(
+                    [
+                        worst,
+                        float(np.linalg.norm(hmat @ v - val * v)),
+                        abs(float(np.linalg.norm(vec.top)) - 1.0 / math.sqrt(2.0)),
+                        abs(float(np.linalg.norm(vec.bottom)) - 1.0 / math.sqrt(2.0)),
+                    ]
                 )
         for kvec in kernel:
-            worst = max(worst, float(np.linalg.norm(hmat @ kvec.to_vector())))
-        worst = max(
+            worst = np.maximum(worst, float(np.linalg.norm(hmat @ kvec.to_vector())))
+        worst = np.maximum(
             worst,
             abs(
                 float(np.linalg.norm(hmat, ord=2))
                 - (float(nonzero[0]) if nonzero.size else 0.0)
             ),
         )
-    passed = worst <= tol and counts_ok
+    passed = bool(worst <= tol and counts_ok)
     return passed, {
         "max_residual": worst,
         "kernel_counts_consistent": str(counts_ok),
@@ -526,37 +550,36 @@ def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
         d = int(rng.integers(2, 7))
         h = generate.random_hermitian(d, rng)
         h = 0.9 * h / float(np.linalg.norm(h, ord=2))
+        eig = linalg.hermitian_eig(h)
         psi = generate.random_state(d, rng)
-        state = spectral.qpe_correlate(h, psi, config)
-        worst_norm = max(worst_norm, abs(state.total_norm - 1.0))
+        state = spectral.qpe_correlate(eig, psi, config)
+        worst_norm = np.maximum(worst_norm, abs(state.total_norm - 1.0))
         state = spectral.apply_phase_function(state, zero, config)
-        worst_norm = max(worst_norm, abs(state.total_norm - 1.0))
-        out, diag = spectral.qpe_uncompute(state, h, config)
-        worst_roundtrip = max(
-            worst_roundtrip,
-            float(np.linalg.norm(out * diag.projected_norm - psi)),
-        )
-        # linearity of the unnormalized pipeline
+        worst_norm = np.maximum(worst_norm, abs(state.total_norm - 1.0))
+        out, _, _ = spectral.qpe_uncompute(state, eig, config)
+        worst_roundtrip = np.maximum(worst_roundtrip, float(np.linalg.norm(out - psi)))
+        # linearity of the unnormalized pipeline, the three states as one block
         f = SpectralFunction.linear(0.7)
         psi2 = generate.random_state(d, rng)
         alpha, beta = complex(0.6, 0.3), complex(-0.2, 0.7)
         mix = alpha * psi + beta * psi2
         mix_norm = float(np.linalg.norm(mix))
-        outs = []
-        for vec in (psi, psi2, mix / mix_norm):
-            o, dg = spectral.spectral_transform_qpe(h, f, vec, config)
-            outs.append(o * dg.projected_norm)
-        combo = (alpha * outs[0] + beta * outs[1]) / mix_norm
-        worst_linear = max(worst_linear, float(np.linalg.norm(outs[2] - combo)))
+        outs, _, _ = spectral.spectral_transform_qpe(
+            eig, f, np.column_stack([psi, psi2, mix / mix_norm]), config
+        )
+        combo = (alpha * outs[:, 0] + beta * outs[:, 1]) / mix_norm
+        worst_linear = np.maximum(
+            worst_linear, float(np.linalg.norm(outs[:, 2] - combo))
+        )
         # flag completeness on a thresholded sign run
         flagged = spectral.apply_phase_function(
-            spectral.qpe_correlate(h, psi, config),
+            spectral.qpe_correlate(eig, psi, config),
             SpectralFunction.sign_phase(kappa_tilde=3.0),
             config,
         )
         total = flagged.flag_weight + float(np.linalg.norm(flagged.flag0) ** 2)
-        worst_flag = max(worst_flag, abs(total - 1.0))
-    passed = (
+        worst_flag = np.maximum(worst_flag, abs(total - 1.0))
+    passed = bool(
         worst_roundtrip <= 1e-12
         and worst_norm <= 1e-12
         and worst_linear <= 1e-10

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from polarsim import cli, generate, io
+from polarsim import cli, generate, io, linalg
 from polarsim.report import strip_timings
 
 
@@ -244,3 +244,54 @@ def test_state_file_flows_through_polar(workdir, capsys):
     assert cli.main(["polar", "--input", str(workdir / "a.json"),
                      "--state", str(workdir / "short.json")]) == 4
     capsys.readouterr()
+
+
+def test_nan_state_is_malformed(workdir, capsys):
+    # NaN fails the unit-norm check instead of flowing into a verdict
+    path = workdir / "nan-state.json"
+    path.write_text(
+        '{"rows": 4, "cols": 1, "data": [[NaN, 0], [1, 0], [0, 0], [0, 0]]}'
+    )
+    for command in (["polar"], ["evolve", "--time", "0.5"]):
+        argv = command + ["--input", str(workdir / "eye.json"), "--state", str(path)]
+        assert cli.main(argv) == 4
+    capsys.readouterr()
+
+
+def _count_eig_calls(monkeypatch) -> list[tuple[int, ...]]:
+    calls: list[tuple[int, ...]] = []
+    original = linalg.hermitian_eig
+
+    def counting(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counting)
+    return calls
+
+
+def test_polar_factors_the_operator_once(workdir, capsys, monkeypatch):
+    io.write_matrix(
+        str(workdir / "a6.json"),
+        generate.random_complex_matrix(6, 6, generate.rng_for(902)),
+    )
+    calls = _count_eig_calls(monkeypatch)
+    cli.main(["polar", "--input", str(workdir / "a6.json"), "--mode", "qpe",
+              "--bits", "6", "--tolerance", "1"])
+    capsys.readouterr()
+    assert calls == [(12, 12)]
+
+
+def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch):
+    rng = generate.rng_for(903)
+    counts = []
+    for n in (4, 8):
+        path = workdir / f"pgm{n}.json"
+        io.write_pgm_instance(str(path), generate.random_pgm_instance(n, n, rng))
+        calls = _count_eig_calls(monkeypatch)
+        cli.main(["pgm", "--input", str(path), "--mode", "qpe", "--bits", "6",
+                  "--tolerance", "1"])
+        counts.append(len(calls))
+        monkeypatch.undo()
+    capsys.readouterr()
+    assert counts[0] == counts[1]

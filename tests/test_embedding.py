@@ -37,9 +37,10 @@ def test_inject_and_project():
     dl = embedding.inject_left(psi, 3)
     np.testing.assert_array_equal(dl.top, np.zeros(3))
     np.testing.assert_array_equal(dl.bottom, psi)
-    top, bottom = embedding.project_blocks(d)
-    np.testing.assert_array_equal(top, psi)
-    np.testing.assert_array_equal(bottom, np.zeros(3))
+    # an (n, k) block gets an (m, k) zero block
+    block = embedding.inject_right(np.eye(2, dtype=complex), 3)
+    assert block.bottom.shape == (3, 2) and block.to_vector().shape == (5, 2)
+    np.testing.assert_array_equal(embedding.inject_left(np.eye(2), 4).top, np.zeros((4, 2)))
 
 
 def test_eigenstructure_matches_svd():

@@ -223,3 +223,40 @@ def test_zero_matrix_is_identity_action():
     psi = DilationVector.from_vector(generate.random_state(5, generate.rng_for(411)), 3)
     res = polar.apply_polar_isometry(a, psi, mode="exact")
     np.testing.assert_allclose(res.output.to_vector(), psi.to_vector(), atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "qpe"])
+def test_block_equals_single_state_calls(mode):
+    # a (n+m, k) block through one call equals k single-state calls
+    rng = generate.rng_for(412)
+    a = generate.matrix_with_singular_values(np.array([1.0, 0.5, 0.2]), 4, 3, rng)
+    block = np.column_stack([generate.random_state(7, rng) for _ in range(4)])
+    config = QPEConfig(bits=5)
+    calls = (
+        lambda psi: polar.apply_polar_isometry(a, psi, mode, config),
+        lambda psi: polar.apply_polar_wellconditioned(a, psi, 3.0, mode, config),
+        lambda psi: polar.evolve_positive_factor(a, 0.7, psi, mode, config),
+    )
+    for call in calls:
+        whole = call(DilationVector.from_vector(block, 3))
+        singles = [call(DilationVector.from_vector(block[:, j], 3)) for j in range(4)]
+        for j, single in enumerate(singles):
+            np.testing.assert_allclose(
+                whole.output.to_vector()[:, j], single.output.to_vector(), atol=1e-12
+            )
+            if single.flagged is not None:
+                np.testing.assert_allclose(
+                    whole.flagged.to_vector()[:, j],
+                    single.flagged.to_vector(),
+                    atol=1e-12,
+                )
+        diags = [single.diagnostics for single in singles]
+        assert whole.diagnostics.fidelity_vs_exact == pytest.approx(
+            min(d.fidelity_vs_exact for d in diags), abs=1e-12
+        )
+        assert whole.diagnostics.leakage_norm == pytest.approx(
+            max(d.leakage_norm for d in diags), abs=1e-12
+        )
+        assert whole.diagnostics.flag_probability == pytest.approx(
+            sum(d.flag_probability for d in diags), abs=1e-12
+        )

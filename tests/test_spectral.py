@@ -33,7 +33,7 @@ def test_identity_lands_on_single_code():
     cfg = QPEConfig(bits=3)
     psi = np.array([1.0 + 0j])
     for h, code in ((np.eye(1), 2), (-np.eye(1), 6)):
-        state = spectral.qpe_correlate(np.asarray(h, dtype=complex), psi, cfg)
+        state = spectral.qpe_correlate(linalg.hermitian_eig(h), psi, cfg)
         weights = np.abs(state.flag0[0]) ** 2
         assert weights[code] == pytest.approx(1.0, abs=1e-12)
 
@@ -45,7 +45,7 @@ def test_correlate_closed_form():
     lam = 0.37
     h = np.array([[lam]], dtype=complex)
     psi = np.array([1.0 + 0j])
-    state = spectral.qpe_correlate(h, psi, cfg)
+    state = spectral.qpe_correlate(linalg.hermitian_eig(h), psi, cfg)
     n = cfg.grid_size
     phi = lam / 4.0
     k = np.arange(n)
@@ -57,12 +57,20 @@ def test_correlate_closed_form():
 
 def test_correlate_rejects_unbounded_spectrum():
     cfg = QPEConfig(bits=4, eigenvalue_bound=1.0)
-    h = 1.5 * np.eye(2, dtype=complex)
+    h = np.diag([0.5, 1.5]).astype(complex)
     psi = np.array([1.0, 0.0], dtype=complex)
+    # the whole spectrum counts, even where psi has no weight
     with pytest.raises(ValueError, match="bound"):
-        spectral.qpe_correlate(h, psi, cfg)
+        spectral.qpe_correlate(linalg.hermitian_eig(h), psi, cfg)
+    half = linalg.hermitian_eig(0.5 * np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="normalized"):
-        spectral.qpe_correlate(0.5 * np.eye(2, dtype=complex), 2 * psi, cfg)
+        spectral.qpe_correlate(half, 2 * psi, cfg)
+    with pytest.raises(ValueError, match="normalized"):
+        spectral.qpe_correlate(half, np.array([np.nan, 0.0]), cfg)
+    # a block is checked column by column
+    block = np.column_stack([psi, [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="normalized"):
+        spectral.exact_flag_branches(half, SpectralFunction.linear(1.0), block)
 
 
 def test_sign_phase_conventions():
@@ -82,10 +90,12 @@ def test_phase_on_zero_hamiltonian():
     cfg = QPEConfig(bits=3)
     h = np.zeros((2, 2), dtype=complex)
     psi = np.array([0.6, 0.8], dtype=complex)
-    state = spectral.qpe_correlate(h, psi, cfg)
+    eig = linalg.hermitian_eig(h)
+    state = spectral.qpe_correlate(eig, psi, cfg)
     state = spectral.apply_phase_function(state, SpectralFunction.sign_phase(), cfg)
-    out, diag = spectral.qpe_uncompute(state, h, cfg)
-    np.testing.assert_allclose(out * diag.projected_norm, psi, atol=1e-12)
+    out, flagged, diag = spectral.qpe_uncompute(state, eig, cfg)
+    np.testing.assert_allclose(out, psi, atol=1e-12)
+    np.testing.assert_array_equal(flagged, np.zeros(2))
     assert diag.leakage_norm < 1e-14
 
 
@@ -98,11 +108,12 @@ def test_uncompute_inverts_correlate():
         h = generate.random_hermitian(d, rng)
         h = 0.95 * h / float(np.linalg.norm(h, ord=2))
         psi = generate.random_state(d, rng)
-        state = spectral.qpe_correlate(h, psi, cfg)
+        eig = linalg.hermitian_eig(h)
+        state = spectral.qpe_correlate(eig, psi, cfg)
         assert state.total_norm == pytest.approx(1.0, abs=1e-12)
         state = spectral.apply_phase_function(state, zero, cfg)
-        out, diag = spectral.qpe_uncompute(state, h, cfg)
-        np.testing.assert_allclose(out * diag.projected_norm, psi, atol=1e-12)
+        out, _, diag = spectral.qpe_uncompute(state, eig, cfg)
+        np.testing.assert_allclose(out, psi, atol=1e-12)
         assert diag.leakage_norm < 1e-12
 
 
@@ -114,10 +125,11 @@ def test_representable_spectrum_matches_exact_route():
     q = generate.random_unitary(4, rng)
     h = (q * w) @ q.conj().T
     psi = generate.random_state(4, rng)
+    eig = linalg.hermitian_eig(h)
     for f in (SpectralFunction.sign_phase(), SpectralFunction.linear(0.9)):
-        out, diag = spectral.spectral_transform_qpe(h, f, psi, cfg)
-        expected = spectral.exact_spectral_transform(h, f, psi)
-        np.testing.assert_allclose(out * diag.projected_norm, expected, atol=1e-10)
+        out, _, diag = spectral.spectral_transform_qpe(eig, f, psi, cfg)
+        expected, _ = spectral.exact_flag_branches(eig, f, psi)
+        np.testing.assert_allclose(out, expected, atol=1e-10)
         assert diag.fidelity_vs_exact == pytest.approx(1.0, abs=1e-12)
         assert diag.leakage_norm < 1e-10
 
@@ -127,8 +139,8 @@ def test_offgrid_eigenvalue_rounding_and_leakage():
     cfg = QPEConfig(bits=6)
     h = np.array([[1.0 / 3.0]], dtype=complex)
     psi = np.array([1.0 + 0j])
-    out, diag = spectral.spectral_transform_qpe(
-        h, SpectralFunction.linear(1.0), psi, cfg
+    out, _, diag = spectral.spectral_transform_qpe(
+        linalg.hermitian_eig(h), SpectralFunction.linear(1.0), psi, cfg
     )
     assert diag.rounding_table.shape == (1, 2)
     assert diag.rounding_table[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -143,8 +155,8 @@ def test_leakage_shrinks_with_bits():
     psi = np.array([1.0 + 0j])
     leaks = []
     for bits in (4, 6, 8, 10):
-        _, diag = spectral.spectral_transform_qpe(
-            h, SpectralFunction.linear(1.0), psi, QPEConfig(bits=bits)
+        _, _, diag = spectral.spectral_transform_qpe(
+            linalg.hermitian_eig(h), SpectralFunction.linear(1.0), psi, QPEConfig(bits=bits)
         )
         leaks.append(diag.leakage_norm)
     assert np.all(np.diff(leaks) < 0)
@@ -158,17 +170,16 @@ def test_flag_routes_small_codes():
     hmat[2:, :2] = a
     hmat[:2, 2:] = a.conj().T
     psi = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    state = spectral.qpe_correlate(hmat, psi, cfg)
+    eig = linalg.hermitian_eig(hmat)
+    state = spectral.qpe_correlate(eig, psi, cfg)
     state = spectral.apply_phase_function(
         state, SpectralFunction.sign_phase(kappa_tilde=4.0), cfg
     )
     # flagged weight: the two eigencomponents with |lambda| = 0.1
     assert state.flag_weight == pytest.approx(0.25 + 0.25, abs=1e-10)
-    out, diag = spectral.qpe_uncompute(state, hmat, cfg)
+    out, flagged, diag = spectral.qpe_uncompute(state, eig, cfg)
     assert diag.flag_probability == pytest.approx(0.5, abs=1e-10)
-    assert diag.flagged_system is not None
     # the flagged branch is carried through untouched (identity action)
-    flagged = diag.flagged_system
     expected_flagged = np.array([0.0, 0.5, 0.0, 0.5], dtype=complex)
     np.testing.assert_allclose(flagged, expected_flagged, atol=1e-10)
 
@@ -183,16 +194,15 @@ def test_unitary_route_matches_matrix_route():
         psi = generate.random_state(d, rng)
         walk = linalg.matrix_exp_hermitian(h, -2.0 * np.pi / 4.0)
         f = SpectralFunction.sign_phase()
-        sa = spectral.qpe_correlate(h, psi, cfg)
+        eig = linalg.hermitian_eig(h)
+        sa = spectral.qpe_correlate(eig, psi, cfg)
         sb = spectral.qpe_correlate_unitary(walk, psi, cfg)
         np.testing.assert_allclose(sa.flag0, sb.flag0, atol=1e-10)
         sa = spectral.apply_phase_function(sa, f, cfg)
         sb = spectral.apply_phase_function(sb, f, cfg)
-        outa, da = spectral.qpe_uncompute(sa, h, cfg)
-        outb, db = spectral.qpe_uncompute_unitary(sb, walk, cfg)
-        np.testing.assert_allclose(
-            outa * da.projected_norm, outb * db.projected_norm, atol=1e-10
-        )
+        outa, _, _ = spectral.qpe_uncompute(sa, eig, cfg)
+        outb, _, _ = spectral.qpe_uncompute_unitary(sb, walk, cfg)
+        np.testing.assert_allclose(outa, outb, atol=1e-10)
 
 
 def test_pointer_transform_is_unitary_qft():
