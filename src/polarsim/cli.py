@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import embedding, generate, hsvt, io, linalg, pgm, polar, procrustes, verify
+from . import embedding, generate, hsvt, io, linalg, pgm, polar, procrustes, spectral, verify
 from .embedding import DilationVector
 from .polar import ParityExtension
 from .report import Report
@@ -523,6 +523,9 @@ def main(argv: list[str] | None = None) -> int:
         rep, passed = _COMMANDS[args.command](args)
     except SystemExit as exc:
         print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except spectral.PointerBudgetError as exc:
+        print(f"polarsim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except io.FormatError as exc:
         print(f"polarsim: {exc}", file=sys.stderr)

@@ -40,19 +40,14 @@ def _fix_column_phases(
     real positive (ties broken by lowest index); apply the same per-column
     rotation to ``follower`` so products like ``follower @ primary.conj().T``
     are unchanged."""
-    primary = primary.copy()
-    follower = None if follower is None else follower.copy()
-    for j in range(primary.shape[1]):
-        col = primary[:, j]
-        k = int(np.argmax(np.abs(col)))
-        z = col[k]
-        if z == 0:
-            continue
-        factor = np.conj(z) / abs(z)
-        primary[:, j] = col * factor
-        if follower is not None:
-            follower[:, j] = follower[:, j] * factor
-    return primary, follower
+    # argmax returns the first maximum, which is the lowest-index tie rule
+    z = primary[np.argmax(np.abs(primary), axis=0), np.arange(primary.shape[1])]
+    # hypot rounds as the scalar abs(z) does (the array np.abs may not)
+    mag = np.hypot(z.real, z.imag)
+    # zero columns keep a unit factor; a (1, k) row multiplies on the same numpy
+    # loop as the column-times-scalar product, so results match it bit for bit
+    factor = np.where(mag == 0, 1.0, np.conj(z) / np.where(mag == 0, 1.0, mag))[None, :]
+    return primary * factor, None if follower is None else follower * factor
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,8 +11,21 @@ provided:
 * the three-stage pipeline ``qpe_correlate`` -> ``apply_phase_function`` ->
   ``qpe_uncompute`` simulates textbook phase estimation with a b-bit pointer
   register, applies e^{-i f(.)} at the decoded grid values only, and inverts
-  the estimation, tracking leakage, flag weight and rounding behavior;
-  ``spectral_transform_qpe`` runs it over a block, one state at a time.
+  the estimation, tracking leakage, flag weight and rounding behavior.
+  Stage three keeps pointer code 0 only, so for each eigenpair of H the
+  whole pipeline is one fixed number: ``transfer_function`` evaluates it in
+  closed form (the Fejer kernel of phase estimation, weighted by the phase
+  table), with the exact leakage, and ``spectral_transform_qpe`` applies it
+  to a whole (d, k) block at once.  The explicit stages stay as the
+  reference the closed form is graded against.
+
+The black-box walk route (``qpe_correlate_unitary`` ->
+``qpe_uncompute_unitary``) knows H only through W and keeps the literal
+controlled powers; its stage three evaluates code 0 alone, by Horner's rule
+in W^dag.
+
+Every route refuses a pointer whose (d, 2^b) complex table would exceed
+``POINTER_BUDGET_BYTES`` before allocating anything.
 
 Pointer conventions, fixed once here: the walk unitary is
 W = e^{2 pi i H / (4 Lambda)}, so for ||H|| <= Lambda the eigenphases live in
@@ -34,6 +47,17 @@ _NORM_ATOL = 1e-6
 # Signed functions treat |x| at or below this band as zero, mirroring the rank
 # cutoff of the classical oracle on the rescaled (top singular value 1) spectrum.
 ZERO_BAND = 1e-12
+
+# Largest (system dim, 2^bits) complex pointer table a run may ask for.
+POINTER_BUDGET_BYTES = 2**30
+
+# Eigenvalue rows per chunk of the closed form are sized to about this many
+# (eigenvalue, code) cells, so its real temporaries stay near 2 MiB each.
+_TRANSFER_CHUNK_CELLS = 2**18
+
+
+class PointerBudgetError(ValueError):
+    """The pointer table of a run would exceed ``POINTER_BUDGET_BYTES``."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,6 +202,41 @@ def _check_unit_norm(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _check_pointer_budget(dim: int, config: QPEConfig) -> None:
+    """Refuse a (dim, 2^b) complex pointer table above the budget, before any is built."""
+    # past 2^64 codes every table is over budget; the cap keeps the product cheap
+    needed = dim * 16 * 2 ** min(config.bits, 64)
+    if needed > POINTER_BUDGET_BYTES:
+        raise PointerBudgetError(
+            f"a {config.bits}-bit pointer on dimension {dim} exceeds the"
+            f" {POINTER_BUDGET_BYTES >> 20} MiB pointer budget"
+        )
+
+
+def _check_spectrum(w: np.ndarray, config: QPEConfig) -> None:
+    """The pointer budget, then the eigenvalue bound over the whole spectrum."""
+    _check_pointer_budget(w.size, config)
+    if np.max(np.abs(w), initial=0.0) > config.eigenvalue_bound * (1.0 + 1e-12):
+        raise ValueError("eigenvalue bound violated: max |eigenvalue| > bound")
+
+
+def _rounding_table(w: np.ndarray, config: QPEConfig) -> np.ndarray:
+    """(true eigenvalue, decoded estimate at the nearest grid code) per eigenvalue."""
+    n = config.grid_size
+    codes = np.mod(np.rint(w / (4.0 * config.eigenvalue_bound) * n), n).astype(int)
+    return np.column_stack([w, config.decode(codes)])
+
+
+def _phase_table(f: SpectralFunction, config: QPEConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Stage two per pointer code: the kept-branch factor p0(c) and the 0/1 flag mask m(c)."""
+    grid = config.grid_values()
+    phase = np.exp(-1j * f(grid))
+    if f.flag_threshold is None:
+        return phase, np.zeros(grid.size)
+    ill = np.abs(grid) < f.flag_threshold
+    return np.where(ill, 0.0, phase), ill.astype(float)
+
+
 def exact_flag_branches(
     eig: tuple[np.ndarray, np.ndarray], f: SpectralFunction, psi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -225,11 +284,9 @@ def qpe_correlate(
     """
     psi = _check_unit_norm(psi)
     w, v = eig
-    bound = config.eigenvalue_bound
-    if np.max(np.abs(w), initial=0.0) > bound * (1.0 + 1e-12):
-        raise ValueError("eigenvalue bound violated: max |eigenvalue| > bound")
+    _check_spectrum(w, config)
     n = config.grid_size
-    phases = w / (4.0 * bound)
+    phases = w / (4.0 * config.eigenvalue_bound)
     coeff = v.conj().T @ psi
     k = np.arange(n)
     # rows: eigenindex j, columns: pointer value k after the controlled powers
@@ -246,34 +303,23 @@ def apply_phase_function(
     Thresholded functions instead move codes with |decoded| < threshold to
     the flag=1 branch unphased.  Amplitude already flagged is left alone.
     """
-    grid = config.grid_values()
-    phase = np.exp(-1j * f(grid))
-    flag0 = state.flag0
+    p0, mask = _phase_table(f, config)
     flag1 = state.flag1
     if f.flag_threshold is not None:
-        ill = np.abs(grid) < f.flag_threshold
-        flag1 = flag1 + flag0 * ill
-        flag0 = flag0 * np.where(ill, 0.0, phase)
-    else:
-        flag0 = flag0 * phase
-    return PointerState(flag0=flag0, flag1=flag1)
+        flag1 = flag1 + state.flag0 * mask
+    return PointerState(flag0=state.flag0 * p0, flag1=flag1)
 
 
 def _uncompute(
     state: PointerState,
-    uncompute_branch: Callable[[np.ndarray], np.ndarray],
+    project: Callable[[np.ndarray], tuple[np.ndarray, float]],
     rounding: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
     """Invert stage one on each flag branch and project the pointer onto code 0.
 
-    ``uncompute_branch`` inverts the correlate map on one (d, 2^b) branch;
-    each branch's output table is dropped as soon as it is projected.
+    ``project`` takes one (d, 2^b) branch to its code-0 system vector and the
+    squared norm the inversion leaves on the other codes.
     """
-
-    def project(branch: np.ndarray) -> tuple[np.ndarray, float]:
-        out = uncompute_branch(branch)
-        return out[:, 0].copy(), float(np.linalg.norm(out[:, 1:]) ** 2)
-
     kept, leak_sq = project(state.flag0)
     flagged = np.zeros_like(kept)
     flag_probability = state.flag_weight
@@ -312,12 +358,59 @@ def qpe_uncompute(
     per-eigenvalue rounding table of H under the configured grid.
     """
     w, v = eig
+
+    def project(branch: np.ndarray) -> tuple[np.ndarray, float]:
+        out = _uncompute_branch(branch, w, v, config)
+        return out[:, 0].copy(), float(np.linalg.norm(out[:, 1:]) ** 2)
+
+    return _uncompute(state, project, _rounding_table(w, config))
+
+
+def transfer_function(
+    eigenvalues: np.ndarray, f: SpectralFunction, config: QPEConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-eigenvalue action of correlate -> phase -> uncompute -> keep code 0.
+
+    Stage one puts eigencomponent j on code c with the Fejer weight
+    K_jc = [sin(pi N d_jc) / (N sin(pi d_jc))]^2, d_jc = lambda_j/(4 Lambda) - c/N,
+    and code 0 of stage three collects every code back with the same weight.
+    With p0(c) the kept-branch factor and m(c) the flag mask of stage two,
+    returns, one entry per eigenvalue,
+
+    * g = sum_c K p0, the kept amplitude factor;
+    * h = sum_c K m, the flagged amplitude factor;
+    * loss = sum_c K (|p0 - g|^2 + (m - h)^2), the squared norm stage three
+      leaves off code 0.  Summed from nonnegative terms, it stays exact far
+      below the round-off of the equal 1 - |g|^2 - |h|^2.
+    """
+    p0, mask = _phase_table(f, config)
     n = config.grid_size
-    codes = np.mod(np.rint(w / (4.0 * config.eigenvalue_bound) * n), n).astype(int)
-    rounding = np.column_stack([w, config.decode(codes)])
-    return _uncompute(
-        state, lambda branch: _uncompute_branch(branch, w, v, config), rounding
-    )
+    # N phi_j is exact (N is a power of two); split it into the nearest code
+    # and a remainder, so the wrapped code distance N d_jc = (code - c) + rem
+    # is exact where the kernel peaks
+    turns = n * (np.asarray(eigenvalues, dtype=float) / (4.0 * config.eigenvalue_bound))
+    nearest = np.rint(turns)
+    rem = turns - nearest
+    # sin(pi N d_jc) = +/- sin(pi rem_j) for every c: the numerator is one number per row
+    numer = np.sin(np.pi * rem) ** 2
+    codes = np.arange(n)
+    g = np.empty(turns.size, dtype=complex)
+    h = np.empty(turns.size)
+    loss = np.empty(turns.size)
+    rows = max(1, _TRANSFER_CHUNK_CELLS // n)
+    for lo in range(0, turns.size, rows):
+        part = slice(lo, lo + rows)
+        dist = np.mod(nearest[part, None] - codes + n // 2, n) - n // 2 + rem[part, None]
+        denom = (n * np.sin(np.pi / n * dist)) ** 2
+        # a distance of exactly zero sits on the code, where the kernel's limit is 1
+        kern = np.divide(numer[part, None], denom, out=np.ones_like(denom), where=denom > 0)
+        g[part] = kern @ p0.real + 1j * (kern @ p0.imag)
+        h[part] = kern @ mask
+        off = (p0.real - g[part, None].real) ** 2
+        off += (p0.imag - g[part, None].imag) ** 2
+        off += (mask - h[part, None]) ** 2
+        loss[part] = np.sum(kern * off, axis=1)
+    return g, h, loss
 
 
 def spectral_transform_qpe(
@@ -328,33 +421,34 @@ def spectral_transform_qpe(
 ) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
     """Full pipeline: correlate, phase at decoded values, uncompute.
 
-    ``psi`` is one state or a (d, k) block; columns ride the pointer one at a
-    time, so only one state's (d, 2^b) tables are alive at once.  Returns the
+    ``psi`` is one state or a (d, k) block.  Each eigencomponent of every
+    column is scaled by its ``transfer_function`` factors, which is exactly
+    the three stages followed by keeping pointer code 0; leakage and flag
+    probability per column are the eigenweighted loss and h.  Returns the
     unnormalized (kept, flagged) parts shaped like ``psi`` and the
     diagnostics, including the overlap with the exact route.
     """
     psi = _check_unit_norm(psi)
+    w, v = eig
+    _check_spectrum(w, config)
     block = psi.reshape(psi.shape[0], -1)
-    kept = np.empty_like(block)
-    flagged = np.empty_like(block)
-    leakage = np.empty(block.shape[1])
-    flag_probability = np.empty(block.shape[1])
-    for j in range(block.shape[1]):
-        kept[:, j], flagged[:, j], diag = qpe_uncompute(
-            apply_phase_function(qpe_correlate(eig, block[:, j], config), f, config),
-            eig,
-            config,
-        )
-        leakage[j], flag_probability[j] = diag.leakage_norm, diag.flag_probability
+    g, h, loss = transfer_function(w, f, config)
+    coeff = v.conj().T @ block
+    weight = np.abs(coeff) ** 2
+    kept = v @ (g[:, None] * coeff)
+    flagged = v @ (h[:, None] * coeff)
     # the flag register is part of the state: stack both branches before the overlap
     got = np.concatenate([kept, flagged])
     exact = np.concatenate(exact_flag_branches(eig, f, block))
     overlap = np.abs(np.sum(exact.conj() * got, axis=0))
     norms = np.linalg.norm(got, axis=0) * np.linalg.norm(exact, axis=0)
     fidelity = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0)
-    diag.fidelity_vs_exact = float(np.min(fidelity))
-    diag.leakage_norm = float(np.max(leakage))
-    diag.flag_probability = float(np.sum(flag_probability))
+    diag = SimDiagnostics(
+        leakage_norm=float(np.max(np.sqrt(loss @ weight))),
+        fidelity_vs_exact=float(np.min(fidelity)),
+        flag_probability=float(np.sum(h @ weight)),
+        rounding_table=_rounding_table(w, config),
+    )
     return kept.reshape(psi.shape), flagged.reshape(psi.shape), diag
 
 
@@ -368,6 +462,7 @@ def qpe_correlate_unitary(
     state receiving walk^k psi.
     """
     psi = _check_unit_norm(psi)
+    _check_pointer_budget(psi.shape[0], config)
     walk = np.asarray(walk, dtype=complex)
     n = config.grid_size
     d = psi.shape[0]
@@ -381,17 +476,25 @@ def qpe_correlate_unitary(
     return PointerState(flag0=joint, flag1=np.zeros_like(joint))
 
 
-def _uncompute_branch_unitary(
-    branch: np.ndarray, walk_dag: np.ndarray, config: QPEConfig
-) -> np.ndarray:
-    n = config.grid_size
+def _project_branch_unitary(
+    branch: np.ndarray, walk_dag: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Code 0 of the inverse walk correlate map on one branch, and the squared rest.
+
+    Inverting stage one sends column k of the Fourier-transformed branch y
+    through W^dag^k, and code 0 of the closing inverse transform is
+    sum_k W^dag^k y_k / sqrt(N): Horner's rule in W^dag gives it in N
+    mat-vecs.  W is unitary, so whatever is not at code 0 is the rest of the
+    branch's norm.
+    """
     y = _pointer_qft(branch)
-    power = np.eye(walk_dag.shape[0], dtype=complex)
-    for k in range(n):
-        y[:, k] = power @ y[:, k]
-        if k + 1 < n:
-            power = walk_dag @ power
-    return _pointer_qft_inverse(y)
+    acc = y[:, -1]
+    for k in range(y.shape[1] - 2, -1, -1):
+        acc = y[:, k] + walk_dag @ acc
+    code0 = acc / np.sqrt(y.shape[1])
+    # round-off in a synthesized walk can push a vanishing remainder below zero
+    rest = float(np.linalg.norm(branch) ** 2 - np.linalg.norm(code0) ** 2)
+    return code0, max(rest, 0.0)
 
 
 def qpe_uncompute_unitary(
@@ -408,5 +511,5 @@ def qpe_uncompute_unitary(
     order = np.argsort(implied, kind="stable")
     rounding = np.column_stack([implied[order], config.decode(codes[order])])
     return _uncompute(
-        state, lambda branch: _uncompute_branch_unitary(branch, walk_dag, config), rounding
+        state, lambda branch: _project_branch_unitary(branch, walk_dag), rounding
     )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,22 @@ def test_exit_codes(workdir, capsys):
     io.write_matrix(str(workdir / "nh.json"), np.ones((2, 2)) + 1j * np.eye(2))
     assert cli.main(["hsvt", "--input", str(workdir / "nh.json"), "--split", "1"]) == 4
     capsys.readouterr()
+
+
+def test_oversized_pointer_is_refused_before_allocating(workdir, capsys):
+    # a 40-bit pointer on the 4-dimensional dilation of a 2x2 matrix asks for
+    # 16 TiB per table: usage error, and no array of that size is ever started
+    tracemalloc.start()
+    try:
+        code = cli.main(
+            ["polar", "--input", str(workdir / "eye.json"), "--mode", "qpe", "--bits", "40"]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    assert "pointer budget" in capsys.readouterr().err
 
 
 def test_verify_report_is_deterministic(workdir, capsys):

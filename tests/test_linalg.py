@@ -149,3 +149,41 @@ def test_predicates():
     assert linalg.is_hermitian(u + u.conj().T)
     assert not linalg.is_hermitian(1j * np.eye(2) + np.ones((2, 2)))
     assert linalg.frobenius_distance(u, u) == 0.0
+
+
+def _fix_column_phases_loop(primary, follower=None):
+    """Column-by-column reference for the vectorized phase fix."""
+    primary = primary.copy()
+    follower = None if follower is None else follower.copy()
+    for j in range(primary.shape[1]):
+        col = primary[:, j]
+        z = col[int(np.argmax(np.abs(col)))]
+        if z == 0:
+            continue
+        factor = np.conj(z) / abs(z)
+        primary[:, j] = col * factor
+        if follower is not None:
+            follower[:, j] = follower[:, j] * factor
+    return primary, follower
+
+
+def test_fix_column_phases_matches_the_loop_bit_for_bit():
+    rng = generate.rng_for(151)
+    for _ in range(200):
+        m, k = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        primary = generate.random_complex_matrix(m, k, rng)
+        follower = generate.random_complex_matrix(int(rng.integers(1, 8)), k, rng)
+        primary[:, int(rng.integers(k))] = 0.0  # a zero column is left alone
+        if m > 1:
+            # a magnitude tie: the lower index wins
+            primary[1, 0] = 1j * primary[0, 0]
+        got, got_follower = linalg._fix_column_phases(primary, follower)
+        want, want_follower = _fix_column_phases_loop(primary, follower)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_follower, want_follower)
+        np.testing.assert_array_equal(
+            linalg._fix_column_phases(primary)[0], _fix_column_phases_loop(primary)[0]
+        )
+    tied = np.array([[1j, 0.0], [-1.0, 0.0]])
+    fixed, _ = linalg._fix_column_phases(tied)
+    np.testing.assert_array_equal(fixed, np.array([[1.0, 0.0], [1j, 0.0]]))

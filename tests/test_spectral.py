@@ -219,3 +219,165 @@ def test_pointer_transform_is_unitary_qft():
     np.testing.assert_allclose(
         row, np.exp(2j * np.pi * np.arange(8) / 8) / np.sqrt(8), atol=1e-12
     )
+
+
+def _explicit_stages(eig, f, block, cfg):
+    """The three explicit stages, one column at a time: the closed form's reference."""
+    runs = [
+        spectral.qpe_uncompute(
+            spectral.apply_phase_function(spectral.qpe_correlate(eig, col, cfg), f, cfg),
+            eig,
+            cfg,
+        )
+        for col in block.T
+    ]
+    kept = np.column_stack([run[0] for run in runs])
+    flagged = np.column_stack([run[1] for run in runs])
+    leakage = max(run[2].leakage_norm for run in runs)
+    flag_probability = sum(run[2].flag_probability for run in runs)
+    return kept, flagged, leakage, flag_probability
+
+
+def _spectrum_cases(rng):
+    """(label, bits, Hermitian matrix) for random, degenerate and dyadic spectra."""
+    cases = []
+    for bits in (3, 5, 8):
+        d = int(rng.integers(2, 9))
+        h = generate.random_hermitian(d, rng)
+        cases.append(("random", bits, 0.95 * h / float(np.linalg.norm(h, ord=2))))
+        q = generate.random_unitary(d, rng)
+        # repeated off-grid eigenvalues, a dilation-like +/- pair and zeros
+        w = np.resize([0.37, 0.37, -0.37, 0.0, 0.0, 0.81], d)
+        cases.append(("degenerate", bits, (q * w) @ q.conj().T))
+        # on the grid: multiples of 4/2^b inside [-1, 1]
+        steps = 2 ** (bits - 2)
+        w = rng.integers(-steps, steps + 1, size=d) / steps
+        cases.append(("dyadic", bits, (q * w) @ q.conj().T))
+    return cases
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_closed_form_equals_explicit_stages(k):
+    rng = generate.rng_for(305 + k)
+    functions = (
+        SpectralFunction.sign_phase(),
+        SpectralFunction.sign_phase(kappa_tilde=3.0),
+        SpectralFunction.abs_times(1.3),
+        SpectralFunction.linear(0.7),
+    )
+    for label, bits, h in _spectrum_cases(rng):
+        cfg = QPEConfig(bits=bits)
+        eig = linalg.hermitian_eig(h)
+        d = h.shape[0]
+        block = np.column_stack([generate.random_state(d, rng) for _ in range(k)])
+        for f in functions:
+            kept, flagged, diag = spectral.spectral_transform_qpe(eig, f, block, cfg)
+            ref_kept, ref_flagged, ref_leak, ref_flag = _explicit_stages(eig, f, block, cfg)
+            np.testing.assert_allclose(kept, ref_kept, atol=1e-12, err_msg=label)
+            np.testing.assert_allclose(flagged, ref_flagged, atol=1e-12, err_msg=label)
+            assert diag.leakage_norm == pytest.approx(ref_leak, abs=1e-12), label
+            assert diag.flag_probability == pytest.approx(ref_flag, abs=1e-12), label
+            if label == "dyadic":
+                # summed from nonnegative terms, the leakage keeps its exact zero
+                assert diag.leakage_norm <= 1e-12
+
+
+def test_transfer_function_on_and_between_codes():
+    # on a code the kernel is one spike: g = p0 there, no leakage; halfway
+    # between two codes the loss is exactly what 1 - |g|^2 - |h|^2 leaves
+    cfg = QPEConfig(bits=4)
+    f = SpectralFunction.linear(1.0)
+    w = np.array([0.5, -0.75, 0.5 + 0.125])
+    g, h, loss = spectral.transfer_function(w, f, cfg)
+    np.testing.assert_allclose(g[:2], np.exp(-1j * w[:2]), atol=1e-15)
+    assert np.all(loss[:2] <= 1e-30)
+    np.testing.assert_array_equal(h, np.zeros(3))
+    assert loss[2] == pytest.approx(1.0 - abs(g[2]) ** 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("bits", [1, 3, 6])
+def test_walk_uncompute_is_code_zero_of_the_explicit_table(bits):
+    rng = generate.rng_for(310 + bits)
+    cfg = QPEConfig(bits=bits)
+    n = cfg.grid_size
+    for f in (SpectralFunction.sign_phase(), SpectralFunction.sign_phase(kappa_tilde=3.0)):
+        d = int(rng.integers(2, 7))
+        h = generate.random_hermitian(d, rng)
+        h = 0.9 * h / float(np.linalg.norm(h, ord=2))
+        walk = linalg.matrix_exp_hermitian(h, -2.0 * np.pi / 4.0)
+        state = spectral.qpe_correlate_unitary(walk, generate.random_state(d, rng), cfg)
+        state = spectral.apply_phase_function(state, f, cfg)
+        kept, flagged, diag = spectral.qpe_uncompute_unitary(state, walk, cfg)
+        # the whole inverse table: column k of the transformed branch goes
+        # through W^dag^k before the closing inverse transform
+        leak_sq = 0.0
+        for branch, got in ((state.flag0, kept), (state.flag1, flagged)):
+            y = spectral._pointer_qft(branch)
+            for k in range(n):
+                y[:, k] = np.linalg.matrix_power(walk.conj().T, k) @ y[:, k]
+            table = spectral._pointer_qft_inverse(y)
+            np.testing.assert_allclose(got, table[:, 0], atol=1e-13)
+            leak_sq += float(np.linalg.norm(table[:, 1:]) ** 2)
+        # the leakage is the branch norm left over, so compare it squared
+        assert diag.leakage_norm**2 == pytest.approx(leak_sq, abs=1e-13)
+        assert diag.flag_probability == pytest.approx(state.flag_weight, abs=0)
+
+
+def test_closed_form_map_is_linear_and_norm_preserving():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        bits=st.integers(1, 9),
+        kappa_tilde=st.sampled_from([None, 2.0, 5.0]),
+        alpha=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    )
+    def check(seed, bits, kappa_tilde, alpha):
+        rng = generate.rng_for(seed)
+        d = int(rng.integers(1, 9))
+        h = generate.random_hermitian(d, rng)
+        h = h / max(float(np.linalg.norm(h, ord=2)), 1.0)
+        eig = linalg.hermitian_eig(h)
+        cfg = QPEConfig(bits=bits)
+        f = SpectralFunction.sign_phase(kappa_tilde=kappa_tilde)
+        a, b = generate.random_state(d, rng), generate.random_state(d, rng)
+        mix = a + alpha * b
+        hypothesis.assume(np.linalg.norm(mix) > 1e-3)
+        mix = mix / np.linalg.norm(mix)
+        block = np.column_stack([a, b, mix])
+        kept, flagged, _ = spectral.spectral_transform_qpe(eig, f, block, cfg)
+        scale = np.linalg.norm(a + alpha * b)
+        for part in (kept, flagged):
+            combo = (part[:, 0] + alpha * part[:, 1]) / scale
+            np.testing.assert_allclose(part[:, 2], combo, atol=1e-12)
+        # kept, flagged and leaked weight add back to each column's unit norm
+        for col in range(3):
+            _, _, diag = spectral.spectral_transform_qpe(eig, f, block[:, col], cfg)
+            total = (
+                np.linalg.norm(kept[:, col]) ** 2
+                + np.linalg.norm(flagged[:, col]) ** 2
+                + diag.leakage_norm**2
+            )
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    check()
+
+
+def test_pointer_budget_is_checked_before_allocation():
+    eig = linalg.hermitian_eig(np.eye(4, dtype=complex) * 0.5)
+    psi = np.full(4, 0.5, dtype=complex)
+    huge = QPEConfig(bits=40)
+    f = SpectralFunction.sign_phase()
+    with pytest.raises(spectral.PointerBudgetError, match="budget"):
+        spectral.spectral_transform_qpe(eig, f, psi, huge)
+    with pytest.raises(spectral.PointerBudgetError):
+        spectral.qpe_correlate(eig, psi, huge)
+    with pytest.raises(spectral.PointerBudgetError):
+        spectral.qpe_correlate_unitary(np.eye(4, dtype=complex), psi, huge)
+    # the largest grid inside the budget for this dimension still passes the check
+    bits = int(np.log2(spectral.POINTER_BUDGET_BYTES // (4 * 16)))
+    spectral._check_pointer_budget(4, QPEConfig(bits=bits))
+    with pytest.raises(spectral.PointerBudgetError):
+        spectral._check_pointer_budget(4, QPEConfig(bits=bits + 1))
