@@ -34,8 +34,9 @@ def run(seed: int = 5) -> None:
 
     pair = reduced_density(inst)
     m = inst.cross_covariance()
+    p = embedding.block_parity(3, 6)
     identity_gap = np.linalg.norm(
-        pair.rho - pair.conjugated - embedding.embed(m).to_matrix() / inst.n_pairs
+        pair.rho - p[:, None] * pair.rho * p - embedding.embed(m).to_matrix() / inst.n_pairs
     )
     print(f"density-pair identity gap:         {identity_gap:.3e}")
     assert identity_gap < 1e-12

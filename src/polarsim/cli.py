@@ -13,6 +13,7 @@ Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -136,7 +137,9 @@ def _add_common(p: argparse.ArgumentParser, state: bool = True) -> None:
     p.add_argument("--output", help="also write the report to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="polarsim",
         description="Statevector-level simulator for polar decomposition "

@@ -10,6 +10,10 @@ on the direct sum (input space first).  Its nonzero spectrum is +/- sigma_j
 with eigenvectors (r_j, +/- l_j)/sqrt(2) built from the singular triplets of
 A, so evolving or filtering the dilation realizes singular-value transforms of
 A itself.  Kernel and cokernel vectors of A pad the spectrum with zeros.
+
+The block parity V = P_top - P_bottom is kept as its +/-1 diagonal p, so
+V X V is ``p[:, None] * x * p``; ``product_formula_evolution`` grades and
+applies both product formulas that alternate an evolution with its V conjugate.
 """
 
 from __future__ import annotations
@@ -89,6 +93,41 @@ class SpectralPair:
     sigma: float
     plus: DilationVector
     minus: DilationVector
+
+
+@dataclasses.dataclass(frozen=True)
+class TrotterReport:
+    """Accuracy record for a product-formula evolution."""
+
+    deviation: float
+    n_steps: int
+    step_size: float
+
+
+def block_parity(split: int, total: int) -> np.ndarray:
+    """The +1/-1 diagonal of V = P_top - P_bottom separating the two blocks."""
+    p = np.ones(total)
+    p[split:] = -1.0
+    return p
+
+
+def product_formula_evolution(
+    step: np.ndarray,
+    n_steps: int,
+    step_size: float,
+    target: np.ndarray,
+    psi: DilationVector,
+    split: int,
+) -> tuple[DilationVector, TrotterReport]:
+    """Raise one product-formula step to n_steps and apply it to psi.
+
+    The report carries the operator-norm deviation of the full product from
+    the exact evolution ``target``; the output keeps a top block of ``split``.
+    """
+    product = np.linalg.matrix_power(step, n_steps)
+    deviation = float(np.linalg.norm(product - target, ord=2))
+    out = DilationVector.from_vector(product @ psi.to_vector(), split)
+    return out, TrotterReport(deviation=deviation, n_steps=n_steps, step_size=step_size)
 
 
 def embed(a: np.ndarray) -> BlockHamiltonian:

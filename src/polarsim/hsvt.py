@@ -5,7 +5,9 @@ off-diagonal part can be isolated algebraically, (M - V M V)/2 with
 V = P_top - P_bottom, or dynamically, by interleaving forward and
 V-conjugated backward evolutions of M.  Either way the surviving operator is
 the plain dilation of A, so every polar primitive applies to A without the
-diagonal blocks ever mattering.
+diagonal blocks ever mattering.  V is the +/-1 diagonal of
+``embedding.block_parity``; the Trotter product is graded and applied by
+``embedding.product_formula_evolution``, as density exponentiation is.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import dataclasses
 import numpy as np
 
 from . import embedding, linalg, polar
-from .embedding import BlockHamiltonian, DilationVector
+from .embedding import BlockHamiltonian, DilationVector, TrotterReport, block_parity
 from .polar import ParityExtension, PolarApplyResult
-from .procrustes import TrotterReport, block_parity
 from .spectral import QPEConfig, SpectralFunction
 
 
@@ -60,7 +61,7 @@ class SplitHamiltonian:
         return self.matrix[self.split :, : self.split]
 
     def parity(self) -> np.ndarray:
-        """V = P_top - P_bottom for this split."""
+        """The +1/-1 diagonal of V = P_top - P_bottom for this split."""
         return block_parity(self.split, self.matrix.shape[0])
 
 
@@ -70,8 +71,8 @@ def isolate_offdiagonal(sh: SplitHamiltonian) -> BlockHamiltonian:
     The diagonal blocks cancel identically (entrywise zero up to float
     subtraction, which is exact here), leaving the dilation of A.
     """
-    v = sh.parity()
-    isolated = (sh.matrix - v @ sh.matrix @ v) / 2.0
+    p = sh.parity()
+    isolated = (sh.matrix - p[:, None] * sh.matrix * p) / 2.0
     return embedding.embed(isolated[sh.split :, : sh.split])
 
 
@@ -84,24 +85,21 @@ def trotter_offdiagonal_evolution(
     """Dynamically evolve under the off-diagonal part using only +/- M and V.
 
     Each step applies e^{-i M dt/2} V e^{+i M dt/2} V with dt = t/n_steps;
-    the product converges to e^{-i t (M - V M V)/2}.  When M commutes with V
-    (no coupling) every step is exactly the identity.  The report carries the
-    operator-norm deviation of the product from the exact target.
+    the product converges to e^{-i t (M - V M V)/2}.  M is factored once: with
+    F = e^{-i M dt/2} the backward half is F^dag, so a step is F (V F^dag V).
+    When M commutes with V (no coupling) every step is exactly the identity.
+    The report carries the operator-norm deviation of the product from the
+    exact target.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     dt = t / n_steps
-    v = sh.parity()
     forward = linalg.matrix_exp_hermitian(sh.matrix, dt / 2.0)
-    backward = linalg.matrix_exp_hermitian(sh.matrix, -dt / 2.0)
-    step = forward @ v @ backward @ v
-    product = np.linalg.matrix_power(step, n_steps)
+    p = sh.parity()
+    step = forward @ (p[:, None] * forward.conj().T * p)
     target = linalg.matrix_exp_hermitian(isolate_offdiagonal(sh).to_matrix(), t)
-    deviation = float(np.linalg.norm(product - target, ord=2))
-    out = product @ psi.to_vector()
-    return (
-        DilationVector.from_vector(out, sh.top_dim),
-        TrotterReport(deviation=deviation, n_steps=n_steps, step_size=dt),
+    return embedding.product_formula_evolution(
+        step, n_steps, dt, target, psi, sh.top_dim
     )
 
 

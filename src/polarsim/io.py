@@ -3,7 +3,8 @@
 All formats are JSON documents.  Complex numbers are stored as [re, im]
 pairs and matrices row-major under ``rows``/``cols``/``data`` keys.  Writers
 print every number with 17 significant digits so round-trips are exact;
-readers accept integer and decimal literals interchangeably.
+readers accept integer and decimal literals interchangeably and reject the
+non-finite literals NaN, Infinity and -Infinity.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ def _parse_entry(entry: Any, where: str) -> complex:
     return complex(float(entry[0]), float(entry[1]))
 
 
+def _parse_entries(entries: list[Any], where: str) -> np.ndarray:
+    """The [re, im] pairs as one complex array; NaN and infinities are rejected."""
+    values = np.array([_parse_entry(e, where) for e in entries], dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FormatError(f"{where}: entry {bad[0]} is not a finite number")
+    return values
+
+
 def _parse_matrix(payload: Any, where: str = "matrix") -> np.ndarray:
     if not isinstance(payload, dict):
         raise FormatError(f"{where}: expected an object with rows/cols/data")
@@ -85,14 +95,13 @@ def _parse_matrix(payload: Any, where: str = "matrix") -> np.ndarray:
             f"{where}: data must list rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    flat = [_parse_entry(e, where) for e in data]
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    return _parse_entries(data, where).reshape(rows, cols)
 
 
 def _parse_vector(payload: Any, where: str) -> np.ndarray:
     if not isinstance(payload, list) or not payload:
         raise FormatError(f"{where}: expected a nonempty array of [re, im] pairs")
-    return np.array([_parse_entry(e, where) for e in payload], dtype=complex)
+    return _parse_entries(payload, where)
 
 
 def _load_document(path: str) -> Any:

@@ -150,10 +150,15 @@ def hermitian_eig(h: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
     return w, v
 
 
+def exp_from_eig(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """e^{-i h t} from the (eigenvalues, eigenvectors) pair of a Hermitian h."""
+    w, v = eig
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
 def matrix_exp_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """e^{-i h t} for Hermitian h, computed in the eigenbasis."""
-    w, v = hermitian_eig(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return exp_from_eig(hermitian_eig(h), t)
 
 
 def closest_positive(h: np.ndarray) -> np.ndarray:

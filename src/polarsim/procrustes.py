@@ -6,9 +6,11 @@ A = sum_j psi_j phi_j^dag.  The quantum route never forms A directly: the
 pair state (1/sqrt(2r)) sum_j |j> (phi_j (+) psi_j) has a reduced density
 matrix rho whose off-diagonal blocks are A/(2r), and conjugating rho by the
 block parity V = P_top - P_bottom flips their sign.  Alternating short
-evolutions under rho and the conjugated copy therefore synthesizes
+evolutions under rho and its conjugate V rho V therefore synthesizes
 e^{-i t (A + A^dag)} (density-matrix exponentiation), which feeds the same
-phase-estimation sign transform used everywhere else.
+phase-estimation sign transform used everywhere else.  Since
+e^{+i dt V rho V} = V (e^{-i dt rho})^dag V, one factorization of rho serves
+every step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from . import embedding, linalg, polar, spectral
-from .embedding import DilationVector
+from .embedding import DilationVector, TrotterReport
 from .spectral import QPEConfig, SimDiagnostics, SpectralFunction
 
 
@@ -79,34 +81,16 @@ class ProcrustesInstance:
 
 @dataclasses.dataclass(frozen=True)
 class DensityPair:
-    """Reduced density matrix of the pair state and its parity conjugate.
+    """Reduced density matrix of the pair state, factored once.
 
-    ``rho`` lives on the direct sum (input space first); ``conjugated`` is
-    V rho V with V = P_top - P_bottom, which flips the off-diagonal blocks.
+    ``rho`` lives on the direct sum (input space first), ``eig`` is its
+    (eigenvalues, eigenvectors) pair and ``split`` the input dimension, where
+    the block parity V = P_top - P_bottom changes sign.
     """
 
     rho: np.ndarray
-    conjugated: np.ndarray
+    eig: tuple[np.ndarray, np.ndarray]
     split: int
-
-    @property
-    def input_block(self) -> np.ndarray:
-        """Top-left block: the input-side Gram operator over 2r."""
-        return self.rho[: self.split, : self.split]
-
-    @property
-    def output_block(self) -> np.ndarray:
-        """Bottom-right block: the output-side Gram operator over 2r."""
-        return self.rho[self.split :, self.split :]
-
-
-@dataclasses.dataclass(frozen=True)
-class TrotterReport:
-    """Accuracy record for a product-formula evolution."""
-
-    deviation: float
-    n_steps: int
-    step_size: float
 
 
 def build_pair_state(inst: ProcrustesInstance) -> np.ndarray:
@@ -121,63 +105,30 @@ def build_pair_state(inst: ProcrustesInstance) -> np.ndarray:
     return state.reshape(-1)
 
 
-def block_parity(split: int, total: int) -> np.ndarray:
-    """Diagonal +1/-1 operator separating the two blocks of the direct sum."""
-    v = np.ones(total)
-    v[split:] = -1.0
-    return np.diag(v).astype(complex)
-
-
 def reduced_density(inst: ProcrustesInstance) -> DensityPair:
-    """Trace the pair index out of the pair state; also return the parity conjugate.
+    """Trace the pair index out of the pair state and factor the result.
 
     The literal partial trace is the normalization authority here: tr(rho)=1,
-    and rho - conjugated = embed(A)/r for A the cross-covariance.
+    and rho - V rho V = embed(A)/r for A the cross-covariance.
     """
     r = inst.n_pairs
     n, m = inst.input_dim, inst.output_dim
     psi = build_pair_state(inst).reshape(r, n + m)
     rho = psi.T @ psi.conj()
-    v = block_parity(n, n + m)
-    conjugated = v @ rho @ v
-    return DensityPair(rho=rho, conjugated=conjugated, split=n)
+    return DensityPair(rho=rho, eig=linalg.hermitian_eig(rho), split=n)
 
 
 def dme_step(pair: DensityPair, delta_t: float) -> np.ndarray:
-    """One density-exponentiation step e^{+i dt rho~} e^{-i dt rho}.
+    """One density-exponentiation step e^{+i dt V rho V} e^{-i dt rho}.
 
-    Equals e^{-i dt (A + A^dag)/r} up to O(dt^2), since rho - rho~ is
-    embed(A)/r and the commutator enters only at second order.
+    Equals e^{-i dt (A + A^dag)/r} up to O(dt^2), since rho - V rho V is
+    embed(A)/r and the commutator enters only at second order.  Both halves
+    come from the one factorization of rho: e^{+i dt V rho V} = V F^dag V
+    with F = e^{-i dt rho}.
     """
-    forward = linalg.matrix_exp_hermitian(pair.rho, delta_t)
-    backward = linalg.matrix_exp_hermitian(pair.conjugated, -delta_t)
-    return backward @ forward
-
-
-def partial_swap_channel(
-    rho: np.ndarray, sigma: np.ndarray, delta_t: float
-) -> np.ndarray:
-    """Push sigma through a partial swap with rho and trace rho's register out.
-
-    Literal construction: trace-over-first-factor of
-    e^{-i S dt} (rho (x) sigma) e^{+i S dt} with S the swap.  For small dt
-    this is sigma - i dt [rho, sigma] + O(dt^2), the primitive behind
-    density-matrix exponentiation.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
-        raise ValueError("both density matrices must be square and equally sized")
-    d = rho.shape[0]
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    joint = np.kron(rho, sigma)
-    u = np.cos(delta_t) * np.eye(d * d) - 1j * np.sin(delta_t) * swap
-    evolved = u @ joint @ u.conj().T
-    # trace over the first factor
-    return evolved.reshape(d, d, d, d).trace(axis1=0, axis2=2)
+    forward = linalg.exp_from_eig(pair.eig, delta_t)
+    p = embedding.block_parity(pair.split, forward.shape[0])
+    return (p[:, None] * forward.conj().T * p) @ forward
 
 
 def effective_hamiltonian_evolution(
@@ -195,18 +146,14 @@ def effective_hamiltonian_evolution(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    pair = reduced_density(inst)
-    r = inst.n_pairs
-    delta_t = t * r / n_steps
-    step = dme_step(pair, delta_t)
-    product = np.linalg.matrix_power(step, n_steps)
+    delta_t = t * inst.n_pairs / n_steps
+    step = dme_step(reduced_density(inst), delta_t)
     target = linalg.matrix_exp_hermitian(
         embedding.embed(inst.cross_covariance()).to_matrix(), t
     )
-    deviation = float(np.linalg.norm(product - target, ord=2))
-    out = product @ psi.to_vector()
-    report = TrotterReport(deviation=deviation, n_steps=n_steps, step_size=delta_t)
-    return DilationVector.from_vector(out, inst.input_dim), report
+    return embedding.product_formula_evolution(
+        step, n_steps, delta_t, target, psi, inst.input_dim
+    )
 
 
 def solve_procrustes_classical(

@@ -27,11 +27,11 @@ in W^dag.
 Every route refuses a pointer whose (d, 2^b) complex table would exceed
 ``POINTER_BUDGET_BYTES`` before allocating anything.
 
-Pointer conventions, fixed once here: the walk unitary is
-W = e^{2 pi i H / (4 Lambda)}, so for ||H|| <= Lambda the eigenphases live in
-[-1/4, 1/4] and two's-complement decoding (phi = c/2^b; estimate = 4 Lambda phi
-for phi < 1/2, else 4 Lambda (phi - 1)) recovers signed eigenvalues with a
-factor-4 guard band between the sign sectors.  No sampling anywhere: stages
+Pointer conventions, fixed once here: callers rescale H to ||H|| <= 1 (top
+singular value 1) and the walk unitary is W = e^{2 pi i H / 4}, so the
+eigenphases live in [-1/4, 1/4] and two's-complement decoding (phi = c/2^b;
+estimate = 4 phi for phi < 1/2, else 4 (phi - 1)) recovers signed eigenvalues
+with a factor-4 guard band between the sign sectors.  No sampling anywhere: stages
 are exact unitaries on the joint statevector.
 """
 
@@ -62,25 +62,21 @@ class PointerBudgetError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class QPEConfig:
-    """Resolution and scale knobs for the simulated phase register.
+    """Resolution knobs for the simulated phase register.
 
     Attributes:
         bits: pointer width b >= 1; the grid has 2^b codes.
-        eigenvalue_bound: Lambda with ||H|| <= Lambda expected by the caller.
         kappa_tilde: optional effective condition number; when set, sign-type
             functions route decoded values below 1/kappa_tilde to a flag
             branch instead of evaluating.
     """
 
     bits: int = 8
-    eigenvalue_bound: float = 1.0
     kappa_tilde: float | None = None
 
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError(f"pointer needs at least one bit, got {self.bits}")
-        if self.eigenvalue_bound <= 0:
-            raise ValueError("eigenvalue bound must be positive")
         if self.kappa_tilde is not None and self.kappa_tilde <= 1:
             raise ValueError("effective condition number must exceed 1")
 
@@ -91,8 +87,7 @@ class QPEConfig:
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Two's-complement decode of pointer codes to signed eigenvalue estimates."""
         phi = np.asarray(codes, dtype=float) / self.grid_size
-        lam = 4.0 * self.eigenvalue_bound * np.where(phi < 0.5, phi, phi - 1.0)
-        return lam
+        return 4.0 * np.where(phi < 0.5, phi, phi - 1.0)
 
     def grid_values(self) -> np.ndarray:
         """Decoded estimates for all codes 0 .. 2^b - 1, in code order."""
@@ -214,16 +209,16 @@ def _check_pointer_budget(dim: int, config: QPEConfig) -> None:
 
 
 def _check_spectrum(w: np.ndarray, config: QPEConfig) -> None:
-    """The pointer budget, then the eigenvalue bound over the whole spectrum."""
+    """The pointer budget, then the eigenvalue bound 1 over the whole spectrum."""
     _check_pointer_budget(w.size, config)
-    if np.max(np.abs(w), initial=0.0) > config.eigenvalue_bound * (1.0 + 1e-12):
-        raise ValueError("eigenvalue bound violated: max |eigenvalue| > bound")
+    if np.max(np.abs(w), initial=0.0) > 1.0 + 1e-12:
+        raise ValueError("eigenvalue bound violated: max |eigenvalue| > 1")
 
 
 def _rounding_table(w: np.ndarray, config: QPEConfig) -> np.ndarray:
     """(true eigenvalue, decoded estimate at the nearest grid code) per eigenvalue."""
     n = config.grid_size
-    codes = np.mod(np.rint(w / (4.0 * config.eigenvalue_bound) * n), n).astype(int)
+    codes = np.mod(np.rint(w / 4.0 * n), n).astype(int)
     return np.column_stack([w, config.decode(codes)])
 
 
@@ -278,15 +273,14 @@ def qpe_correlate(
 
     ``eig`` is the (eigenvalues, eigenvectors) pair of H and ``psi`` one
     state.  Simulates pointer-in-uniform-superposition, controlled powers of
-    W = e^{2 pi i H/(4 Lambda)}, inverse Fourier transform on the pointer,
-    all as one exact linear map.  Rejects H whose spectrum leaves
-    [-Lambda, Lambda].
+    W = e^{2 pi i H/4}, inverse Fourier transform on the pointer, all as one
+    exact linear map.  Rejects H whose spectrum leaves [-1, 1].
     """
     psi = _check_unit_norm(psi)
     w, v = eig
     _check_spectrum(w, config)
     n = config.grid_size
-    phases = w / (4.0 * config.eigenvalue_bound)
+    phases = w / 4.0
     coeff = v.conj().T @ psi
     k = np.arange(n)
     # rows: eigenindex j, columns: pointer value k after the controlled powers
@@ -342,7 +336,7 @@ def _uncompute_branch(
     k = np.arange(n)
     y = v.conj().T @ branch
     y = _pointer_qft(y)
-    y = y * np.exp(-2j * np.pi * np.outer(w / (4.0 * config.eigenvalue_bound), k))
+    y = y * np.exp(-2j * np.pi * np.outer(w / 4.0, k))
     y = _pointer_qft_inverse(y)
     return v @ y
 
@@ -372,7 +366,7 @@ def transfer_function(
     """Per-eigenvalue action of correlate -> phase -> uncompute -> keep code 0.
 
     Stage one puts eigencomponent j on code c with the Fejer weight
-    K_jc = [sin(pi N d_jc) / (N sin(pi d_jc))]^2, d_jc = lambda_j/(4 Lambda) - c/N,
+    K_jc = [sin(pi N d_jc) / (N sin(pi d_jc))]^2, d_jc = lambda_j/4 - c/N,
     and code 0 of stage three collects every code back with the same weight.
     With p0(c) the kept-branch factor and m(c) the flag mask of stage two,
     returns, one entry per eigenvalue,
@@ -388,7 +382,7 @@ def transfer_function(
     # N phi_j is exact (N is a power of two); split it into the nearest code
     # and a remainder, so the wrapped code distance N d_jc = (code - c) + rem
     # is exact where the kernel peaks
-    turns = n * (np.asarray(eigenvalues, dtype=float) / (4.0 * config.eigenvalue_bound))
+    turns = n * (np.asarray(eigenvalues, dtype=float) / 4.0)
     nearest = np.rint(turns)
     rem = turns - nearest
     # sin(pi N d_jc) = +/- sin(pi rem_j) for every c: the numerator is one number per row
@@ -507,7 +501,7 @@ def qpe_uncompute_unitary(
     phi = np.mod(np.angle(eigvals) / (2.0 * np.pi), 1.0)
     n = config.grid_size
     codes = np.mod(np.rint(phi * n), n).astype(int)
-    implied = 4.0 * config.eigenvalue_bound * np.where(phi < 0.5, phi, phi - 1.0)
+    implied = 4.0 * np.where(phi < 0.5, phi, phi - 1.0)
     order = np.argsort(implied, kind="stable")
     rounding = np.column_stack([implied[order], config.decode(codes[order])])
     return _uncompute(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polarsim import cli, generate, io, linalg
+from polarsim import cli, generate, hsvt, io, linalg, procrustes
+from polarsim.embedding import DilationVector
 from polarsim.report import strip_timings
 
 
@@ -312,3 +314,74 @@ def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch
         monkeypatch.undo()
     capsys.readouterr()
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
+          "--steps", "20", "--tolerance", "1"], 7),
+        (["hsvt", "--input", "m.json", "--mode", "qpe", "--bits", "6",
+          "--tolerance", "1"], 4),
+    ],
+)
+def test_product_formulas_factor_each_generator_once(
+    workdir, capsys, monkeypatch, argv, expected
+):
+    # procrustes: rho once for the walk, then rho and the target for each of the
+    # three trotter_deviation lines; hsvt: M and the target for the Trotter
+    # product, the dilation for the qpe and for the exact transform
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    calls = _count_eig_calls(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == expected
+
+
+def test_product_formula_evolutions_make_two_factorizations(monkeypatch):
+    # one for the generator (rho or M), one for the exact target
+    rng = generate.rng_for(904)
+    inst = generate.random_procrustes_instance(2, 3, 4, rng)
+    sh = generate.random_split_hamiltonian(2, 3, rng)
+    psi = DilationVector.from_vector(generate.random_state(5, rng), 2)
+    for evolve, problem in (
+        (procrustes.effective_hamiltonian_evolution, inst),
+        (hsvt.trotter_offdiagonal_evolution, sh),
+    ):
+        calls = _count_eig_calls(monkeypatch)
+        evolve(problem, 1.0, 10, psi)
+        assert calls == [(5, 5), (5, 5)]
+        monkeypatch.undo()
+
+
+def test_nonfinite_pair_entry_is_malformed_without_warnings(workdir):
+    # Infinity used to pass the reader and surface as a norm RuntimeWarning
+    path = workdir / "inf.json"
+    path.write_text(
+        '{"pairs": [{"phi": [[1, 0], [0, 0]], "psi": [[Infinity, 0], [0, 0]]}]}'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarsim", "procrustes", "--input", str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert "RuntimeWarning" not in proc.stderr
+    assert "pair 0 psi: entry 0 is not a finite number" in proc.stderr
+
+
+def test_parser_is_built_once_and_keeps_no_state(workdir, capsys, monkeypatch):
+    parsers = []
+    original = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    m = str(workdir / "m.json")
+    code1, out1 = run_cli(capsys, "hsvt", "--input", m, "--kappa-tilde", "2.5")
+    code2, out2 = run_cli(capsys, "hsvt", "--input", m)
+    assert code1 == code2 == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert lines_of(out1)["config.kappa_tilde"] == "2.5"
+    assert "config.kappa_tilde" not in lines_of(out2)

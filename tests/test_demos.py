@@ -1,0 +1,15 @@
+from __future__ import annotations
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    # each demo asserts its own claims and ends by printing "ok"
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip().endswith("ok")

@@ -36,6 +36,9 @@ def test_matrix_rejects_malformed(tmp_path):
         '{"rows": 1, "cols": 1, "data": [[true, false]]}',
         '{"rows": 1, "cols": 1, "data": [["1", "0"]]}',
         '{"rows": -1, "cols": 1, "data": []}',
+        '{"rows": 1, "cols": 2, "data": [[1, 0], [NaN, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [[0, Infinity]]}',
+        '{"rows": 1, "cols": 1, "data": [[-Infinity, 0]]}',
     ]
     for text in cases:
         with open(path, "w") as fh:
@@ -69,6 +72,15 @@ def test_procrustes_instance_rejects_bad_pairs(tmp_path):
         fh.write('{"pairs": [{"phi": [[1, 0]]}]}')
     with pytest.raises(io.FormatError):
         io.read_procrustes_instance(path)
+    # non-finite literals are refused by the reader, naming the entry
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        with open(path, "w") as fh:
+            fh.write(
+                '{"pairs": [{"phi": [[1, 0], [0, 0]], "psi": [[0, 0], [%s, 0]]}]}'
+                % literal
+            )
+        with pytest.raises(io.FormatError, match="pair 0 psi: entry 1 "):
+            io.read_procrustes_instance(path)
 
 
 def test_pgm_instance_roundtrip_with_rho(tmp_path):

@@ -60,18 +60,23 @@ def test_density_difference_recovers_cross_covariance():
     rng = generate.rng_for(504)
     inst = generate.random_procrustes_instance(3, 2, 4, rng)
     pair = procrustes.reduced_density(inst)
-    v = procrustes.block_parity(3, 5)
+    v = np.diag(embedding.block_parity(3, 5))
     lhs = pair.rho - v @ pair.rho @ v
     rhs = embedding.embed(inst.cross_covariance()).to_matrix() / inst.n_pairs
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_conjugated_density_matches_parity_sandwich():
+def test_dme_step_matches_the_two_exponential_reference():
+    # the literal step e^{+i dt V rho V} e^{-i dt rho}, two factorizations and a dense V
     rng = generate.rng_for(505)
     inst = generate.random_procrustes_instance(2, 3, 4, rng)
     pair = procrustes.reduced_density(inst)
-    v = procrustes.block_parity(2, 5)
-    np.testing.assert_allclose(pair.conjugated, v @ pair.rho @ v, atol=1e-12)
+    v = np.diag(embedding.block_parity(2, 5))
+    for dt in (1e-3, 1e-1, 1.0):
+        reference = linalg.matrix_exp_hermitian(
+            v @ pair.rho @ v, -dt
+        ) @ linalg.matrix_exp_hermitian(pair.rho, dt)
+        assert np.linalg.norm(procrustes.dme_step(pair, dt) - reference, ord=2) < 1e-13
 
 
 def test_dme_step_is_first_order_effective_evolution():
@@ -84,17 +89,6 @@ def test_dme_step_is_first_order_effective_evolution():
         target = linalg.matrix_exp_hermitian(h_eff, dt)
         assert np.linalg.norm(step - target, ord=2) < 10.0 * dt**2
         assert linalg.is_unitary(step)
-
-
-def test_partial_swap_channel_first_order_commutator():
-    rng = generate.rng_for(507)
-    sigma = generate.random_density(3, rng)
-    rho = generate.random_density(3, rng)
-    dt = 1e-4
-    out = procrustes.partial_swap_channel(rho, sigma, dt)
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
-    expected = sigma - 1j * dt * (rho @ sigma - sigma @ rho)
-    assert np.linalg.norm(out - expected) < 10.0 * dt**2
 
 
 def test_effective_evolution_converges():

@@ -13,17 +13,11 @@ def test_decode_is_twos_complement():
     expected = np.array([0.0, 0.5, 1.0, 1.5, -2.0, -1.5, -1.0, -0.5])
     np.testing.assert_allclose(cfg.decode(codes), expected, atol=0)
     np.testing.assert_allclose(np.sort(cfg.grid_values()), np.sort(expected))
-    # the bound scales the grid linearly
-    np.testing.assert_allclose(
-        QPEConfig(bits=3, eigenvalue_bound=2.0).decode(codes), 2.0 * expected
-    )
 
 
 def test_qpe_config_validation():
     with pytest.raises(ValueError):
         QPEConfig(bits=0)
-    with pytest.raises(ValueError):
-        QPEConfig(bits=3, eigenvalue_bound=0.0)
     with pytest.raises(ValueError):
         QPEConfig(bits=3, kappa_tilde=1.0)
 
@@ -56,7 +50,7 @@ def test_correlate_closed_form():
 
 
 def test_correlate_rejects_unbounded_spectrum():
-    cfg = QPEConfig(bits=4, eigenvalue_bound=1.0)
+    cfg = QPEConfig(bits=4)
     h = np.diag([0.5, 1.5]).astype(complex)
     psi = np.array([1.0, 0.0], dtype=complex)
     # the whole spectrum counts, even where psi has no weight
