@@ -11,14 +11,13 @@ front end.
 from __future__ import annotations
 
 from .embedding import BlockHamiltonian, DilationVector, SpectralPair, embed
-from .hsvt import SplitHamiltonian, hsvt_transform, isolate_offdiagonal
+from .hsvt import SplitHamiltonian, isolate_offdiagonal
 from .linalg import PolarFactors, SVDResult, classical_polar, svd
 from .pgm import PGMInstance, pgm_probabilities, pgm_vectors, pgm_via_polar
 from .polar import (
     ParityExtension,
     PolarApplyResult,
     apply_polar_isometry,
-    apply_polar_wellconditioned,
     evolve_generalized,
     evolve_positive_factor,
 )
@@ -48,13 +47,11 @@ __all__ = [
     "SpectralPair",
     "SplitHamiltonian",
     "apply_polar_isometry",
-    "apply_polar_wellconditioned",
     "apply_procrustes_quantum",
     "classical_polar",
     "embed",
     "evolve_generalized",
     "evolve_positive_factor",
-    "hsvt_transform",
     "isolate_offdiagonal",
     "pgm_probabilities",
     "pgm_vectors",

@@ -13,10 +13,12 @@ Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from . import embedding, generate, hsvt, io, linalg, pgm, polar, procrustes, spe
 from .embedding import DilationVector
 from .polar import ParityExtension
 from .report import Report
-from .spectral import QPEConfig, SpectralFunction
+from .spectral import QPEConfig
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -112,7 +114,9 @@ def _env_threads() -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, state: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, state: bool = True, kappa_tilde: bool = False
+) -> None:
     p.add_argument("--input", required=True, help="path of the input file")
     if state:
         p.add_argument(
@@ -122,12 +126,13 @@ def _add_common(p: argparse.ArgumentParser, state: bool = True) -> None:
         )
     p.add_argument("--mode", choices=("exact", "qpe"), default="exact")
     p.add_argument("--bits", type=_positive_int, default=8, help="pointer bits")
-    p.add_argument(
-        "--kappa-tilde",
-        type=_kappa_tilde,
-        default=None,
-        help="flag out singular values below sigma_max/kappa_tilde",
-    )
+    if kappa_tilde:  # only where a sign transform reads it
+        p.add_argument(
+            "--kappa-tilde",
+            type=_kappa_tilde,
+            default=None,
+            help="flag out singular values below sigma_max/kappa_tilde",
+        )
     p.add_argument(
         "--tolerance",
         type=_positive_float,
@@ -150,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polar", help="apply the polar (partial) isometry of A")
-    _add_common(p)
+    _add_common(p, kappa_tilde=True)
 
     p = sub.add_parser("evolve", help="evolve under singular-value generators of A")
     _add_common(p)
@@ -163,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("procrustes", help="fit and apply the closest isometry")
-    _add_common(p)
+    _add_common(p, kappa_tilde=True)
     p.add_argument(
         "--steps",
         type=_nonnegative_int,
@@ -177,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=_DEFAULT_SEED)
 
     p = sub.add_parser("hsvt", help="transform the coupling block of a Hamiltonian")
-    _add_common(p)
+    _add_common(p, kappa_tilde=True)
     p.add_argument("--split", type=_positive_int, default=None)
     p.add_argument("--time", type=float, default=1.0)
     p.add_argument("--steps", type=_positive_int, default=100)
@@ -185,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--function",
         choices=("sign", "abs", "linear"),
         default="sign",
-        help="spectral function applied to the coupling block",
+        help="spectral function applied to the coupling block; --kappa-tilde needs sign",
     )
 
     p = sub.add_parser("verify", help="run the deterministic invariant battery")
@@ -221,7 +226,7 @@ def _tolerance(args: _Args) -> float:
 
 
 def _config(args: _Args) -> QPEConfig:
-    return QPEConfig(bits=args.bits, kappa_tilde=getattr(args, "kappa_tilde", None))
+    return QPEConfig(bits=args.bits)
 
 
 def _state(args: _Args, dim: int, what: str) -> np.ndarray:
@@ -283,27 +288,37 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     rep.add("rows", m)
     rep.add("cols", n)
     config = _config(args)
-    basis = embedding.inject_right(np.eye(n, dtype=complex), m)
-    result = polar.apply_polar_isometry(a, basis, mode=args.mode, config=config)
+
+    def transform(psi: DilationVector) -> polar.PolarApplyResult:
+        return polar.apply_polar_isometry(a, psi, args.mode, config, args.kappa_tilde)
+
+    result = transform(embedding.inject_right(np.eye(n, dtype=complex), m))
     u_pipe = result.output.bottom
-    deviation = float(
-        np.linalg.norm(u_pipe - _restricted_isometry(a, args.kappa_tilde), ord=2)
-    )
+    u = _restricted_isometry(a, args.kappa_tilde)
+    deviation = float(np.linalg.norm(u_pipe - u, ord=2))
     rep.add("isometry_deviation", deviation)
     rep.add("min_column_fidelity", result.diagnostics.fidelity_vs_exact)
     rep.add("max_leakage", result.diagnostics.leakage_norm)
     rep.add("mean_flag_probability", result.diagnostics.flag_probability / n)
+    passed = deviation <= tol
     if getattr(args, "state", None):
         psi = _dilation_state(args, n, m)
-        result = polar.apply_polar_isometry(a, psi, mode=args.mode, config=config)
+        result = transform(psi)
+        if args.kappa_tilde is None:
+            expected = verify._block_isometry_action(u, psi.to_vector(), n)
+        else:  # the rest is flagged away: the kept branch is swapped through U_r only
+            expected = np.concatenate([u.conj().T @ psi.bottom, u @ psi.top])
+        state_deviation = float(np.linalg.norm(result.output.to_vector() - expected))
+        rep.add("state_deviation", state_deviation)
         rep.add("state_fidelity", result.diagnostics.fidelity_vs_exact)
         rep.add("state_flag_probability", result.diagnostics.flag_probability)
         _add_vector(rep, "state_output", result.output.to_vector())
+        passed = passed and state_deviation <= tol
     if m <= 8 and n <= 8:
         for i in range(m):
             for j in range(n):
                 rep.add(f"isometry.{i}.{j}", complex(u_pipe[i, j]))
-    return rep, deviation <= tol
+    return rep, passed
 
 
 def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
@@ -351,7 +366,7 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     chi = _state(args, inst.input_dim, "this instance")
     n_steps = args.steps if (args.mode == "qpe" and args.steps > 0) else None
     bottom, diag = procrustes.apply_procrustes_quantum(
-        inst, chi, mode=args.mode, config=_config(args), n_steps=n_steps
+        inst, chi, args.mode, _config(args), n_steps, args.kappa_tilde
     )
     rep.add("fidelity", diag.fidelity_vs_exact)
     rep.add("flag_probability", diag.flag_probability)
@@ -398,6 +413,8 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
 
 
 def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
+    if args.kappa_tilde is not None and args.function != "sign":
+        raise SystemExit("polarsim: --kappa-tilde applies to --function sign only")
     sh = io.read_split_hamiltonian(args.input, split=args.split)
     tol = _tolerance(args)
     rep = _input_report(args)
@@ -411,18 +428,18 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     _, tr = hsvt.trotter_offdiagonal_evolution(sh, args.time, args.steps, psi)
     rep.add("trotter_deviation", tr.deviation)
     rep.add("trotter_step_size", tr.step_size)
+    # the diagonal blocks never enter: only the isolated coupling is transformed
+    a = hsvt.isolate_offdiagonal(sh).a_block
     if args.function == "sign":
-        transform: ParityExtension | SpectralFunction = SpectralFunction.sign_phase(
-            kappa_tilde=args.kappa_tilde
+        transform = functools.partial(
+            polar.apply_polar_isometry, a, psi, kappa_tilde=args.kappa_tilde
         )
-    elif args.function == "abs":
-        transform = ParityExtension(base=lambda x: x, parity="even")
     else:
-        transform = ParityExtension(base=lambda x: x, parity="odd")
-    result = hsvt.hsvt_transform(
-        sh, transform, args.time, psi, mode=args.mode, config=_config(args)
-    )
-    reference = hsvt.hsvt_transform(sh, transform, args.time, psi, mode="exact")
+        parity = "even" if args.function == "abs" else "odd"
+        ext = ParityExtension(base=lambda x: x, parity=parity)
+        transform = functools.partial(polar.evolve_generalized, a, ext, args.time, psi)
+    result = transform(mode=args.mode, config=_config(args))
+    reference = transform(mode="exact")
     deviation = float(
         np.linalg.norm(result.output.to_vector() - reference.output.to_vector())
     )
@@ -512,7 +529,51 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the loaded OpenBLAS's thread count, looked up once per process.
+
+    None where no mapped shared object exports both (another BLAS, or no ``/proc``).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with BLAS on one thread, restoring the old count after.
+
+    A threaded BLAS sums in a thread-count-dependent order; pinned, the
+    non-timing report lines do not depend on ``OPENBLAS_NUM_THREADS``.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        return _main(argv)
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        return _main(argv)
+    finally:
+        put(old)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

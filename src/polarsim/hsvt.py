@@ -4,8 +4,9 @@ When a Hermitian M = [[D, A^dag], [A, D~]] is available only as a whole, the
 off-diagonal part can be isolated algebraically, (M - V M V)/2 with
 V = P_top - P_bottom, or dynamically, by interleaving forward and
 V-conjugated backward evolutions of M.  Either way the surviving operator is
-the plain dilation of A, so every polar primitive applies to A without the
-diagonal blocks ever mattering.  V is the +/-1 diagonal of
+the plain dilation of A: a singular-value transform of the coupling is any
+``polar`` primitive applied to ``isolate_offdiagonal(sh).a_block``, and the
+diagonal blocks never matter.  V is the +/-1 diagonal of
 ``embedding.block_parity``; the Trotter product is graded and applied by
 ``embedding.product_formula_evolution``, as density exponentiation is.
 """
@@ -16,10 +17,8 @@ import dataclasses
 
 import numpy as np
 
-from . import embedding, linalg, polar
+from . import embedding, linalg
 from .embedding import BlockHamiltonian, DilationVector, TrotterReport, block_parity
-from .polar import ParityExtension, PolarApplyResult
-from .spectral import QPEConfig, SpectralFunction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,35 +101,3 @@ def trotter_offdiagonal_evolution(
         step, n_steps, dt, target, psi, sh.top_dim
     )
 
-
-def hsvt_transform(
-    sh: SplitHamiltonian,
-    transform: ParityExtension | SpectralFunction,
-    t: float,
-    psi: DilationVector,
-    mode: str = "exact",
-    config: QPEConfig | None = None,
-) -> PolarApplyResult:
-    """Apply a singular-value transform to the coupling block of M.
-
-    ``transform`` is either a ParityExtension (evolved for time t through
-    ``evolve_generalized``) or a sign-type SpectralFunction (the polar
-    isometry route; t is ignored, and a flag threshold selects the
-    well-conditioned variant).  The diagonal blocks of M never enter: only
-    the isolated coupling is transformed.
-    """
-    a = isolate_offdiagonal(sh).a_block
-    if isinstance(transform, ParityExtension):
-        return polar.evolve_generalized(a, transform, t, psi, mode=mode, config=config)
-    if isinstance(transform, SpectralFunction):
-        if transform.kind != "sign-phase":
-            raise ValueError(
-                "only sign-type spectral functions are supported directly; "
-                "use a ParityExtension for general evolutions"
-            )
-        if transform.flag_threshold is not None:
-            return polar.apply_polar_wellconditioned(
-                a, psi, 1.0 / transform.flag_threshold, mode=mode, config=config
-            )
-        return polar.apply_polar_isometry(a, psi, mode=mode, config=config)
-    raise TypeError(f"unsupported transform type: {type(transform).__name__}")

@@ -1,9 +1,9 @@
 """Polar-decomposition primitives realized as spectral transforms of a dilation.
 
 Each operation embeds the target matrix A in its Hermitian dilation, rescales
-so the top singular value is 1 (the scale is reported and time arguments are
-rescaled to compensate), and applies a spectral function either exactly or
-through the simulated phase-estimation pipeline:
+so the top singular value is 1 (time arguments are rescaled to compensate),
+and applies a spectral function either exactly or through the simulated
+phase-estimation pipeline:
 
 * sign phase      -> apply the polar (partial) isometry: (psi_R, psi_L) maps
                      to (U^dag psi_L, U psi_R), identity on kernel/cokernel;
@@ -12,9 +12,10 @@ through the simulated phase-estimation pipeline:
 * parity-extended -> evolve under odd/even singular-value extensions f(A) +
                      f(A)^dag or f(sqrt(A^dag A)) (+) f(sqrt(A A^dag)).
 
-A thresholded sign function splits the state into a well-conditioned branch
-(singular values >= 1/kappa_tilde, after rescaling) that receives the
-isometry and a flagged branch left untouched.
+Given an effective condition number kappa_tilde, the sign transform splits
+the state into a well-conditioned branch (singular values >= 1/kappa_tilde,
+after rescaling) that receives the isometry and a flagged branch left
+untouched; ``SpectralFunction.sign_phase`` is where kappa_tilde is checked.
 
 Each call factors its dilation once; the state may be a block of k states
 (``DilationVector`` with (n, k) and (m, k) blocks), and the diagnostics then
@@ -67,15 +68,11 @@ class PolarApplyResult:
             weights stay additive.
         flagged: flag=1 branch (identity action), None when no flag path ran.
         diagnostics: accuracy bookkeeping from the engine.
-        mode: "exact" or "qpe".
-        scale: top singular value divided out of A before embedding.
     """
 
     output: DilationVector
     flagged: DilationVector | None
     diagnostics: SimDiagnostics
-    mode: str
-    scale: float
 
 
 def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
@@ -91,7 +88,6 @@ def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
 
 def _run(
     eig: tuple[np.ndarray, np.ndarray],
-    scale: float,
     f: SpectralFunction,
     psi: DilationVector,
     mode: str,
@@ -111,11 +107,9 @@ def _run(
     return PolarApplyResult(
         output=DilationVector.from_vector(kept, n),
         flagged=None
-        if f.flag_threshold is None
+        if f.flag_threshold == 0.0
         else DilationVector.from_vector(flagged, n),
         diagnostics=diag,
-        mode=mode,
-        scale=scale,
     )
 
 
@@ -124,39 +118,21 @@ def apply_polar_isometry(
     psi: DilationVector,
     mode: str = "exact",
     config: QPEConfig | None = None,
+    kappa_tilde: float | None = None,
 ) -> PolarApplyResult:
     """Apply the polar (partial) isometry of A through its dilation.
 
     On the co-kernel the exact route equals the block map
     (psi_R, psi_L) -> (U^dag psi_L, U psi_R) with U from the classical polar
-    factorization; kernel and cokernel components pass through unchanged, or
-    are flagged instead when the config carries kappa_tilde.
+    factorization; kernel and cokernel components pass through unchanged.
+    With ``kappa_tilde`` the isometry acts on singular values
+    >= sigma_max/kappa_tilde only: the flag=1 branch carries the untouched
+    rest (kernel and cokernel included), the branch weights add to the input
+    weight in exact mode, and in qpe mode the decoded estimate sets the flag.
     """
-    if config is not None and config.kappa_tilde is not None:
-        return apply_polar_wellconditioned(a, psi, config.kappa_tilde, mode, config)
-    eig, scale = _prepared(a)
-    return _run(eig, scale, SpectralFunction.sign_phase(), psi, mode, config)
-
-
-def apply_polar_wellconditioned(
-    a: np.ndarray,
-    psi: DilationVector,
-    kappa_tilde: float,
-    mode: str = "exact",
-    config: QPEConfig | None = None,
-) -> PolarApplyResult:
-    """Sign transform restricted to singular values >= 1/kappa_tilde.
-
-    The flag=0 branch carries the isometry action on the well-conditioned
-    subspace; the flag=1 branch carries the untouched ill-conditioned
-    remainder (including kernel/cokernel).  Branch weights add to the input
-    weight in exact mode; in qpe mode the flag is set by the decoded estimate.
-    """
-    if kappa_tilde <= 1:
-        raise ValueError("effective condition number must exceed 1")
-    eig, scale = _prepared(a)
-    f = SpectralFunction.sign_phase(kappa_tilde=kappa_tilde)
-    return _run(eig, scale, f, psi, mode, config)
+    f = SpectralFunction.sign_phase(kappa_tilde)
+    eig, _ = _prepared(a)
+    return _run(eig, f, psi, mode, config)
 
 
 def evolve_positive_factor(
@@ -173,7 +149,7 @@ def evolve_positive_factor(
     transform e^{-i |H| t}.
     """
     eig, scale = _prepared(a)
-    return _run(eig, scale, SpectralFunction.abs_times(t * scale), psi, mode, config)
+    return _run(eig, SpectralFunction.abs_times(t * scale), psi, mode, config)
 
 
 def evolve_generalized(
@@ -200,4 +176,4 @@ def evolve_generalized(
         banded = np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x)
         return ext.extend(banded * scale) * t
 
-    return _run(eig, scale, SpectralFunction.tabulated(phase), psi, mode, config)
+    return _run(eig, SpectralFunction.tabulated(phase), psi, mode, config)

@@ -175,6 +175,7 @@ def apply_procrustes_quantum(
     mode: str = "exact",
     config: QPEConfig | None = None,
     n_steps: int | None = None,
+    kappa_tilde: float | None = None,
 ) -> tuple[np.ndarray, SimDiagnostics]:
     """Map a new input state through the learned isometry, quantum style.
 
@@ -183,8 +184,10 @@ def apply_procrustes_quantum(
     bottom component is returned (unnormalized).  In qpe mode with ``n_steps``
     the walk unitary W = e^{2 pi i H~/4} is synthesized from n_steps
     density-exponentiation steps and raised to controlled powers as a black
-    box; without ``n_steps`` the exact dilation drives the pointer.
-    Diagnostics report fidelity against the classical solution U chi.
+    box; without ``n_steps`` the exact dilation drives the pointer.  With
+    ``kappa_tilde`` the sign transform flags singular values below
+    sigma_max/kappa_tilde instead of mapping them.  Diagnostics report
+    fidelity against the classical solution U chi.
     """
     if mode not in ("exact", "qpe"):
         raise ValueError(f"mode must be 'exact' or 'qpe', got {mode!r}")
@@ -198,7 +201,7 @@ def apply_procrustes_quantum(
     oracle_out = u @ chi
     psi = embedding.inject_right(chi, inst.output_dim)
     if mode == "exact" or n_steps is None:
-        result = polar.apply_polar_isometry(a, psi, mode=mode, config=config)
+        result = polar.apply_polar_isometry(a, psi, mode, config, kappa_tilde)
         diag = result.diagnostics
         bottom = np.asarray(result.output.bottom)
     else:
@@ -211,7 +214,7 @@ def apply_procrustes_quantum(
         t_w = -np.pi / (2.0 * scale)
         delta_t = t_w * inst.n_pairs / n_steps
         walk = np.linalg.matrix_power(dme_step(pair, delta_t), n_steps)
-        f = SpectralFunction.sign_phase(kappa_tilde=cfg.kappa_tilde)
+        f = SpectralFunction.sign_phase(kappa_tilde)
         state = spectral.qpe_correlate_unitary(walk, psi.to_vector(), cfg)
         state = spectral.apply_phase_function(state, f, cfg)
         kept, _, diag = spectral.qpe_uncompute_unitary(state, walk, cfg)

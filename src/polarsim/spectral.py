@@ -62,23 +62,17 @@ class PointerBudgetError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class QPEConfig:
-    """Resolution knobs for the simulated phase register.
+    """Resolution of the simulated phase register.
 
     Attributes:
         bits: pointer width b >= 1; the grid has 2^b codes.
-        kappa_tilde: optional effective condition number; when set, sign-type
-            functions route decoded values below 1/kappa_tilde to a flag
-            branch instead of evaluating.
     """
 
     bits: int = 8
-    kappa_tilde: float | None = None
 
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError(f"pointer needs at least one bit, got {self.bits}")
-        if self.kappa_tilde is not None and self.kappa_tilde <= 1:
-            raise ValueError("effective condition number must exceed 1")
 
     @property
     def grid_size(self) -> int:
@@ -99,13 +93,12 @@ class SpectralFunction:
     """Scalar function f with the metadata the phase stage needs.
 
     ``values`` maps arrays of (decoded or true) eigenvalues to phases f(x);
-    ``flag_threshold`` marks sign-type functions that defer inputs with
-    |x| < threshold to the flag branch instead of evaluating.
+    ``flag_threshold``, set only by ``sign_phase``, defers inputs with
+    |x| < threshold to the flag branch instead of evaluating (0 flags none).
     """
 
-    kind: str
     values: Callable[[np.ndarray], np.ndarray]
-    flag_threshold: float | None = None
+    flag_threshold: float = 0.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.values(np.asarray(x, dtype=float)), dtype=float)
@@ -117,29 +110,33 @@ class SpectralFunction:
         e^{-i f} multiplies negative-eigenvalue components by -1 and leaves
         the rest alone.  Values within ZERO_BAND of zero count as zero, so
         float noise around a kernel cannot flip signs.  With ``kappa_tilde``
-        the band |x| < 1/kappa_tilde is flagged rather than signed.
+        the band |x| < 1/kappa_tilde is flagged rather than signed; an
+        effective condition number that is not above 1 (NaN included) is
+        refused.
         """
-        threshold = None if kappa_tilde is None else 1.0 / kappa_tilde
+        if kappa_tilde is not None and not kappa_tilde > 1:
+            raise ValueError(f"effective condition number must exceed 1, got {kappa_tilde}")
+        threshold = 0.0 if kappa_tilde is None else 1.0 / kappa_tilde
 
         def values(x: np.ndarray) -> np.ndarray:
             return (np.pi / 2.0) * (1.0 - np.where(x < -ZERO_BAND, -1.0, 1.0))
 
-        return cls(kind="sign-phase", values=values, flag_threshold=threshold)
+        return cls(values=values, flag_threshold=threshold)
 
     @classmethod
     def abs_times(cls, t: float) -> SpectralFunction:
         """f(x) = |x| t, the positive-factor evolution phase."""
-        return cls(kind="abs-times", values=lambda x: np.abs(x) * t)
+        return cls(values=lambda x: np.abs(x) * t)
 
     @classmethod
     def linear(cls, t: float) -> SpectralFunction:
         """f(x) = x t, plain Hamiltonian evolution (useful as a pipeline check)."""
-        return cls(kind="linear", values=lambda x: x * t)
+        return cls(values=lambda x: x * t)
 
     @classmethod
     def tabulated(cls, fn: Callable[[np.ndarray], np.ndarray]) -> SpectralFunction:
         """Arbitrary f given as a callable; evaluated only where the pipeline asks."""
-        return cls(kind="tabulated", values=fn)
+        return cls(values=fn)
 
 
 @dataclasses.dataclass
@@ -225,11 +222,8 @@ def _rounding_table(w: np.ndarray, config: QPEConfig) -> np.ndarray:
 def _phase_table(f: SpectralFunction, config: QPEConfig) -> tuple[np.ndarray, np.ndarray]:
     """Stage two per pointer code: the kept-branch factor p0(c) and the 0/1 flag mask m(c)."""
     grid = config.grid_values()
-    phase = np.exp(-1j * f(grid))
-    if f.flag_threshold is None:
-        return phase, np.zeros(grid.size)
     ill = np.abs(grid) < f.flag_threshold
-    return np.where(ill, 0.0, phase), ill.astype(float)
+    return np.where(ill, 0.0, np.exp(-1j * f(grid))), ill.astype(float)
 
 
 def exact_flag_branches(
@@ -246,10 +240,7 @@ def exact_flag_branches(
     psi = _check_unit_norm(psi)
     w, v = eig
     coeff = v.conj().T @ psi.reshape(w.size, -1)
-    if f.flag_threshold is None:
-        ill = np.zeros(w.size, dtype=bool)
-    else:
-        ill = np.abs(w) < f.flag_threshold
+    ill = np.abs(w) < f.flag_threshold
     kept = v @ (np.where(ill, 0.0, np.exp(-1j * f(w)))[:, None] * coeff)
     flagged = v @ (ill[:, None] * coeff)
     return kept.reshape(psi.shape), flagged.reshape(psi.shape)
@@ -299,7 +290,7 @@ def apply_phase_function(
     """
     p0, mask = _phase_table(f, config)
     flag1 = state.flag1
-    if f.flag_threshold is not None:
+    if f.flag_threshold > 0.0:
         flag1 = flag1 + state.flag0 * mask
     return PointerState(flag0=state.flag0 * p0, flag1=flag1)
 

@@ -268,10 +268,10 @@ def check_flag_semantics(seed: int) -> tuple[bool, dict]:
         )
         modes = [("exact", None)]
         if bits is not None:
-            modes.append(("qpe", QPEConfig(bits=bits, kappa_tilde=kappa_tilde)))
+            modes.append(("qpe", QPEConfig(bits=bits)))
         for mode, config in modes:
-            result = polar.apply_polar_wellconditioned(
-                a, psi, kappa_tilde, mode=mode, config=config
+            result = polar.apply_polar_isometry(
+                a, psi, mode=mode, config=config, kappa_tilde=kappa_tilde
             )
             prob_err = abs(result.diagnostics.flag_probability - expected_prob)
             branch_err = float(

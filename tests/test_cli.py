@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polarsim import cli, generate, hsvt, io, linalg, procrustes
+from polarsim import cli, generate, hsvt, io, linalg, polar, procrustes
 from polarsim.embedding import DilationVector
 from polarsim.report import strip_timings
 
@@ -263,6 +265,67 @@ def test_state_file_flows_through_polar(workdir, capsys):
     assert cli.main(["polar", "--input", str(workdir / "a.json"),
                      "--state", str(workdir / "short.json")]) == 4
     capsys.readouterr()
+
+
+def test_polar_state_output_is_graded(workdir, capsys, monkeypatch):
+    io.write_matrix(
+        str(workdir / "state6.json"),
+        generate.random_state(6, generate.rng_for(906)).reshape(6, 1),
+    )
+    argv = ["polar", "--input", str(workdir / "a.json"),
+            "--state", str(workdir / "state6.json")]
+    for extra in ([], ["--kappa-tilde", "2"]):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        assert float(lines_of(out)["state_deviation"]) < 1e-12
+    # a route that corrupts only the state call, not the column basis, fails
+    original = polar.apply_polar_isometry
+
+    def corrupted(a, psi, *args, **kwargs):
+        res = original(a, psi, *args, **kwargs)
+        if np.ndim(psi.top) == 2:
+            return res
+        flipped = DilationVector(top=res.output.top, bottom=-res.output.bottom)
+        return dataclasses.replace(res, output=flipped)
+
+    monkeypatch.setattr(polar, "apply_polar_isometry", corrupted)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert float(lines_of(out)["isometry_deviation"]) < 1e-12
+    assert float(lines_of(out)["state_deviation"]) > 0.1
+
+
+def test_kappa_tilde_is_refused_where_it_does_not_act(workdir, capsys):
+    # evolve and pgm apply no sign transform; hsvt applies one for sign only
+    for argv in (
+        ["evolve", "--input", "a.json", "--time", "0.5", "--kappa-tilde", "4"],
+        ["pgm", "--input", "pgm.json", "--kappa-tilde", "2"],
+        ["pgm", "--input", "pgm.json", "--mode", "qpe", "--kappa-tilde", "2"],
+        ["hsvt", "--input", "m.json", "--function", "abs", "--kappa-tilde", "2"],
+        ["hsvt", "--input", "m.json", "--function", "linear", "--kappa-tilde", "2"],
+    ):
+        argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+        assert cli.main(argv) == 2, argv
+    assert "applies to --function sign only" in capsys.readouterr().err
+
+
+def test_reports_do_not_depend_on_blas_threads(workdir):
+    # a threaded BLAS sums in a thread-dependent order; the CLI pins it to one
+    if cli._openblas_threads() is None:
+        pytest.skip("the loaded BLAS exports no OpenBLAS thread-count entry points")
+    path = workdir / "a128.json"
+    io.write_matrix(str(path), generate.random_complex_matrix(128, 128, generate.rng_for(905)))
+    reports = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarsim", "evolve", "--input", str(path),
+             "--time", "1"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(strip_timings(proc.stdout))
+    assert reports[0] == reports[1]
 
 
 def test_nan_state_is_malformed(workdir, capsys):

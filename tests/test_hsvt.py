@@ -7,7 +7,6 @@ from polarsim import embedding, generate, hsvt, linalg, polar
 from polarsim.embedding import DilationVector
 from polarsim.hsvt import SplitHamiltonian
 from polarsim.polar import ParityExtension
-from polarsim.spectral import SpectralFunction
 
 
 def _state(total: int, split: int, seed: int) -> DilationVector:
@@ -99,46 +98,6 @@ def test_trotter_step_matches_the_two_exponential_reference():
         assert np.linalg.norm(out.to_vector() - reference, ord=2) < 1e-13
 
 
-def test_transform_sign_equals_polar_route():
-    rng = generate.rng_for(606)
-    sh = generate.random_split_hamiltonian(3, 2, rng)
-    psi = _state(5, 3, 607)
-    res = hsvt.hsvt_transform(sh, SpectralFunction.sign_phase(), 0.0, psi)
-    ref = polar.apply_polar_isometry(sh.coupling_block, psi, mode="exact")
-    np.testing.assert_allclose(
-        res.output.to_vector(), ref.output.to_vector(), atol=1e-12
-    )
-
-
-def test_transform_thresholded_sign_uses_flag_variant():
-    rng = generate.rng_for(608)
-    sh = generate.random_split_hamiltonian(2, 2, rng)
-    psi = _state(4, 2, 609)
-    f = SpectralFunction.sign_phase(kappa_tilde=2.0)
-    res = hsvt.hsvt_transform(sh, f, 0.0, psi)
-    ref = polar.apply_polar_wellconditioned(
-        sh.coupling_block, psi, kappa_tilde=2.0, mode="exact"
-    )
-    np.testing.assert_allclose(
-        res.output.to_vector(), ref.output.to_vector(), atol=1e-12
-    )
-    assert res.diagnostics.flag_probability == pytest.approx(
-        ref.diagnostics.flag_probability, abs=1e-12
-    )
-
-
-def test_transform_parity_extension_routes_to_generalized():
-    rng = generate.rng_for(610)
-    sh = generate.random_split_hamiltonian(2, 3, rng)
-    psi = _state(5, 2, 611)
-    ext = ParityExtension(base=np.sqrt, parity="even")
-    res = hsvt.hsvt_transform(sh, ext, 0.7, psi)
-    ref = polar.evolve_generalized(sh.coupling_block, ext, 0.7, psi, mode="exact")
-    np.testing.assert_allclose(
-        res.output.to_vector(), ref.output.to_vector(), atol=1e-12
-    )
-
-
 def test_diagonal_blocks_never_enter():
     # same coupling, different diagonal blocks: identical transform output
     rng = generate.rng_for(612)
@@ -155,20 +114,16 @@ def test_diagonal_blocks_never_enter():
         mat[:n, n:] = coupling.conj().T
         return SplitHamiltonian(matrix=mat, split=n)
 
-    f = SpectralFunction.sign_phase()
-    out1 = hsvt.hsvt_transform(build(1), f, 0.0, psi).output.to_vector()
-    out2 = hsvt.hsvt_transform(build(2), f, 0.0, psi).output.to_vector()
-    np.testing.assert_array_equal(out1, out2)
-
-
-def test_transform_rejects_unsupported_functions():
-    rng = generate.rng_for(614)
-    sh = generate.random_split_hamiltonian(2, 2, rng)
-    psi = _state(4, 2, 615)
-    with pytest.raises(ValueError, match="sign"):
-        hsvt.hsvt_transform(sh, SpectralFunction.linear(1.0), 1.0, psi)
-    with pytest.raises(TypeError, match="transform"):
-        hsvt.hsvt_transform(sh, "sign", 1.0, psi)
+    ext = ParityExtension(base=np.sqrt, parity="even")
+    for kappa_tilde in (None, 2.0):
+        outs = []
+        for seed in (1, 2):
+            a = hsvt.isolate_offdiagonal(build(seed)).a_block
+            sign = polar.apply_polar_isometry(a, psi, kappa_tilde=kappa_tilde)
+            evolved = polar.evolve_generalized(a, ext, 0.7, psi)
+            outs.append((sign.output.to_vector(), evolved.output.to_vector()))
+        for out1, out2 in zip(*outs):
+            np.testing.assert_array_equal(out1, out2)
 
 
 def test_isolated_block_spectrum_is_coupling_svd():

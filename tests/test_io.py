@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ def test_matrix_write_is_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
     io.write_matrix(p1, a)
     io.write_matrix(p2, a.copy())
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_matrix_rejects_malformed(tmp_path):

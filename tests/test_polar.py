@@ -47,7 +47,6 @@ def test_exact_isometry_matches_block_oracle():
             res.output.to_vector(), _block_action(u, psi.to_vector(), n), atol=1e-10
         )
         assert res.flagged is None
-        assert res.scale == pytest.approx(np.linalg.norm(a, ord=2))
 
 
 def test_isometry_handles_scaling_and_rank_deficiency():
@@ -75,7 +74,7 @@ def test_flag_split_conserves_weight():
     rng = generate.rng_for(403)
     a = np.diag([1.0, 0.3, 0.05]).astype(complex)
     psi = _state(3, 3, rng)
-    res = polar.apply_polar_wellconditioned(a, psi, kappa_tilde=5.0, mode="exact")
+    res = polar.apply_polar_isometry(a, psi, mode="exact", kappa_tilde=5.0)
     kept_w = float(np.linalg.norm(res.output.to_vector()) ** 2)
     flag_w = float(np.linalg.norm(res.flagged.to_vector()) ** 2)
     assert kept_w + flag_w == pytest.approx(1.0, abs=1e-12)
@@ -90,8 +89,9 @@ def test_flag_split_conserves_weight():
 def test_wellconditioned_validates_kappa():
     a = np.eye(2, dtype=complex)
     psi = embedding.inject_right(np.array([1.0, 0.0], dtype=complex), 2)
-    with pytest.raises(ValueError):
-        polar.apply_polar_wellconditioned(a, psi, kappa_tilde=0.5)
+    for kt in (0.5, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="condition number"):
+            polar.apply_polar_isometry(a, psi, kappa_tilde=kt)
 
 
 def test_qpe_equals_exact_on_dyadic_spectra():
@@ -114,9 +114,9 @@ def test_qpe_flag_matches_exact_on_grid():
     a = np.diag([1.0, 0.5, 0.125]).astype(complex)
     psi = _state(3, 3, rng)
     kt = 3.0
-    exact = polar.apply_polar_wellconditioned(a, psi, kt, mode="exact")
-    sim = polar.apply_polar_wellconditioned(
-        a, psi, kt, mode="qpe", config=QPEConfig(bits=6)
+    exact = polar.apply_polar_isometry(a, psi, mode="exact", kappa_tilde=kt)
+    sim = polar.apply_polar_isometry(
+        a, psi, mode="qpe", config=QPEConfig(bits=6), kappa_tilde=kt
     )
     np.testing.assert_allclose(
         sim.output.to_vector(), exact.output.to_vector(), atol=1e-9
@@ -126,18 +126,6 @@ def test_qpe_flag_matches_exact_on_grid():
     )
     assert sim.diagnostics.flag_probability == pytest.approx(
         exact.diagnostics.flag_probability, abs=1e-10
-    )
-
-
-def test_kappa_tilde_config_routes_to_flag_variant():
-    rng = generate.rng_for(406)
-    a = np.diag([1.0, 0.125]).astype(complex)
-    psi = _state(2, 2, rng)
-    cfg = QPEConfig(bits=6, kappa_tilde=4.0)
-    via_config = polar.apply_polar_isometry(a, psi, mode="qpe", config=cfg)
-    direct = polar.apply_polar_wellconditioned(a, psi, 4.0, mode="qpe", config=cfg)
-    np.testing.assert_allclose(
-        via_config.output.to_vector(), direct.output.to_vector(), atol=1e-12
     )
 
 
@@ -234,7 +222,7 @@ def test_block_equals_single_state_calls(mode):
     config = QPEConfig(bits=5)
     calls = (
         lambda psi: polar.apply_polar_isometry(a, psi, mode, config),
-        lambda psi: polar.apply_polar_wellconditioned(a, psi, 3.0, mode, config),
+        lambda psi: polar.apply_polar_isometry(a, psi, mode, config, kappa_tilde=3.0),
         lambda psi: polar.evolve_positive_factor(a, 0.7, psi, mode, config),
     )
     for call in calls:
@@ -260,3 +248,68 @@ def test_block_equals_single_state_calls(mode):
         assert whole.diagnostics.flag_probability == pytest.approx(
             sum(d.flag_probability for d in diags), abs=1e-12
         )
+
+
+
+def _sign_property(check, mode: str, kappa_tilde: float | None) -> None:
+    # one random instance per example: a rectangular, possibly rank-deficient
+    # A and a dilation state, through the one sign entry point
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-3, 300.0))
+    def run(seed, c):
+        rng = generate.rng_for(seed)
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        rank = int(rng.integers(1, min(m, n) + 1))
+        a = generate.random_complex_matrix(m, rank, rng) @ generate.random_complex_matrix(
+            rank, n, rng
+        )
+        psi = generate.random_state(n + m, rng)
+
+        def sign(mat: np.ndarray, vec: np.ndarray, split: int) -> np.ndarray:
+            res = polar.apply_polar_isometry(
+                mat,
+                DilationVector.from_vector(vec, split),
+                mode=mode,
+                config=QPEConfig(bits=6),
+                kappa_tilde=kappa_tilde,
+            )
+            parts = [res.output.to_vector()]
+            if res.flagged is not None:
+                parts.append(res.flagged.to_vector())
+            return np.concatenate(parts)
+
+        check(sign, a, psi, n, c)
+
+    run()
+
+
+_SIGN_CASES = pytest.mark.parametrize(
+    "mode, kappa_tilde",
+    [("exact", None), ("exact", 3.0), ("qpe", None), ("qpe", 3.0)],
+)
+
+
+@_SIGN_CASES
+def test_sign_transform_is_scale_invariant(mode, kappa_tilde):
+    # A -> cA leaves the isometry, the flag split and the pointer route alone
+    def check(sign, a, psi, n, c):
+        np.testing.assert_allclose(sign(c * a, psi, n), sign(a, psi, n), atol=1e-12)
+
+    _sign_property(check, mode, kappa_tilde)
+
+
+@_SIGN_CASES
+def test_sign_transform_adjoint_swaps_blocks(mode, kappa_tilde):
+    # the dilation of A^dag is the dilation of A with its blocks swapped, so
+    # the swapped state comes out as the swapped output, flag branch included
+    def check(sign, a, psi, n, c):
+        d = psi.size
+        swap = np.concatenate([np.arange(n, d), np.arange(n)])
+        direct = sign(a, psi, n).reshape(-1, d)
+        dual = sign(a.conj().T, psi[swap], d - n).reshape(-1, d)
+        np.testing.assert_allclose(dual, direct[:, swap], atol=1e-12)
+
+    _sign_property(check, mode, kappa_tilde)

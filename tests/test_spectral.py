@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ def test_decode_is_twos_complement():
 def test_qpe_config_validation():
     with pytest.raises(ValueError):
         QPEConfig(bits=0)
-    with pytest.raises(ValueError):
-        QPEConfig(bits=3, kappa_tilde=1.0)
+    # the flag threshold is a property of the sign function, not of the pointer
+    assert [f.name for f in dataclasses.fields(QPEConfig)] == ["bits"]
 
 
 def test_identity_lands_on_single_code():
@@ -77,6 +79,10 @@ def test_sign_phase_conventions():
     )
     g = SpectralFunction.sign_phase(kappa_tilde=4.0)
     assert g.flag_threshold == pytest.approx(0.25)
+    # NaN compares false both ways, so it must not slip past as "no threshold"
+    for bad in (1.0, 0.5, -3.0, float("nan")):
+        with pytest.raises(ValueError, match="condition number"):
+            SpectralFunction.sign_phase(kappa_tilde=bad)
 
 
 def test_phase_on_zero_hamiltonian():
@@ -158,7 +164,7 @@ def test_leakage_shrinks_with_bits():
 
 def test_flag_routes_small_codes():
     # on-grid spectrum: sigma = 1 kept, sigma = 1/16 flagged at kappa_tilde = 4
-    cfg = QPEConfig(bits=8, kappa_tilde=4.0)
+    cfg = QPEConfig(bits=8)
     a = np.diag([1.0, 0.0625]).astype(complex)
     hmat = np.zeros((4, 4), dtype=complex)
     hmat[2:, :2] = a
