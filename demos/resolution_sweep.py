@@ -30,9 +30,7 @@ def run() -> None:
         print(f"kappa = {kappa}  (needs b >= {b_req})")
         fids = []
         for bits in range(2, b_req + 3):
-            res = polar.apply_polar_isometry(
-                a, psi, mode="qpe", config=QPEConfig(bits=bits)
-            )
+            res = polar.apply_polar_isometry(a, psi, config=QPEConfig(bits=bits))
             fid = res.diagnostics.fidelity_vs_exact
             fids.append(fid)
             marker = " <- required width" if bits == b_req else ""

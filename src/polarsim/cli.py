@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import embedding, generate, hsvt, io, linalg, pgm, polar, procrustes, spectral, verify
+from . import embedding, generate, hsvt, io, pgm, polar, procrustes, spectral, verify
 from .embedding import DilationVector
 from .polar import ParityExtension
 from .report import Report
@@ -225,8 +225,9 @@ def _tolerance(args: _Args) -> float:
     return args.tolerance if args.tolerance is not None else _env_tolerance()
 
 
-def _config(args: _Args) -> QPEConfig:
-    return QPEConfig(bits=args.bits)
+def _config(args: _Args) -> QPEConfig | None:
+    """The pointer setting of ``--mode qpe``; None runs the exact route."""
+    return QPEConfig(bits=args.bits) if args.mode == "qpe" else None
 
 
 def _state(args: _Args, dim: int, what: str) -> np.ndarray:
@@ -267,19 +268,6 @@ def _add_vector(rep: Report, key: str, vec: np.ndarray) -> None:
         rep.add(f"{key}.{k}", complex(z))
 
 
-def _restricted_isometry(a: np.ndarray, kappa_tilde: float | None) -> np.ndarray:
-    """Classical oracle: partial isometry over sigma > cutoff (or >= sigma_max/kt)."""
-    res = linalg.svd(a)
-    s = res.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], a.shape[1]), dtype=complex)
-    if kappa_tilde is None:
-        keep = s > linalg.rank_cutoff(s)
-    else:
-        keep = (s / s[0]) >= 1.0 / kappa_tilde
-    return res.left_vectors[:, keep] @ res.right_vectors[:, keep].conj().T
-
-
 def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     a = io.read_matrix(args.input)
     m, n = a.shape
@@ -288,13 +276,10 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     rep.add("rows", m)
     rep.add("cols", n)
     config = _config(args)
-
-    def transform(psi: DilationVector) -> polar.PolarApplyResult:
-        return polar.apply_polar_isometry(a, psi, args.mode, config, args.kappa_tilde)
-
-    result = transform(embedding.inject_right(np.eye(n, dtype=complex), m))
+    basis = embedding.inject_right(np.eye(n, dtype=complex), m)
+    result = polar.apply_polar_isometry(a, basis, config, args.kappa_tilde)
     u_pipe = result.output.bottom
-    u = _restricted_isometry(a, args.kappa_tilde)
+    u = verify.restricted_isometry(a, args.kappa_tilde)
     deviation = float(np.linalg.norm(u_pipe - u, ord=2))
     rep.add("isometry_deviation", deviation)
     rep.add("min_column_fidelity", result.diagnostics.fidelity_vs_exact)
@@ -303,11 +288,8 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     passed = deviation <= tol
     if getattr(args, "state", None):
         psi = _dilation_state(args, n, m)
-        result = transform(psi)
-        if args.kappa_tilde is None:
-            expected = verify._block_isometry_action(u, psi.to_vector(), n)
-        else:  # the rest is flagged away: the kept branch is swapped through U_r only
-            expected = np.concatenate([u.conj().T @ psi.bottom, u @ psi.top])
+        result = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
+        expected = verify.sign_expected(u, psi, args.kappa_tilde)
         state_deviation = float(np.linalg.norm(result.output.to_vector() - expected))
         rep.add("state_deviation", state_deviation)
         rep.add("state_fidelity", result.diagnostics.fidelity_vs_exact)
@@ -331,19 +313,11 @@ def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
     psi = _dilation_state(args, n, m)
     config = _config(args)
     if args.function == "abs":
-        result = polar.evolve_positive_factor(
-            a, args.time, psi, mode=args.mode, config=config
-        )
-        expected = verify.positive_factor_expected(
-            linalg.classical_polar(a), args.time, psi
-        )
+        result = polar.evolve_positive_factor(a, args.time, psi, config)
     else:
         ext = ParityExtension(base=lambda x: x, parity="odd")
-        result = polar.evolve_generalized(
-            a, ext, args.time, psi, mode=args.mode, config=config
-        )
-        hmat = embedding.embed(a).to_matrix()
-        expected = linalg.matrix_exp_hermitian(hmat, args.time) @ psi.to_vector()
+        result = polar.evolve_generalized(a, ext, args.time, psi, config)
+    expected = verify.evolution_expected(args.function, a, args.time, psi)
     out = result.output.to_vector()
     deviation = float(np.linalg.norm(out - expected))
     fidelity = float(abs(np.vdot(expected, out)))
@@ -366,9 +340,12 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     chi = _state(args, inst.input_dim, "this instance")
     n_steps = args.steps if (args.mode == "qpe" and args.steps > 0) else None
     bottom, diag = procrustes.apply_procrustes_quantum(
-        inst, chi, args.mode, _config(args), n_steps, args.kappa_tilde
+        inst, chi, _config(args), n_steps, args.kappa_tilde
     )
-    rep.add("fidelity", diag.fidelity_vs_exact)
+    if args.kappa_tilde is not None:  # the flagged rest is not mapped: grade by U_r
+        u = verify.restricted_isometry(inst.cross_covariance(), args.kappa_tilde)
+    fidelity = verify.overlap_fidelity(u @ chi, bottom)
+    rep.add("fidelity", fidelity)
     rep.add("flag_probability", diag.flag_probability)
     rep.add("leakage", diag.leakage_norm)
     _add_vector(rep, "mapped_state", bottom)
@@ -376,7 +353,7 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     for n in sorted({10, 100, max(args.steps, 1)}):
         _, tr = procrustes.effective_hamiltonian_evolution(inst, 1.0, n, psi)
         rep.add(f"trotter_deviation.n{n}", tr.deviation)
-    return rep, diag.fidelity_vs_exact >= 1.0 - tol
+    return rep, fidelity >= 1.0 - tol
 
 
 def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
@@ -392,7 +369,7 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
     else:
         rep.add("rho", "from-file")
     p_direct = pgm.pgm_probabilities(inst, rho)
-    p_polar, u = pgm.pgm_via_polar(inst, rho, mode=args.mode, config=_config(args))
+    p_polar, u = pgm.pgm_via_polar(inst, rho, _config(args))
     gap = float(np.max(np.abs(p_direct - p_polar)))
     completeness, reprep = verify.pgm_residuals(inst, u)
     for j, p in enumerate(p_direct):
@@ -430,19 +407,17 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     rep.add("trotter_step_size", tr.step_size)
     # the diagonal blocks never enter: only the isolated coupling is transformed
     a = hsvt.isolate_offdiagonal(sh).a_block
+    config = _config(args)
     if args.function == "sign":
-        transform = functools.partial(
-            polar.apply_polar_isometry, a, psi, kappa_tilde=args.kappa_tilde
-        )
+        result = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
+        u = verify.restricted_isometry(a, args.kappa_tilde)
+        expected = verify.sign_expected(u, psi, args.kappa_tilde)
     else:
         parity = "even" if args.function == "abs" else "odd"
         ext = ParityExtension(base=lambda x: x, parity=parity)
-        transform = functools.partial(polar.evolve_generalized, a, ext, args.time, psi)
-    result = transform(mode=args.mode, config=_config(args))
-    reference = transform(mode="exact")
-    deviation = float(
-        np.linalg.norm(result.output.to_vector() - reference.output.to_vector())
-    )
+        result = polar.evolve_generalized(a, ext, args.time, psi, config)
+        expected = verify.evolution_expected(args.function, a, args.time, psi)
+    deviation = float(np.linalg.norm(result.output.to_vector() - expected))
     rep.add("deviation_vs_exact", deviation)
     rep.add("fidelity", result.diagnostics.fidelity_vs_exact)
     rep.add("flag_probability", result.diagnostics.flag_probability)

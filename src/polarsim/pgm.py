@@ -98,36 +98,31 @@ def pgm_probabilities(inst: PGMInstance, rho: np.ndarray) -> np.ndarray:
 def pgm_via_polar(
     inst: PGMInstance,
     rho: np.ndarray,
-    mode: str = "exact",
     config: QPEConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome distribution through the polar isometry of the stacking map.
 
     The isometry U is learned from the pairing (phi_j -> |j>) with the
     Procrustes solver, the state is conjugated through it, and outcomes are
-    read in the index basis: p(j) = <j| U rho U^dag |j>.  In qpe mode the
+    read in the index basis: p(j) = <j| U rho U^dag |j>.  With ``config`` the
     eigenvectors of rho ride the simulated sign-transform pipeline as one
-    block instead of the exact one.
+    block instead.
 
     Returns:
         (probabilities, U); U^dag maps index states back to the measurement
         directions, so it re-prepares chi_j from |j>.
     """
-    if mode not in ("exact", "qpe"):
-        raise ValueError(f"mode must be 'exact' or 'qpe', got {mode!r}")
     rho = _check_density(rho, inst.dim)
     targets = np.eye(inst.n_states, dtype=complex)
     pairing = procrustes.ProcrustesInstance(inputs=inst.states, outputs=targets)
     u, _ = procrustes.solve_procrustes_classical(pairing)
-    if mode == "exact":
+    if config is None:
         probs = np.real(np.diag(u @ rho @ u.conj().T)).copy()
     else:
         w, vecs = linalg.hermitian_eig(rho)
         keep = w > 1e-14
         psi = embedding.inject_right(vecs[:, keep], inst.n_states)
-        result = polar.apply_polar_isometry(
-            inst.stacking_map(), psi, mode="qpe", config=config
-        )
+        result = polar.apply_polar_isometry(inst.stacking_map(), psi, config)
         probs = np.abs(result.output.bottom) ** 2 @ w[keep]
     return probs, u
 

@@ -2,8 +2,8 @@
 
 Each operation embeds the target matrix A in its Hermitian dilation, rescales
 so the top singular value is 1 (time arguments are rescaled to compensate),
-and applies a spectral function either exactly or through the simulated
-phase-estimation pipeline:
+and applies a spectral function, exactly when ``config`` is None and through
+the simulated phase-estimation pipeline at ``config.bits`` otherwise:
 
 * sign phase      -> apply the polar (partial) isometry: (psi_R, psi_L) maps
                      to (U^dag psi_L, U psi_R), identity on kernel/cokernel;
@@ -17,9 +17,10 @@ the state into a well-conditioned branch (singular values >= 1/kappa_tilde,
 after rescaling) that receives the isometry and a flagged branch left
 untouched; ``SpectralFunction.sign_phase`` is where kappa_tilde is checked.
 
-Each call factors its dilation once; the state may be a block of k states
-(``DilationVector`` with (n, k) and (m, k) blocks), and the diagnostics then
-aggregate over the columns as ``SimDiagnostics`` describes.
+Each call factors its dilation once and computes no oracle (``verify`` holds
+those); the state may be a block of k states (``DilationVector`` with (n, k)
+and (m, k) blocks), and the diagnostics then aggregate over the columns as
+``SimDiagnostics`` describes.
 """
 
 from __future__ import annotations
@@ -90,20 +91,17 @@ def _run(
     eig: tuple[np.ndarray, np.ndarray],
     f: SpectralFunction,
     psi: DilationVector,
-    mode: str,
     config: QPEConfig | None,
 ) -> PolarApplyResult:
-    """Apply one spectral function of the prepared dilation, exact or simulated."""
-    if mode not in ("exact", "qpe"):
-        raise ValueError(f"mode must be 'exact' or 'qpe', got {mode!r}")
+    """Apply one spectral function of the prepared dilation: exact without a
+    config, through the simulated pointer with one."""
     n = np.shape(psi.top)[0]
     vec = psi.to_vector()
-    if mode == "exact":
+    if config is None:
         kept, flagged = spectral.exact_flag_branches(eig, f, vec)
         diag = SimDiagnostics(flag_probability=float(np.linalg.norm(flagged) ** 2))
     else:
-        cfg = config if config is not None else QPEConfig()
-        kept, flagged, diag = spectral.spectral_transform_qpe(eig, f, vec, cfg)
+        kept, flagged, diag = spectral.spectral_transform_qpe(eig, f, vec, config)
     return PolarApplyResult(
         output=DilationVector.from_vector(kept, n),
         flagged=None
@@ -116,7 +114,6 @@ def _run(
 def apply_polar_isometry(
     a: np.ndarray,
     psi: DilationVector,
-    mode: str = "exact",
     config: QPEConfig | None = None,
     kappa_tilde: float | None = None,
 ) -> PolarApplyResult:
@@ -128,18 +125,18 @@ def apply_polar_isometry(
     With ``kappa_tilde`` the isometry acts on singular values
     >= sigma_max/kappa_tilde only: the flag=1 branch carries the untouched
     rest (kernel and cokernel included), the branch weights add to the input
-    weight in exact mode, and in qpe mode the decoded estimate sets the flag.
+    weight on the exact route, and with a ``config`` the decoded estimate
+    sets the flag.
     """
     f = SpectralFunction.sign_phase(kappa_tilde)
     eig, _ = _prepared(a)
-    return _run(eig, f, psi, mode, config)
+    return _run(eig, f, psi, config)
 
 
 def evolve_positive_factor(
     a: np.ndarray,
     t: float,
     psi: DilationVector,
-    mode: str = "exact",
     config: QPEConfig | None = None,
 ) -> PolarApplyResult:
     """Evolve for time t under the positive polar factors.
@@ -149,7 +146,7 @@ def evolve_positive_factor(
     transform e^{-i |H| t}.
     """
     eig, scale = _prepared(a)
-    return _run(eig, SpectralFunction.abs_times(t * scale), psi, mode, config)
+    return _run(eig, SpectralFunction.abs_times(t * scale), psi, config)
 
 
 def evolve_generalized(
@@ -157,7 +154,6 @@ def evolve_generalized(
     ext: ParityExtension,
     t: float,
     psi: DilationVector,
-    mode: str = "exact",
     config: QPEConfig | None = None,
 ) -> PolarApplyResult:
     """Evolve for time t under a parity-extended singular-value function.
@@ -176,4 +172,4 @@ def evolve_generalized(
         banded = np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x)
         return ext.extend(banded * scale) * t
 
-    return _run(eig, SpectralFunction.tabulated(phase), psi, mode, config)
+    return _run(eig, SpectralFunction.tabulated(phase), psi, config)

@@ -172,7 +172,6 @@ def solve_procrustes_classical(
 def apply_procrustes_quantum(
     inst: ProcrustesInstance,
     chi: np.ndarray,
-    mode: str = "exact",
     config: QPEConfig | None = None,
     n_steps: int | None = None,
     kappa_tilde: float | None = None,
@@ -181,50 +180,34 @@ def apply_procrustes_quantum(
 
     The input chi is injected into the top block, the sign transform of the
     dilated cross-covariance moves it to U chi in the bottom block, and the
-    bottom component is returned (unnormalized).  In qpe mode with ``n_steps``
-    the walk unitary W = e^{2 pi i H~/4} is synthesized from n_steps
-    density-exponentiation steps and raised to controlled powers as a black
-    box; without ``n_steps`` the exact dilation drives the pointer.  With
-    ``kappa_tilde`` the sign transform flags singular values below
-    sigma_max/kappa_tilde instead of mapping them.  Diagnostics report
-    fidelity against the classical solution U chi.
+    bottom component is returned (unnormalized) with the route's diagnostics.
+    Without ``config`` the transform is exact.  With ``config`` and
+    ``n_steps`` the walk unitary W = e^{2 pi i H~/4} is synthesized from
+    n_steps density-exponentiation steps and raised to controlled powers as a
+    black box; with ``config`` alone the exact dilation drives the pointer.
+    With ``kappa_tilde`` the sign transform flags singular values below
+    sigma_max/kappa_tilde instead of mapping them.
     """
-    if mode not in ("exact", "qpe"):
-        raise ValueError(f"mode must be 'exact' or 'qpe', got {mode!r}")
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (inst.input_dim,):
         raise ValueError(
             f"input state has dimension {chi.shape}, expected ({inst.input_dim},)"
         )
     a = inst.cross_covariance()
-    u, _ = solve_procrustes_classical(inst)
-    oracle_out = u @ chi
     psi = embedding.inject_right(chi, inst.output_dim)
-    if mode == "exact" or n_steps is None:
-        result = polar.apply_polar_isometry(a, psi, mode, config, kappa_tilde)
-        diag = result.diagnostics
-        bottom = np.asarray(result.output.bottom)
-    else:
-        cfg = config if config is not None else QPEConfig()
-        scale = float(np.linalg.norm(a, ord=2))
-        if scale == 0.0:
-            raise ValueError("cross-covariance vanishes; no isometry to learn")
-        pair = reduced_density(inst)
-        # W = e^{2 pi i embed(A/scale)/4} = e^{-i embed(A) t_w}, t_w = -pi/(2 scale)
-        t_w = -np.pi / (2.0 * scale)
-        delta_t = t_w * inst.n_pairs / n_steps
-        walk = np.linalg.matrix_power(dme_step(pair, delta_t), n_steps)
-        f = SpectralFunction.sign_phase(kappa_tilde)
-        state = spectral.qpe_correlate_unitary(walk, psi.to_vector(), cfg)
-        state = spectral.apply_phase_function(state, f, cfg)
-        kept, _, diag = spectral.qpe_uncompute_unitary(state, walk, cfg)
-        bottom = kept[inst.input_dim :]
-    norm_bottom = float(np.linalg.norm(bottom))
-    norm_oracle = float(np.linalg.norm(oracle_out))
-    if norm_bottom > 0 and norm_oracle > 0:
-        diag.fidelity_vs_exact = float(
-            abs(np.vdot(oracle_out, bottom)) / (norm_bottom * norm_oracle)
-        )
-    else:
-        diag.fidelity_vs_exact = 0.0
-    return bottom, diag
+    if config is None or n_steps is None:
+        result = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
+        return np.asarray(result.output.bottom), result.diagnostics
+    scale = float(np.linalg.norm(a, ord=2))
+    if scale == 0.0:
+        raise ValueError("cross-covariance vanishes; no isometry to learn")
+    pair = reduced_density(inst)
+    # W = e^{2 pi i embed(A/scale)/4} = e^{-i embed(A) t_w}, t_w = -pi/(2 scale)
+    t_w = -np.pi / (2.0 * scale)
+    delta_t = t_w * inst.n_pairs / n_steps
+    walk = np.linalg.matrix_power(dme_step(pair, delta_t), n_steps)
+    f = SpectralFunction.sign_phase(kappa_tilde)
+    state = spectral.qpe_correlate_unitary(walk, psi.to_vector(), config)
+    state = spectral.apply_phase_function(state, f, config)
+    kept, _, diag = spectral.qpe_uncompute_unitary(state, walk, config)
+    return kept[inst.input_dim :], diag

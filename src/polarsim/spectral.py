@@ -6,8 +6,8 @@ precomputed (eigenvalues, eigenvectors) pair, so the caller factors each
 operator once, and states as one vector or a (d, k) block.  Two routes are
 provided:
 
-* ``exact_flag_branches`` evaluates f on the true spectrum (the oracle
-  route used by every downstream comparison);
+* ``exact_flag_branches`` evaluates f on the true spectrum (the exact
+  route, and the reference of the qpe route's ``fidelity_vs_exact``);
 * the three-stage pipeline ``qpe_correlate`` -> ``apply_phase_function`` ->
   ``qpe_uncompute`` simulates textbook phase estimation with a b-bit pointer
   register, applies e^{-i f(.)} at the decoded grid values only, and inverts
@@ -163,7 +163,7 @@ class PointerState:
         return float(np.linalg.norm(self.flag1) ** 2)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SimDiagnostics:
     """What the simulated pipeline knew about its own accuracy.
 
@@ -172,8 +172,8 @@ class SimDiagnostics:
 
     Attributes:
         leakage_norm: 2-norm of the amplitude not returned to pointer code 0.
-        fidelity_vs_exact: overlap with the exact-route output (1.0 when the
-            run *is* the exact route).
+        fidelity_vs_exact: overlap with the exact-route output, computed by
+            the pointer route itself (the 1.0 default on the exact route).
         flag_probability: squared norm of the flag=1 branch.
         rounding_table: (k, 2) array of (true eigenvalue, decoded estimate at
             the nearest grid code); None for exact runs.

@@ -33,15 +33,63 @@ class ItemResult:
     elapsed: float
 
 
-def _block_isometry_action(u: np.ndarray, psi: np.ndarray, split: int) -> np.ndarray:
-    """Oracle for the dilated sign transform: swap blocks through U, identity
-    on kernel/cokernel."""
-    top, bottom = psi[:split], psi[split:]
-    n = u.shape[1]
-    m = u.shape[0]
+def restricted_isometry(a: np.ndarray, kappa_tilde: float | None) -> np.ndarray:
+    """Oracle U: partial isometry over sigma > cutoff, or U_r over sigma >= sigma_max/kt."""
+    res = linalg.svd(a)
+    s = res.singular_values
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((a.shape[0], a.shape[1]), dtype=complex)
+    if kappa_tilde is None:
+        keep = s > linalg.rank_cutoff(s)
+    else:
+        keep = (s / s[0]) >= 1.0 / kappa_tilde
+    return res.left_vectors[:, keep] @ res.right_vectors[:, keep].conj().T
+
+
+def sign_expected(
+    u: np.ndarray, psi: DilationVector, kappa_tilde: float | None = None
+) -> np.ndarray:
+    """Oracle for the sign transform's kept branch, U from ``restricted_isometry``.
+
+    The blocks swap through U and kernel/cokernel parts pass through; with
+    kappa_tilde those parts are flagged away and only the swap through U_r stays.
+    """
+    top, bottom = psi.top, psi.bottom
+    if kappa_tilde is not None:
+        return np.concatenate([u.conj().T @ bottom, u @ top])
+    n, m = u.shape[1], u.shape[0]
     new_top = u.conj().T @ bottom + (np.eye(n) - u.conj().T @ u) @ top
     new_bottom = u @ top + (np.eye(m) - u @ u.conj().T) @ bottom
     return np.concatenate([new_top, new_bottom])
+
+
+def evolution_expected(
+    function: str, a: np.ndarray, t: float, psi: DilationVector
+) -> np.ndarray:
+    """Oracle for e^{-i|H|t} (``"abs"``) or e^{-iHt} (``"linear"``), H = embed(A).
+
+    ``"linear"`` takes one SVD A = L S R^dag: the top block is
+    psi_top + R((cos St - 1) R^dag psi_top - i sin St L^dag psi_bottom) and
+    the bottom block its mirror image.
+    """
+    if function == "abs":
+        return positive_factor_expected(linalg.classical_polar(a), t, psi)
+    res = linalg.svd(a)
+    left, right = res.left_vectors, res.right_vectors
+    cos, sin = np.cos(res.singular_values * t) - 1.0, np.sin(res.singular_values * t)
+    top, bottom = right.conj().T @ psi.top, left.conj().T @ psi.bottom
+    return np.concatenate(
+        [
+            psi.top + right @ (cos * top - 1j * sin * bottom),
+            psi.bottom + left @ (cos * bottom - 1j * sin * top),
+        ]
+    )
+
+
+def overlap_fidelity(expected: np.ndarray, out: np.ndarray) -> float:
+    """|<expected|out>| over both norms; 0 when either vanishes."""
+    norms = float(np.linalg.norm(out)) * float(np.linalg.norm(expected))
+    return float(abs(np.vdot(expected, out)) / norms) if norms > 0 else 0.0
 
 
 def positive_factor_expected(
@@ -107,9 +155,8 @@ def check_polar_oracle_equivalence(seed: int) -> tuple[bool, dict]:
         a = generate.random_complex_matrix(m, n, rng)
         a = a / float(np.linalg.norm(a, ord=2))
         psi = _random_dilation_state(n, m, rng)
-        result = polar.apply_polar_isometry(a, psi, mode="exact")
-        u = linalg.classical_polar(a).isometry
-        expected = _block_isometry_action(u, psi.to_vector(), n)
+        result = polar.apply_polar_isometry(a, psi)
+        expected = sign_expected(linalg.classical_polar(a).isometry, psi)
         err = float(np.linalg.norm(result.output.to_vector() - expected))
         worst = np.maximum(worst, err)
     return bool(worst <= tol), {
@@ -138,9 +185,7 @@ def check_qpe_dyadic_exactness(seed: int) -> tuple[bool, dict]:
             n = int(rng.integers(2, 7))
             a = generate.dyadic_singular_matrix(bits, m, n, rng)
             psi = _random_dilation_state(n, m, rng)
-            result = polar.apply_polar_isometry(
-                a, psi, mode="qpe", config=QPEConfig(bits=bits)
-            )
+            result = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
             worst_fid = np.minimum(worst_fid, result.diagnostics.fidelity_vs_exact)
             worst_leak = np.maximum(worst_leak, result.diagnostics.leakage_norm)
     passed = bool(worst_fid >= fid_floor and worst_leak <= leak_cap)
@@ -185,9 +230,7 @@ def check_condition_number_scaling(seed: int) -> tuple[bool, dict]:
             )
             fids = []
             for bits in range(2, b_req + 2):
-                result = polar.apply_polar_isometry(
-                    a, psi, mode="qpe", config=QPEConfig(bits=bits)
-                )
+                result = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
                 fid = result.diagnostics.fidelity_vs_exact
                 fids.append(fid)
                 if inst == 0:
@@ -226,7 +269,7 @@ def check_positive_factor_evolution(seed: int) -> tuple[bool, dict]:
         factors = linalg.classical_polar(a)
         psi = _random_dilation_state(n, m, rng)
         for t in (0.1, 1.0, math.pi):
-            result = polar.evolve_positive_factor(a, t, psi, mode="exact")
+            result = polar.evolve_positive_factor(a, t, psi)
             expected = positive_factor_expected(factors, t, psi)
             err = float(np.linalg.norm(result.output.to_vector() - expected))
             worst = np.maximum(worst, err)
@@ -266,13 +309,9 @@ def check_flag_semantics(seed: int) -> tuple[bool, dict]:
         expected_branch = np.concatenate(
             [keep * np.asarray(psi.bottom), keep * np.asarray(psi.top)]
         )
-        modes = [("exact", None)]
-        if bits is not None:
-            modes.append(("qpe", QPEConfig(bits=bits)))
-        for mode, config in modes:
-            result = polar.apply_polar_isometry(
-                a, psi, mode=mode, config=config, kappa_tilde=kappa_tilde
-            )
+        configs = [None] if bits is None else [None, QPEConfig(bits=bits)]
+        for config in configs:
+            result = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
             prob_err = abs(result.diagnostics.flag_probability - expected_prob)
             branch_err = float(
                 np.linalg.norm(result.output.to_vector() - expected_branch)
@@ -432,7 +471,7 @@ def check_pgm_dual_path(seed: int) -> tuple[bool, dict]:
             v = generate.random_state(d, rng)
             rho = np.outer(v, v.conj())
         p_direct = pgm.pgm_probabilities(inst, rho)
-        p_polar, u = pgm.pgm_via_polar(inst, rho, mode="exact")
+        p_polar, u = pgm.pgm_via_polar(inst, rho)
         worst_gap = np.maximum(worst_gap, float(np.max(np.abs(p_direct - p_polar))))
         completeness, reprep = pgm_residuals(inst, u)
         worst_complete = np.maximum(worst_complete, completeness)

@@ -295,6 +295,44 @@ def test_polar_state_output_is_graded(workdir, capsys, monkeypatch):
     assert float(lines_of(out)["state_deviation"]) > 0.1
 
 
+@pytest.mark.parametrize(
+    "mode",
+    [["--mode", "exact"], ["--mode", "qpe", "--bits", "10", "--tolerance", "0.05"]],
+    ids=["exact", "qpe"],
+)
+def test_hsvt_grades_its_route_against_the_oracle(workdir, capsys, monkeypatch, mode):
+    # the route runs once and the block swap it must match comes from verify,
+    # so a route that returns a wrong block swap fails
+    argv = ["hsvt", "--input", str(workdir / "m.json"), *mode]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, out
+    original = polar.apply_polar_isometry
+
+    def wrong_swap(a, psi, *args, **kwargs):
+        res = original(a, psi, *args, **kwargs)
+        flipped = DilationVector(top=res.output.top, bottom=-res.output.bottom)
+        return dataclasses.replace(res, output=flipped)
+
+    monkeypatch.setattr(polar, "apply_polar_isometry", wrong_swap)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1, out
+    assert float(lines_of(out)["deviation_vs_exact"]) > 0.1
+
+
+def test_procrustes_kappa_tilde_grades_against_restricted_isometry(tmp_path, capsys):
+    # the flagged singular values are not mapped, so the oracle is U_r chi
+    path = str(tmp_path / "p.json")
+    assert cli.main(["generate", "--kind", "procrustes", "--dims", "3,4,5",
+                     "--seed", "3", "--output", path]) == 0
+    for extra in ([], ["--mode", "qpe", "--steps", "0", "--tolerance", "1e-3"]):
+        code, out = run_cli(capsys, "procrustes", "--input", path,
+                            "--kappa-tilde", "3", *extra)
+        entries = lines_of(out)
+        assert code == 0, out
+        assert float(entries["fidelity"]) >= 0.999
+        assert float(entries["flag_probability"]) > 0.1
+
+
 def test_kappa_tilde_is_refused_where_it_does_not_act(workdir, capsys):
     # evolve and pgm apply no sign transform; hsvt applies one for sign only
     for argv in (
@@ -340,15 +378,16 @@ def test_nan_state_is_malformed(workdir, capsys):
     capsys.readouterr()
 
 
-def _count_eig_calls(monkeypatch) -> list[tuple[int, ...]]:
-    calls: list[tuple[int, ...]] = []
-    original = linalg.hermitian_eig
+def _count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    # ("eigh" or "svd", shape) per factorization, in call order
+    calls: list[tuple[str, tuple[int, ...]]] = []
+    for name, attr in (("eigh", "hermitian_eig"), ("svd", "svd")):
 
-    def counting(h, *args, **kwargs):
-        calls.append(np.shape(h))
-        return original(h, *args, **kwargs)
+        def counting(mat, *args, _name=name, _original=getattr(linalg, attr), **kwargs):
+            calls.append((_name, np.shape(mat)))
+            return _original(mat, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "hermitian_eig", counting)
+        monkeypatch.setattr(linalg, attr, counting)
     return calls
 
 
@@ -357,11 +396,11 @@ def test_polar_factors_the_operator_once(workdir, capsys, monkeypatch):
         str(workdir / "a6.json"),
         generate.random_complex_matrix(6, 6, generate.rng_for(902)),
     )
-    calls = _count_eig_calls(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     cli.main(["polar", "--input", str(workdir / "a6.json"), "--mode", "qpe",
               "--bits", "6", "--tolerance", "1"])
     capsys.readouterr()
-    assert calls == [(12, 12)]
+    assert calls == [("eigh", (12, 12)), ("svd", (6, 6))]
 
 
 def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch):
@@ -370,7 +409,7 @@ def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch
     for n in (4, 8):
         path = workdir / f"pgm{n}.json"
         io.write_pgm_instance(str(path), generate.random_pgm_instance(n, n, rng))
-        calls = _count_eig_calls(monkeypatch)
+        calls = _count_factorizations(monkeypatch)
         cli.main(["pgm", "--input", str(path), "--mode", "qpe", "--bits", "6",
                   "--tolerance", "1"])
         counts.append(len(calls))
@@ -385,20 +424,22 @@ def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
           "--steps", "20", "--tolerance", "1"], 7),
         (["hsvt", "--input", "m.json", "--mode", "qpe", "--bits", "6",
-          "--tolerance", "1"], 4),
+          "--tolerance", "1"], 3),
     ],
 )
 def test_product_formulas_factor_each_generator_once(
     workdir, capsys, monkeypatch, argv, expected
 ):
     # procrustes: rho once for the walk, then rho and the target for each of the
-    # three trotter_deviation lines; hsvt: M and the target for the Trotter
-    # product, the dilation for the qpe and for the exact transform
+    # three trotter_deviation lines, and one SVD for the classical solution;
+    # hsvt: M and the target for the Trotter product, the dilation for the
+    # route, and one SVD for the oracle isometry
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
-    calls = _count_eig_calls(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == expected
+    kinds = [name for name, _ in calls]
+    assert (kinds.count("eigh"), kinds.count("svd")) == (expected, 1)
 
 
 def test_product_formula_evolutions_make_two_factorizations(monkeypatch):
@@ -411,9 +452,9 @@ def test_product_formula_evolutions_make_two_factorizations(monkeypatch):
         (procrustes.effective_hamiltonian_evolution, inst),
         (hsvt.trotter_offdiagonal_evolution, sh),
     ):
-        calls = _count_eig_calls(monkeypatch)
+        calls = _count_factorizations(monkeypatch)
         evolve(problem, 1.0, 10, psi)
-        assert calls == [(5, 5), (5, 5)]
+        assert calls == [("eigh", (5, 5)), ("eigh", (5, 5))]
         monkeypatch.undo()
 
 

@@ -107,7 +107,7 @@ def test_polar_route_agrees_exactly():
         inst = generate.random_pgm_instance(d, n, rng)
         rho = generate.random_density(d, rng)
         direct = pgm.pgm_probabilities(inst, rho)
-        routed, u = pgm.pgm_via_polar(inst, rho, mode="exact")
+        routed, u = pgm.pgm_via_polar(inst, rho)
         np.testing.assert_allclose(routed, direct, atol=1e-10)
         # U^dag |j> re-prepares the measurement direction chi_j
         chi = pgm.pgm_vectors(inst)
@@ -121,7 +121,7 @@ def test_polar_route_qpe_on_orthonormal_states():
     inst = PGMInstance(states=q[:, :4])
     rho = generate.random_density(4, rng)
     direct = pgm.pgm_probabilities(inst, rho)
-    routed, _ = pgm.pgm_via_polar(inst, rho, mode="qpe", config=QPEConfig(bits=5))
+    routed, _ = pgm.pgm_via_polar(inst, rho, QPEConfig(bits=5))
     np.testing.assert_allclose(routed, direct, atol=1e-9)
 
 

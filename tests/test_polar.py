@@ -41,7 +41,7 @@ def test_exact_isometry_matches_block_oracle():
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         a = generate.random_complex_matrix(m, n, rng)
         psi = _state(n, m, rng)
-        res = polar.apply_polar_isometry(a, psi, mode="exact")
+        res = polar.apply_polar_isometry(a, psi)
         u = linalg.classical_polar(a).isometry
         np.testing.assert_allclose(
             res.output.to_vector(), _block_action(u, psi.to_vector(), n), atol=1e-10
@@ -55,7 +55,7 @@ def test_isometry_handles_scaling_and_rank_deficiency():
         s = np.array([1.4, 0.6, 0.0]) * scale
         a = generate.matrix_with_singular_values(s, 5, 3, rng)
         psi = _state(3, 5, rng)
-        res = polar.apply_polar_isometry(a, psi, mode="exact")
+        res = polar.apply_polar_isometry(a, psi)
         u = linalg.classical_polar(a).isometry
         np.testing.assert_allclose(
             res.output.to_vector(), _block_action(u, psi.to_vector(), 3), atol=1e-9
@@ -66,7 +66,7 @@ def test_kernel_components_pass_through():
     # A e_3 = 0: a top-block kernel state is returned unchanged
     a = np.diag([1.0, 0.5, 0.0]).astype(complex)
     psi = embedding.inject_right(np.array([0.0, 0.0, 1.0], dtype=complex), 3)
-    res = polar.apply_polar_isometry(a, psi, mode="exact")
+    res = polar.apply_polar_isometry(a, psi)
     np.testing.assert_allclose(res.output.to_vector(), psi.to_vector(), atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_flag_split_conserves_weight():
     rng = generate.rng_for(403)
     a = np.diag([1.0, 0.3, 0.05]).astype(complex)
     psi = _state(3, 3, rng)
-    res = polar.apply_polar_isometry(a, psi, mode="exact", kappa_tilde=5.0)
+    res = polar.apply_polar_isometry(a, psi, kappa_tilde=5.0)
     kept_w = float(np.linalg.norm(res.output.to_vector()) ** 2)
     flag_w = float(np.linalg.norm(res.flagged.to_vector()) ** 2)
     assert kept_w + flag_w == pytest.approx(1.0, abs=1e-12)
@@ -99,10 +99,8 @@ def test_qpe_equals_exact_on_dyadic_spectra():
     for bits in (4, 6):
         a = generate.dyadic_singular_matrix(bits, 4, 4, rng)
         psi = _state(4, 4, rng)
-        exact = polar.apply_polar_isometry(a, psi, mode="exact")
-        sim = polar.apply_polar_isometry(
-            a, psi, mode="qpe", config=QPEConfig(bits=bits)
-        )
+        exact = polar.apply_polar_isometry(a, psi)
+        sim = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
         np.testing.assert_allclose(
             sim.output.to_vector(), exact.output.to_vector(), atol=1e-9
         )
@@ -114,10 +112,8 @@ def test_qpe_flag_matches_exact_on_grid():
     a = np.diag([1.0, 0.5, 0.125]).astype(complex)
     psi = _state(3, 3, rng)
     kt = 3.0
-    exact = polar.apply_polar_isometry(a, psi, mode="exact", kappa_tilde=kt)
-    sim = polar.apply_polar_isometry(
-        a, psi, mode="qpe", config=QPEConfig(bits=6), kappa_tilde=kt
-    )
+    exact = polar.apply_polar_isometry(a, psi, kappa_tilde=kt)
+    sim = polar.apply_polar_isometry(a, psi, QPEConfig(bits=6), kappa_tilde=kt)
     np.testing.assert_allclose(
         sim.output.to_vector(), exact.output.to_vector(), atol=1e-9
     )
@@ -133,14 +129,14 @@ def test_positive_evolution_norm_and_composition():
     rng = generate.rng_for(407)
     a = generate.random_complex_matrix(4, 3, rng)
     psi = _state(3, 4, rng)
-    r1 = polar.evolve_positive_factor(a, 0.6, psi, mode="exact")
+    r1 = polar.evolve_positive_factor(a, 0.6, psi)
     assert r1.output.norm == pytest.approx(1.0, abs=1e-12)
-    r2 = polar.evolve_positive_factor(a, 0.9, r1.output, mode="exact")
-    direct = polar.evolve_positive_factor(a, 1.5, psi, mode="exact")
+    r2 = polar.evolve_positive_factor(a, 0.9, r1.output)
+    direct = polar.evolve_positive_factor(a, 1.5, psi)
     np.testing.assert_allclose(
         r2.output.to_vector(), direct.output.to_vector(), atol=1e-10
     )
-    r0 = polar.evolve_positive_factor(a, 0.0, psi, mode="exact")
+    r0 = polar.evolve_positive_factor(a, 0.0, psi)
     np.testing.assert_allclose(r0.output.to_vector(), psi.to_vector(), atol=1e-12)
 
 
@@ -149,7 +145,7 @@ def test_generalized_odd_identity_is_plain_evolution():
     a = generate.random_complex_matrix(3, 3, rng)
     psi = _state(3, 3, rng)
     ext = ParityExtension(base=lambda x: x, parity="odd")
-    res = polar.evolve_generalized(a, ext, 1.1, psi, mode="exact")
+    res = polar.evolve_generalized(a, ext, 1.1, psi)
     h = embedding.embed(a).to_matrix()
     expected = linalg.matrix_exp_hermitian(h, 1.1) @ psi.to_vector()
     np.testing.assert_allclose(res.output.to_vector(), expected, atol=1e-10)
@@ -164,7 +160,7 @@ def test_generalized_even_acts_blockwise():
     base = lambda x: np.cos(x) + x  # noqa: E731
     ext = ParityExtension(base=base, parity="even")
     t = 0.8
-    res = polar.evolve_generalized(a, ext, t, psi, mode="exact")
+    res = polar.evolve_generalized(a, ext, t, psi)
     factors = linalg.classical_polar(a)
 
     def blockwise(b: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -191,25 +187,16 @@ def test_generalized_function_sees_unscaled_spectrum():
         return v @ (np.exp(-1j * ext.extend(w)) * (v.conj().T @ psi.to_vector()))
 
     for scale in (0.5, 1.0, 40.0):
-        res = polar.evolve_generalized(scale * a, ext, 1.0, psi, mode="exact")
+        res = polar.evolve_generalized(scale * a, ext, 1.0, psi)
         np.testing.assert_allclose(
             res.output.to_vector(), oracle(scale * a), atol=1e-10
         )
 
 
-def test_mode_validation():
-    a = np.eye(2, dtype=complex)
-    psi = embedding.inject_right(np.array([1.0, 0.0], dtype=complex), 2)
-    with pytest.raises(ValueError, match="mode"):
-        polar.apply_polar_isometry(a, psi, mode="fast")
-    with pytest.raises(ValueError, match="mode"):
-        polar.evolve_positive_factor(a, 1.0, psi, mode="")
-
-
 def test_zero_matrix_is_identity_action():
     a = np.zeros((2, 3), dtype=complex)
     psi = DilationVector.from_vector(generate.random_state(5, generate.rng_for(411)), 3)
-    res = polar.apply_polar_isometry(a, psi, mode="exact")
+    res = polar.apply_polar_isometry(a, psi)
     np.testing.assert_allclose(res.output.to_vector(), psi.to_vector(), atol=1e-12)
 
 
@@ -219,11 +206,11 @@ def test_block_equals_single_state_calls(mode):
     rng = generate.rng_for(412)
     a = generate.matrix_with_singular_values(np.array([1.0, 0.5, 0.2]), 4, 3, rng)
     block = np.column_stack([generate.random_state(7, rng) for _ in range(4)])
-    config = QPEConfig(bits=5)
+    config = QPEConfig(bits=5) if mode == "qpe" else None
     calls = (
-        lambda psi: polar.apply_polar_isometry(a, psi, mode, config),
-        lambda psi: polar.apply_polar_isometry(a, psi, mode, config, kappa_tilde=3.0),
-        lambda psi: polar.evolve_positive_factor(a, 0.7, psi, mode, config),
+        lambda psi: polar.apply_polar_isometry(a, psi, config),
+        lambda psi: polar.apply_polar_isometry(a, psi, config, kappa_tilde=3.0),
+        lambda psi: polar.evolve_positive_factor(a, 0.7, psi, config),
     )
     for call in calls:
         whole = call(DilationVector.from_vector(block, 3))
@@ -252,36 +239,41 @@ def test_block_equals_single_state_calls(mode):
 
 
 def _sign_property(check, mode: str, kappa_tilde: float | None) -> None:
-    # one random instance per example: a rectangular, possibly rank-deficient
-    # A and a dilation state, through the one sign entry point
+    # one random instance per example: a rectangular A, either possibly rank
+    # deficient or with repeated singular values, and a dilation state, through
+    # the one sign entry point
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
+    config = QPEConfig(bits=6) if mode == "qpe" else None
 
     @hypothesis.settings(max_examples=40, deadline=None)
-    @hypothesis.given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-3, 300.0))
-    def run(seed, c):
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1), c=st.floats(1e-3, 300.0), repeated=st.booleans()
+    )
+    def run(seed, c, repeated):
         rng = generate.rng_for(seed)
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        rank = int(rng.integers(1, min(m, n) + 1))
-        a = generate.random_complex_matrix(m, rank, rng) @ generate.random_complex_matrix(
-            rank, n, rng
-        )
+        if repeated:
+            # every value twice; all ratios stay clear of 1/kappa_tilde = 1/3
+            s = np.repeat(rng.choice([1.0, 0.5, 0.2], size=min(m, n)), 2)
+            a = generate.matrix_with_singular_values(s, m, n, rng)
+        else:
+            rank = int(rng.integers(1, min(m, n) + 1))
+            a = generate.random_complex_matrix(m, rank, rng) @ generate.random_complex_matrix(
+                rank, n, rng
+            )
         psi = generate.random_state(n + m, rng)
 
         def sign(mat: np.ndarray, vec: np.ndarray, split: int) -> np.ndarray:
             res = polar.apply_polar_isometry(
-                mat,
-                DilationVector.from_vector(vec, split),
-                mode=mode,
-                config=QPEConfig(bits=6),
-                kappa_tilde=kappa_tilde,
+                mat, DilationVector.from_vector(vec, split), config, kappa_tilde
             )
             parts = [res.output.to_vector()]
             if res.flagged is not None:
                 parts.append(res.flagged.to_vector())
             return np.concatenate(parts)
 
-        check(sign, a, psi, n, c)
+        check(sign, a, psi, n, c, rng)
 
     run()
 
@@ -295,7 +287,7 @@ _SIGN_CASES = pytest.mark.parametrize(
 @_SIGN_CASES
 def test_sign_transform_is_scale_invariant(mode, kappa_tilde):
     # A -> cA leaves the isometry, the flag split and the pointer route alone
-    def check(sign, a, psi, n, c):
+    def check(sign, a, psi, n, c, rng):
         np.testing.assert_allclose(sign(c * a, psi, n), sign(a, psi, n), atol=1e-12)
 
     _sign_property(check, mode, kappa_tilde)
@@ -305,11 +297,28 @@ def test_sign_transform_is_scale_invariant(mode, kappa_tilde):
 def test_sign_transform_adjoint_swaps_blocks(mode, kappa_tilde):
     # the dilation of A^dag is the dilation of A with its blocks swapped, so
     # the swapped state comes out as the swapped output, flag branch included
-    def check(sign, a, psi, n, c):
+    def check(sign, a, psi, n, c, rng):
         d = psi.size
         swap = np.concatenate([np.arange(n, d), np.arange(n)])
         direct = sign(a, psi, n).reshape(-1, d)
         dual = sign(a.conj().T, psi[swap], d - n).reshape(-1, d)
         np.testing.assert_allclose(dual, direct[:, swap], atol=1e-12)
+
+    _sign_property(check, mode, kappa_tilde)
+
+
+@_SIGN_CASES
+def test_sign_transform_is_unitarily_equivariant(mode, kappa_tilde):
+    # A -> W A V^dag rotates the dilation by V (+) W: the rotated input
+    # (V psi_top, W psi_bottom) comes out as the rotated output, flag branch
+    # included; with repeated singular values only the spectral projectors count
+    def check(sign, a, psi, n, c, rng):
+        m, d = a.shape[0], psi.size
+        v, w = generate.random_unitary(n, rng), generate.random_unitary(m, rng)
+        rotate = np.zeros((d, d), dtype=complex)
+        rotate[:n, :n], rotate[n:, n:] = v, w
+        direct = sign(a, psi, n).reshape(-1, d)
+        rotated = sign(w @ a @ v.conj().T, rotate @ psi, n).reshape(-1, d)
+        np.testing.assert_allclose(rotated, direct @ rotate.T, atol=1e-12)
 
     _sign_property(check, mode, kappa_tilde)

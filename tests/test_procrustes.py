@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarsim import embedding, generate, linalg, procrustes
+from polarsim import embedding, generate, linalg, procrustes, verify
 from polarsim.procrustes import ProcrustesInstance
 from polarsim.spectral import QPEConfig
 
@@ -137,24 +137,26 @@ def test_quantum_apply_exact_matches_classical():
     inst = generate.random_procrustes_instance(3, 3, 5, rng)
     u, _ = procrustes.solve_procrustes_classical(inst)
     chi = generate.random_state(3, rng)
-    bottom, diag = procrustes.apply_procrustes_quantum(inst, chi, mode="exact")
+    bottom, _ = procrustes.apply_procrustes_quantum(inst, chi)
     np.testing.assert_allclose(bottom, u @ chi, atol=1e-10)
-    assert diag.fidelity_vs_exact == pytest.approx(1.0, abs=1e-10)
+    assert verify.overlap_fidelity(u @ chi, bottom) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_quantum_apply_qpe_with_synthesized_walk():
     rng = generate.rng_for(512)
     inst = generate.random_procrustes_instance(2, 2, 3, rng, realizable=True)
+    u, _ = procrustes.solve_procrustes_classical(inst)
     chi = generate.random_state(2, rng)
-    _, diag = procrustes.apply_procrustes_quantum(
-        inst, chi, mode="qpe", config=QPEConfig(bits=7), n_steps=600
+    out, _ = procrustes.apply_procrustes_quantum(
+        inst, chi, QPEConfig(bits=7), n_steps=600
     )
-    assert diag.fidelity_vs_exact > 0.99
+    fidelity = verify.overlap_fidelity(u @ chi, out)
+    assert fidelity > 0.99
     # more Trotter steps cannot hurt much: the walk converges
-    _, diag2 = procrustes.apply_procrustes_quantum(
-        inst, chi, mode="qpe", config=QPEConfig(bits=7), n_steps=6000
+    out2, _ = procrustes.apply_procrustes_quantum(
+        inst, chi, QPEConfig(bits=7), n_steps=6000
     )
-    assert diag2.fidelity_vs_exact > diag.fidelity_vs_exact - 1e-6
+    assert verify.overlap_fidelity(u @ chi, out2) > fidelity - 1e-6
 
 
 def test_quantum_apply_validates_input():
@@ -162,10 +164,6 @@ def test_quantum_apply_validates_input():
     inst = generate.random_procrustes_instance(3, 3, 4, rng)
     with pytest.raises(ValueError, match="dimension"):
         procrustes.apply_procrustes_quantum(inst, np.ones(2) / np.sqrt(2))
-    with pytest.raises(ValueError, match="mode"):
-        procrustes.apply_procrustes_quantum(
-            inst, generate.random_state(3, rng), mode="banana"
-        )
 
 
 def test_zero_cross_covariance_rejected():
@@ -176,6 +174,4 @@ def test_zero_cross_covariance_rejected():
     assert np.linalg.norm(inst.cross_covariance()) == 0.0
     chi = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="vanishes"):
-        procrustes.apply_procrustes_quantum(
-            inst, chi, mode="qpe", config=QPEConfig(bits=4), n_steps=10
-        )
+        procrustes.apply_procrustes_quantum(inst, chi, QPEConfig(bits=4), n_steps=10)
