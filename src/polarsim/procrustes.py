@@ -7,8 +7,9 @@ pair state (1/sqrt(2r)) sum_j |j> (phi_j (+) psi_j) has a reduced density
 matrix rho whose off-diagonal blocks are A/(2r), and conjugating rho by the
 block parity V = P_top - P_bottom flips their sign.  Alternating short
 evolutions under rho and its conjugate V rho V therefore synthesizes
-e^{-i t (A + A^dag)} (density-matrix exponentiation), which feeds the same
-phase-estimation sign transform used everywhere else.  Since
+e^{-i t (A + A^dag)} (density-matrix exponentiation).  The walk this
+synthesizes feeds the same closed-form phase-estimation sign transform used
+everywhere else, through the eigenpairs it implies.  Since
 e^{+i dt V rho V} = V (e^{-i dt rho})^dag V, one factorization of rho serves
 every step.
 """
@@ -183,10 +184,11 @@ def apply_procrustes_quantum(
     bottom component is returned (unnormalized) with the route's diagnostics.
     Without ``config`` the transform is exact.  With ``config`` and
     ``n_steps`` the walk unitary W = e^{2 pi i H~/4} is synthesized from
-    n_steps density-exponentiation steps and raised to controlled powers as a
-    black box; with ``config`` alone the exact dilation drives the pointer.
-    With ``kappa_tilde`` the sign transform flags singular values below
-    sigma_max/kappa_tilde instead of mapping them.
+    n_steps density-exponentiation steps, and the pointer runs on the
+    eigenpairs that W implies (``spectral.walk_eig``); with ``config`` alone
+    the exact dilation drives the pointer.  With ``kappa_tilde`` the sign
+    transform flags singular values below sigma_max/kappa_tilde instead of
+    mapping them.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (inst.input_dim,):
@@ -207,7 +209,7 @@ def apply_procrustes_quantum(
     delta_t = t_w * inst.n_pairs / n_steps
     walk = np.linalg.matrix_power(dme_step(pair, delta_t), n_steps)
     f = SpectralFunction.sign_phase(kappa_tilde)
-    state = spectral.qpe_correlate_unitary(walk, psi.to_vector(), config)
-    state = spectral.apply_phase_function(state, f, config)
-    kept, _, diag = spectral.qpe_uncompute_unitary(state, walk, config)
+    kept, _, diag = spectral.spectral_transform_qpe(
+        spectral.walk_eig(walk), f, psi.to_vector(), config
+    )
     return kept[inst.input_dim :], diag

@@ -19,10 +19,10 @@ provided:
   to a whole (d, k) block at once.  The explicit stages stay as the
   reference the closed form is graded against.
 
-The black-box walk route (``qpe_correlate_unitary`` ->
-``qpe_uncompute_unitary``) knows H only through W and keeps the literal
-controlled powers; its stage three evaluates code 0 alone, by Horner's rule
-in W^dag.
+A black-box walk W (the procrustes route knows H only through a synthesized
+W) enters the same closed form: ``walk_eig`` factors W and returns the
+eigenpairs of the H it implies.  Since W^k = Q Lambda^k Q^dag, the explicit
+stages on that pair are the literal table of controlled powers of W.
 
 Every route refuses a pointer whose (d, 2^b) complex table would exceed
 ``POINTER_BUDGET_BYTES`` before allocating anything.
@@ -50,6 +50,10 @@ ZERO_BAND = 1e-12
 
 # Largest (system dim, 2^bits) complex pointer table a run may ask for.
 POINTER_BUDGET_BYTES = 2**30
+
+# Largest ||W Q - Q Lambda||_2 a walk's eigenpairs may leave: synthesized DME
+# walks measure <= 1.3e-12, a Jordan block (not diagonalizable) 1.
+_WALK_RESIDUAL_BOUND = 1e-9
 
 # Eigenvalue rows per chunk of the closed form are sized to about this many
 # (eigenvalue, code) cells, so its real temporaries stay near 2 MiB each.
@@ -93,8 +97,9 @@ class SpectralFunction:
     """Scalar function f with the metadata the phase stage needs.
 
     ``values`` maps arrays of (decoded or true) eigenvalues to phases f(x);
-    ``flag_threshold``, set only by ``sign_phase``, defers inputs with
-    |x| < threshold to the flag branch instead of evaluating (0 flags none).
+    ``flag_threshold``, set only by ``sign_phase``, defers inputs more than
+    ZERO_BAND below it in |x| to the flag branch instead of evaluating (0
+    flags none).
     """
 
     values: Callable[[np.ndarray], np.ndarray]
@@ -103,6 +108,15 @@ class SpectralFunction:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.values(np.asarray(x, dtype=float)), dtype=float)
 
+    def flags(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the inputs deferred to the flag branch.
+
+        A value within ZERO_BAND below the threshold is kept, as the oracle
+        ``verify.restricted_isometry`` keeps it, so round-off in two different
+        factorizations cannot split a tie at sigma_max/kappa_tilde.
+        """
+        return np.abs(x) < self.flag_threshold - ZERO_BAND
+
     @classmethod
     def sign_phase(cls, kappa_tilde: float | None = None) -> SpectralFunction:
         """f(x) = (pi/2)(1 - sign(x)) with sign(0) := +1.
@@ -110,12 +124,17 @@ class SpectralFunction:
         e^{-i f} multiplies negative-eigenvalue components by -1 and leaves
         the rest alone.  Values within ZERO_BAND of zero count as zero, so
         float noise around a kernel cannot flip signs.  With ``kappa_tilde``
-        the band |x| < 1/kappa_tilde is flagged rather than signed; an
-        effective condition number that is not above 1 (NaN included) is
-        refused.
+        the band |x| < 1/kappa_tilde is flagged rather than signed (see
+        ``flags``).  An effective condition number that is not above 1 (NaN
+        included) is refused, and so is one whose threshold is not clear of
+        the zero band: the kernel is flagged only while 1/kappa_tilde exceeds
+        2 ZERO_BAND.
         """
-        if kappa_tilde is not None and not kappa_tilde > 1:
-            raise ValueError(f"effective condition number must exceed 1, got {kappa_tilde}")
+        if kappa_tilde is not None and not 1 < kappa_tilde < 0.5 / ZERO_BAND:
+            raise ValueError(
+                "effective condition number must exceed 1 and stay below"
+                f" {0.5 / ZERO_BAND:g}, got {kappa_tilde}"
+            )
         threshold = 0.0 if kappa_tilde is None else 1.0 / kappa_tilde
 
         def values(x: np.ndarray) -> np.ndarray:
@@ -222,7 +241,7 @@ def _rounding_table(w: np.ndarray, config: QPEConfig) -> np.ndarray:
 def _phase_table(f: SpectralFunction, config: QPEConfig) -> tuple[np.ndarray, np.ndarray]:
     """Stage two per pointer code: the kept-branch factor p0(c) and the 0/1 flag mask m(c)."""
     grid = config.grid_values()
-    ill = np.abs(grid) < f.flag_threshold
+    ill = f.flags(grid)
     return np.where(ill, 0.0, np.exp(-1j * f(grid))), ill.astype(float)
 
 
@@ -240,7 +259,7 @@ def exact_flag_branches(
     psi = _check_unit_norm(psi)
     w, v = eig
     coeff = v.conj().T @ psi.reshape(w.size, -1)
-    ill = np.abs(w) < f.flag_threshold
+    ill = f.flags(w)
     kept = v @ (np.where(ill, 0.0, np.exp(-1j * f(w)))[:, None] * coeff)
     flagged = v @ (ill[:, None] * coeff)
     return kept.reshape(psi.shape), flagged.reshape(psi.shape)
@@ -295,41 +314,17 @@ def apply_phase_function(
     return PointerState(flag0=state.flag0 * p0, flag1=flag1)
 
 
-def _uncompute(
-    state: PointerState,
-    project: Callable[[np.ndarray], tuple[np.ndarray, float]],
-    rounding: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Invert stage one on each flag branch and project the pointer onto code 0.
-
-    ``project`` takes one (d, 2^b) branch to its code-0 system vector and the
-    squared norm the inversion leaves on the other codes.
-    """
-    kept, leak_sq = project(state.flag0)
-    flagged = np.zeros_like(kept)
-    flag_probability = state.flag_weight
-    if flag_probability > 0.0:
-        flagged, leak_flagged = project(state.flag1)
-        leak_sq += leak_flagged
-    diag = SimDiagnostics(
-        leakage_norm=float(np.sqrt(leak_sq)),
-        flag_probability=flag_probability,
-        rounding_table=rounding,
-    )
-    return kept, flagged, diag
-
-
-def _uncompute_branch(
+def _project_branch(
     branch: np.ndarray, w: np.ndarray, v: np.ndarray, config: QPEConfig
-) -> np.ndarray:
-    """Inverse of the correlate unitary on one flag branch, computational basis in and out."""
+) -> tuple[np.ndarray, float]:
+    """Invert the correlate unitary on one flag branch; return code 0 and the squared rest."""
     n = config.grid_size
     k = np.arange(n)
     y = v.conj().T @ branch
     y = _pointer_qft(y)
     y = y * np.exp(-2j * np.pi * np.outer(w / 4.0, k))
-    y = _pointer_qft_inverse(y)
-    return v @ y
+    out = v @ _pointer_qft_inverse(y)
+    return out[:, 0].copy(), float(np.linalg.norm(out[:, 1:]) ** 2)
 
 
 def qpe_uncompute(
@@ -343,12 +338,18 @@ def qpe_uncompute(
     per-eigenvalue rounding table of H under the configured grid.
     """
     w, v = eig
-
-    def project(branch: np.ndarray) -> tuple[np.ndarray, float]:
-        out = _uncompute_branch(branch, w, v, config)
-        return out[:, 0].copy(), float(np.linalg.norm(out[:, 1:]) ** 2)
-
-    return _uncompute(state, project, _rounding_table(w, config))
+    kept, leak_sq = _project_branch(state.flag0, w, v, config)
+    flagged = np.zeros_like(kept)
+    flag_probability = state.flag_weight
+    if flag_probability > 0.0:
+        flagged, leak_flagged = _project_branch(state.flag1, w, v, config)
+        leak_sq += leak_flagged
+    diag = SimDiagnostics(
+        leakage_norm=float(np.sqrt(leak_sq)),
+        flag_probability=flag_probability,
+        rounding_table=_rounding_table(w, config),
+    )
+    return kept, flagged, diag
 
 
 def transfer_function(
@@ -437,64 +438,25 @@ def spectral_transform_qpe(
     return kept.reshape(psi.shape), flagged.reshape(psi.shape), diag
 
 
-def qpe_correlate_unitary(
-    walk: np.ndarray, psi: np.ndarray, config: QPEConfig
-) -> PointerState:
-    """Stage one with a black-box walk unitary instead of a Hamiltonian.
+def walk_eig(walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (eigenvalues, eigenvectors) pair of the H with W = e^{2 pi i H / 4}.
 
-    Used when H is only available as an evolution (e.g. a Trotterized
-    product): controlled powers are applied literally, column k of the joint
-    state receiving walk^k psi.
+    The eigenphase phi of each eigenvalue of W decodes as the pointer does
+    (4 phi for phi < 1/2, else 4 (phi - 1)); pairs are sorted stably by that
+    value and the eigenvectors orthonormalized by one QR.  W is unitary up to
+    round-off, so the QR only mixes vectors within one eigenspace.  A W whose
+    eigenpairs leave ||W Q - Q Lambda||_2 above ``_WALK_RESIDUAL_BOUND`` is
+    not diagonalizable by a unitary and is refused.
     """
-    psi = _check_unit_norm(psi)
-    _check_pointer_budget(psi.shape[0], config)
     walk = np.asarray(walk, dtype=complex)
-    n = config.grid_size
-    d = psi.shape[0]
-    columns = np.empty((d, n), dtype=complex)
-    current = psi.astype(complex)
-    for k in range(n):
-        columns[:, k] = current
-        if k + 1 < n:
-            current = walk @ current
-    joint = _pointer_qft_inverse(columns / np.sqrt(n))
-    return PointerState(flag0=joint, flag1=np.zeros_like(joint))
-
-
-def _project_branch_unitary(
-    branch: np.ndarray, walk_dag: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Code 0 of the inverse walk correlate map on one branch, and the squared rest.
-
-    Inverting stage one sends column k of the Fourier-transformed branch y
-    through W^dag^k, and code 0 of the closing inverse transform is
-    sum_k W^dag^k y_k / sqrt(N): Horner's rule in W^dag gives it in N
-    mat-vecs.  W is unitary, so whatever is not at code 0 is the rest of the
-    branch's norm.
-    """
-    y = _pointer_qft(branch)
-    acc = y[:, -1]
-    for k in range(y.shape[1] - 2, -1, -1):
-        acc = y[:, k] + walk_dag @ acc
-    code0 = acc / np.sqrt(y.shape[1])
-    # round-off in a synthesized walk can push a vanishing remainder below zero
-    rest = float(np.linalg.norm(branch) ** 2 - np.linalg.norm(code0) ** 2)
-    return code0, max(rest, 0.0)
-
-
-def qpe_uncompute_unitary(
-    state: PointerState, walk: np.ndarray, config: QPEConfig
-) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Stage three for the black-box-unitary pipeline, returning as ``qpe_uncompute``."""
-    walk = np.asarray(walk, dtype=complex)
-    walk_dag = walk.conj().T
-    eigvals = np.linalg.eigvals(walk)
-    phi = np.mod(np.angle(eigvals) / (2.0 * np.pi), 1.0)
-    n = config.grid_size
-    codes = np.mod(np.rint(phi * n), n).astype(int)
+    lam, vec = np.linalg.eig(walk)
+    phi = np.mod(np.angle(lam) / (2.0 * np.pi), 1.0)
     implied = 4.0 * np.where(phi < 0.5, phi, phi - 1.0)
     order = np.argsort(implied, kind="stable")
-    rounding = np.column_stack([implied[order], config.decode(codes[order])])
-    return _uncompute(
-        state, lambda branch: _project_branch_unitary(branch, walk_dag), rounding
-    )
+    q, _ = np.linalg.qr(vec[:, order])
+    residual = float(np.linalg.norm(walk @ q - q * lam[order], ord=2))
+    if not residual <= _WALK_RESIDUAL_BOUND:
+        raise ValueError(
+            f"walk is not unitary: its eigenvectors leave a residual {residual:.3g}"
+        )
+    return implied[order], q

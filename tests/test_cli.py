@@ -116,18 +116,34 @@ def test_exit_codes(workdir, capsys):
 
 def test_oversized_pointer_is_refused_before_allocating(workdir, capsys):
     # a 40-bit pointer on the 4-dimensional dilation of a 2x2 matrix asks for
-    # 16 TiB per table: usage error, and no array of that size is ever started
-    tracemalloc.start()
-    try:
-        code = cli.main(
-            ["polar", "--input", str(workdir / "eye.json"), "--mode", "qpe", "--bits", "40"]
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert peak < 2**20
-    assert "pointer budget" in capsys.readouterr().err
+    # 16 TiB per table: usage error, and no array of that size is ever started,
+    # on the exact dilation and on the synthesized walk alike
+    for argv in (
+        ["polar", "--input", "eye.json", "--mode", "qpe", "--bits", "40"],
+        ["procrustes", "--input", "inst.json", "--mode", "qpe", "--steps", "5", "--bits", "40"],
+    ):
+        argv[2] = str(workdir / argv[2])
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        assert "pointer budget" in capsys.readouterr().err
+
+
+def test_kappa_tilde_keeps_a_singular_value_at_the_threshold(tmp_path, capsys):
+    # sigma = sigma_max/kappa_tilde exactly: the route (eigh of the dilation)
+    # and the oracle (SVD) see it through different round-off, and both keep it
+    rng = generate.rng_for(905)
+    path = str(tmp_path / "tie.json")
+    for _ in range(40):
+        a = generate.matrix_with_singular_values(np.array([1.0, 0.5, 0.25]), 3, 3, rng)
+        io.write_matrix(path, a)
+        code, out = run_cli(capsys, "polar", "--input", path, "--kappa-tilde", "4")
+        assert code == 0, out
 
 
 def test_verify_report_is_deterministic(workdir, capsys):
@@ -401,6 +417,14 @@ def test_polar_factors_the_operator_once(workdir, capsys, monkeypatch):
               "--bits", "6", "--tolerance", "1"])
     capsys.readouterr()
     assert calls == [("eigh", (12, 12)), ("svd", (6, 6))]
+
+
+def test_evolve_abs_factors_the_operator_once(workdir, capsys, monkeypatch):
+    # the dilation for the route, one SVD for the oracle
+    calls = _count_factorizations(monkeypatch)
+    assert cli.main(["evolve", "--input", str(workdir / "a.json"), "--time", "0.5"]) == 0
+    capsys.readouterr()
+    assert calls == [("eigh", (6, 6)), ("svd", (3, 3))]
 
 
 def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarsim import embedding, generate, linalg, polar
+from polarsim import embedding, generate, linalg, polar, verify
 from polarsim.embedding import DilationVector
 from polarsim.polar import ParityExtension
 from polarsim.spectral import QPEConfig
@@ -322,3 +322,28 @@ def test_sign_transform_is_unitarily_equivariant(mode, kappa_tilde):
         np.testing.assert_allclose(rotated, direct @ rotate.T, atol=1e-12)
 
     _sign_property(check, mode, kappa_tilde)
+
+
+@pytest.mark.parametrize("kappa_tilde", [2.0, 3.0, 4.0])
+def test_sign_transform_keeps_a_singular_value_at_the_threshold(kappa_tilde):
+    # sigma exactly at sigma_max/kappa_tilde, once or repeated, next to
+    # singular values well above and below it: eigh of the dilation and the
+    # SVD of the oracle round it differently, and both must keep it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-3, 300.0))
+    def run(seed, c):
+        rng = generate.rng_for(seed)
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        levels = [1.0, 1.0 / kappa_tilde, 0.5 / kappa_tilde]
+        s = np.concatenate([levels[:2], rng.choice(levels, size=min(m, n) - 2)])
+        a = generate.matrix_with_singular_values(c * np.sort(s)[::-1], m, n, rng)
+        psi = _state(n, m, rng)
+        got = polar.apply_polar_isometry(a, psi, kappa_tilde=kappa_tilde).output
+        u = verify.restricted_isometry(a, kappa_tilde)
+        expected = verify.sign_expected(u, psi, kappa_tilde)
+        np.testing.assert_allclose(got.to_vector(), expected, atol=1e-12)
+
+    run()

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from polarsim import generate, linalg, spectral
+from polarsim import generate, linalg, procrustes, spectral
 from polarsim.spectral import QPEConfig, SpectralFunction
 
 
@@ -79,8 +79,9 @@ def test_sign_phase_conventions():
     )
     g = SpectralFunction.sign_phase(kappa_tilde=4.0)
     assert g.flag_threshold == pytest.approx(0.25)
-    # NaN compares false both ways, so it must not slip past as "no threshold"
-    for bad in (1.0, 0.5, -3.0, float("nan")):
+    # NaN compares false both ways, so it must not slip past as "no threshold";
+    # a threshold inside twice the zero band could not flag the kernel
+    for bad in (1.0, 0.5, -3.0, float("nan"), 0.5 / spectral.ZERO_BAND):
         with pytest.raises(ValueError, match="condition number"):
             SpectralFunction.sign_phase(kappa_tilde=bad)
 
@@ -184,27 +185,6 @@ def test_flag_routes_small_codes():
     np.testing.assert_allclose(flagged, expected_flagged, atol=1e-10)
 
 
-def test_unitary_route_matches_matrix_route():
-    rng = generate.rng_for(303)
-    cfg = QPEConfig(bits=5)
-    for _ in range(8):
-        d = int(rng.integers(2, 6))
-        h = generate.random_hermitian(d, rng)
-        h = 0.9 * h / float(np.linalg.norm(h, ord=2))
-        psi = generate.random_state(d, rng)
-        walk = linalg.matrix_exp_hermitian(h, -2.0 * np.pi / 4.0)
-        f = SpectralFunction.sign_phase()
-        eig = linalg.hermitian_eig(h)
-        sa = spectral.qpe_correlate(eig, psi, cfg)
-        sb = spectral.qpe_correlate_unitary(walk, psi, cfg)
-        np.testing.assert_allclose(sa.flag0, sb.flag0, atol=1e-10)
-        sa = spectral.apply_phase_function(sa, f, cfg)
-        sb = spectral.apply_phase_function(sb, f, cfg)
-        outa, _, _ = spectral.qpe_uncompute(sa, eig, cfg)
-        outb, _, _ = spectral.qpe_uncompute_unitary(sb, walk, cfg)
-        np.testing.assert_allclose(outa, outb, atol=1e-10)
-
-
 def test_pointer_transform_is_unitary_qft():
     # row-wise transform over the pointer axis of a (systems, codes) table
     rng = generate.rng_for(304)
@@ -295,32 +275,62 @@ def test_transfer_function_on_and_between_codes():
     assert loss[2] == pytest.approx(1.0 - abs(g[2]) ** 2, abs=1e-14)
 
 
+def _dme_walk(inst, n_steps):
+    """W = e^{2 pi i H~/4} for H~ the rescaled dilation, synthesized by density exponentiation."""
+    scale = float(np.linalg.norm(inst.cross_covariance(), ord=2))
+    delta_t = -np.pi / (2.0 * scale) * inst.n_pairs / n_steps
+    step = procrustes.dme_step(procrustes.reduced_density(inst), delta_t)
+    return np.linalg.matrix_power(step, n_steps)
+
+
 @pytest.mark.parametrize("bits", [1, 3, 6])
-def test_walk_uncompute_is_code_zero_of_the_explicit_table(bits):
+def test_walk_route_is_code_zero_of_the_literal_walk_table(bits):
+    # the closed form on walk_eig's pair against the literal walk pipeline:
+    # column k of the correlated pointer holds W^k psi, and stage three sends
+    # column k of each transformed branch through W^dag^k; rectangular
+    # instances repeat the eigenvalue 1 of W on their zero padding
     rng = generate.rng_for(310 + bits)
     cfg = QPEConfig(bits=bits)
     n = cfg.grid_size
-    for f in (SpectralFunction.sign_phase(), SpectralFunction.sign_phase(kappa_tilde=3.0)):
-        d = int(rng.integers(2, 7))
-        h = generate.random_hermitian(d, rng)
-        h = 0.9 * h / float(np.linalg.norm(h, ord=2))
-        walk = linalg.matrix_exp_hermitian(h, -2.0 * np.pi / 4.0)
-        state = spectral.qpe_correlate_unitary(walk, generate.random_state(d, rng), cfg)
-        state = spectral.apply_phase_function(state, f, cfg)
-        kept, flagged, diag = spectral.qpe_uncompute_unitary(state, walk, cfg)
-        # the whole inverse table: column k of the transformed branch goes
-        # through W^dag^k before the closing inverse transform
-        leak_sq = 0.0
-        for branch, got in ((state.flag0, kept), (state.flag1, flagged)):
-            y = spectral._pointer_qft(branch)
-            for k in range(n):
-                y[:, k] = np.linalg.matrix_power(walk.conj().T, k) @ y[:, k]
-            table = spectral._pointer_qft_inverse(y)
-            np.testing.assert_allclose(got, table[:, 0], atol=1e-13)
-            leak_sq += float(np.linalg.norm(table[:, 1:]) ** 2)
-        # the leakage is the branch norm left over, so compare it squared
-        assert diag.leakage_norm**2 == pytest.approx(leak_sq, abs=1e-13)
-        assert diag.flag_probability == pytest.approx(state.flag_weight, abs=0)
+    for dims in ((2, 2, 3), (2, 4, 3), (3, 1, 4)):
+        walk = _dme_walk(generate.random_procrustes_instance(*dims, rng), 20)
+        d = walk.shape[0]
+        powers = [np.eye(d, dtype=complex)]
+        for _ in range(n - 1):
+            powers.append(walk @ powers[-1])
+        psi = generate.random_state(d, rng)
+        correlated = spectral._pointer_qft_inverse(
+            np.column_stack([p @ psi for p in powers]) / np.sqrt(n)
+        )
+        for f in (SpectralFunction.sign_phase(), SpectralFunction.sign_phase(kappa_tilde=3.0)):
+            kept, flagged, diag = spectral.spectral_transform_qpe(
+                spectral.walk_eig(walk), f, psi, cfg
+            )
+            state = spectral.apply_phase_function(
+                spectral.PointerState(correlated, np.zeros_like(correlated)), f, cfg
+            )
+            leak_sq = 0.0
+            for branch, got in ((state.flag0, kept), (state.flag1, flagged)):
+                y = spectral._pointer_qft(branch)
+                for k in range(n):
+                    y[:, k] = powers[k].conj().T @ y[:, k]
+                table = spectral._pointer_qft_inverse(y)
+                np.testing.assert_allclose(got, table[:, 0], atol=1e-10)
+                leak_sq += float(np.linalg.norm(table[:, 1:]) ** 2)
+            assert diag.leakage_norm**2 == pytest.approx(leak_sq, abs=1e-10)
+            assert diag.flag_probability == pytest.approx(state.flag_weight, abs=1e-10)
+
+
+def test_walk_eig_recovers_the_hamiltonian_and_refuses_a_non_normal_walk():
+    rng = generate.rng_for(316)
+    h = generate.random_hermitian(5, rng)
+    h = 0.9 * h / float(np.linalg.norm(h, ord=2))
+    w, q = spectral.walk_eig(linalg.matrix_exp_hermitian(h, -2.0 * np.pi / 4.0))
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
+    np.testing.assert_allclose((q * w) @ q.conj().T, h, atol=1e-12)
+    # a Jordan block has one eigenvector for its double eigenvalue
+    with pytest.raises(ValueError, match="not unitary"):
+        spectral.walk_eig(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_closed_form_map_is_linear_and_norm_preserving():
@@ -374,8 +384,6 @@ def test_pointer_budget_is_checked_before_allocation():
         spectral.spectral_transform_qpe(eig, f, psi, huge)
     with pytest.raises(spectral.PointerBudgetError):
         spectral.qpe_correlate(eig, psi, huge)
-    with pytest.raises(spectral.PointerBudgetError):
-        spectral.qpe_correlate_unitary(np.eye(4, dtype=complex), psi, huge)
     # the largest grid inside the budget for this dimension still passes the check
     bits = int(np.log2(spectral.POINTER_BUDGET_BYTES // (4 * 16)))
     spectral._check_pointer_budget(4, QPEConfig(bits=bits))
