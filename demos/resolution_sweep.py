@@ -5,7 +5,8 @@ The simulated phase-estimation route reads eigenvalues of the dilation off
 a 2^b point grid.  The smallest singular value 1/kappa needs grid spacing
 at or below it before the sign function can act on it reliably, which
 happens once b >= ceil(log2(4 kappa)).  We sweep b for a few kappa and
-watch the fidelity climb to 1 exactly at that width.
+watch the fidelity with the classical SVD oracle (``polarsim.verify``, which
+shares no factorization with the route) climb to 1 exactly at that width.
 
 The input lives in the right factor, so each singular direction splits
 evenly between the +sigma and -sigma halves of the dilation spectrum; a
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from polarsim import embedding, polar
+from polarsim import embedding, linalg, polar, verify
 from polarsim.spectral import QPEConfig
 
 
@@ -26,12 +27,13 @@ def run() -> None:
         a = np.diag([1.0, 1.0 / kappa]).astype(complex)
         right = np.full(2, 1.0 / math.sqrt(2), dtype=complex)
         psi = embedding.inject_right(right, 2)
+        oracle = verify.sign_expected(verify.restricted_isometry(linalg.svd(a), None), psi)
         b_req = math.ceil(math.log2(4 * kappa))
         print(f"kappa = {kappa}  (needs b >= {b_req})")
         fids = []
         for bits in range(2, b_req + 3):
             res = polar.apply_polar_isometry(a, psi, config=QPEConfig(bits=bits))
-            fid = res.diagnostics.fidelity_vs_exact
+            fid = verify.branch_fidelity(res, *oracle)
             fids.append(fid)
             marker = " <- required width" if bits == b_req else ""
             print(f"  b = {bits:2d}   fidelity = {fid:.6f}{marker}")

@@ -1,11 +1,11 @@
 """Desk-scale statevector simulator for polar-decomposition pipelines.
 
 The package splits into a classical oracle layer (``linalg``), the Hermitian
-dilation (``embedding``), the three-stage phase-estimation engine
-(``spectral``), the user-facing transforms (``polar``), and three
-applications built on them (``procrustes``, ``pgm``, ``hsvt``).  ``verify``
-holds the deterministic invariant battery and ``cli`` the command-line
-front end.
+dilation (``embedding``), the one spectral transform, exact or through a
+simulated phase register (``spectral``), the user-facing transforms
+(``polar``), and three applications built on them (``procrustes``, ``pgm``,
+``hsvt``).  ``verify`` holds the oracles every route is graded against and
+the deterministic invariant battery, and ``cli`` the command-line front end.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import embedding, generate, hsvt, io, pgm, polar, procrustes, spectral, verify
+from . import embedding, generate, hsvt, io, linalg, pgm, polar, procrustes, spectral, verify
 from .embedding import DilationVector
 from .polar import ParityExtension
 from .report import Report
@@ -64,11 +64,12 @@ def _positive_float(text: str) -> float:
 
 
 def _kappa_tilde(text: str) -> float:
+    """An effective condition number that ``SpectralFunction.sign_phase`` accepts."""
     value = float(text)
-    if not value > 1:
-        raise argparse.ArgumentTypeError(
-            f"effective condition number must exceed 1, got {value}"
-        )
+    try:
+        spectral.SpectralFunction.sign_phase(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -279,20 +280,21 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     basis = embedding.inject_right(np.eye(n, dtype=complex), m)
     result = polar.apply_polar_isometry(a, basis, config, args.kappa_tilde)
     u_pipe = result.output.bottom
-    u = verify.restricted_isometry(a, args.kappa_tilde)
+    u = verify.restricted_isometry(linalg.svd(a), args.kappa_tilde)
     deviation = float(np.linalg.norm(u_pipe - u, ord=2))
     rep.add("isometry_deviation", deviation)
-    rep.add("min_column_fidelity", result.diagnostics.fidelity_vs_exact)
+    column_oracle = verify.sign_expected(u, basis, args.kappa_tilde)
+    rep.add("min_column_fidelity", verify.branch_fidelity(result, *column_oracle))
     rep.add("max_leakage", result.diagnostics.leakage_norm)
     rep.add("mean_flag_probability", result.diagnostics.flag_probability / n)
     passed = deviation <= tol
     if getattr(args, "state", None):
         psi = _dilation_state(args, n, m)
         result = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
-        expected = verify.sign_expected(u, psi, args.kappa_tilde)
+        expected, flagged = verify.sign_expected(u, psi, args.kappa_tilde)
         state_deviation = float(np.linalg.norm(result.output.to_vector() - expected))
         rep.add("state_deviation", state_deviation)
-        rep.add("state_fidelity", result.diagnostics.fidelity_vs_exact)
+        rep.add("state_fidelity", verify.branch_fidelity(result, expected, flagged))
         rep.add("state_flag_probability", result.diagnostics.flag_probability)
         _add_vector(rep, "state_output", result.output.to_vector())
         passed = passed and state_deviation <= tol
@@ -335,15 +337,17 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     rep.add("pairs", inst.n_pairs)
     rep.add("input_dim", inst.input_dim)
     rep.add("output_dim", inst.output_dim)
-    u, residual = procrustes.solve_procrustes_classical(inst)
-    rep.add("residual", residual)
+    # one SVD gives U for the residual and U_r, its columns kept by kappa_tilde
+    res = linalg.svd(inst.cross_covariance())
+    u = verify.restricted_isometry(res, None)
+    rep.add("residual", inst.residual(u))
     chi = _state(args, inst.input_dim, "this instance")
     n_steps = args.steps if (args.mode == "qpe" and args.steps > 0) else None
     bottom, diag = procrustes.apply_procrustes_quantum(
         inst, chi, _config(args), n_steps, args.kappa_tilde
     )
     if args.kappa_tilde is not None:  # the flagged rest is not mapped: grade by U_r
-        u = verify.restricted_isometry(inst.cross_covariance(), args.kappa_tilde)
+        u = verify.restricted_isometry(res, args.kappa_tilde)
     fidelity = verify.overlap_fidelity(u @ chi, bottom)
     rep.add("fidelity", fidelity)
     rep.add("flag_probability", diag.flag_probability)
@@ -410,16 +414,16 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     config = _config(args)
     if args.function == "sign":
         result = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
-        u = verify.restricted_isometry(a, args.kappa_tilde)
-        expected = verify.sign_expected(u, psi, args.kappa_tilde)
+        u = verify.restricted_isometry(linalg.svd(a), args.kappa_tilde)
+        expected, flagged = verify.sign_expected(u, psi, args.kappa_tilde)
     else:
         parity = "even" if args.function == "abs" else "odd"
         ext = ParityExtension(base=lambda x: x, parity=parity)
         result = polar.evolve_generalized(a, ext, args.time, psi, config)
-        expected = verify.evolution_expected(args.function, a, args.time, psi)
+        expected, flagged = verify.evolution_expected(args.function, a, args.time, psi), None
     deviation = float(np.linalg.norm(result.output.to_vector() - expected))
     rep.add("deviation_vs_exact", deviation)
-    rep.add("fidelity", result.diagnostics.fidelity_vs_exact)
+    rep.add("fidelity", verify.branch_fidelity(result, expected, flagged))
     rep.add("flag_probability", result.diagnostics.flag_probability)
     _add_vector(rep, "output", result.output.to_vector())
     return rep, deviation <= tol

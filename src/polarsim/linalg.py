@@ -161,39 +161,18 @@ def matrix_exp_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return exp_from_eig(hermitian_eig(h), t)
 
 
-def closest_positive(h: np.ndarray) -> np.ndarray:
-    """(h^dag h)^(1/2) for Hermitian h: the spectrum loses its signs."""
+def hermitian_abs(h: np.ndarray) -> np.ndarray:
+    """|h| = (h^dag h)^(1/2) for Hermitian h: the spectrum loses its signs.
+
+    Not the nearest positive semidefinite matrix to h, which is (h + |h|)/2.
+    """
     w, v = hermitian_eig(h)
     return (v * np.abs(w)) @ v.conj().T
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||_F; shapes must agree."""
-    a = _as_complex_matrix(a, "first matrix")
-    b = _as_complex_matrix(b, "second matrix")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def is_hermitian(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     a = _as_complex_matrix(a)
     return a.shape[0] == a.shape[1] and bool(np.allclose(a, a.conj().T, atol=atol, rtol=0.0))
-
-
-def is_unitary(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    a = _as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return bool(np.allclose(a.conj().T @ a, eye, atol=atol, rtol=0.0))
-
-
-def is_isometry(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    """Columns orthonormal: a^dag a = identity (requires rows >= cols)."""
-    a = _as_complex_matrix(a)
-    eye = np.eye(a.shape[1])
-    return bool(np.allclose(a.conj().T @ a, eye, atol=atol, rtol=0.0))
 
 
 def is_positive_semidefinite(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:

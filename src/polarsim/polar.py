@@ -96,12 +96,7 @@ def _run(
     """Apply one spectral function of the prepared dilation: exact without a
     config, through the simulated pointer with one."""
     n = np.shape(psi.top)[0]
-    vec = psi.to_vector()
-    if config is None:
-        kept, flagged = spectral.exact_flag_branches(eig, f, vec)
-        diag = SimDiagnostics(flag_probability=float(np.linalg.norm(flagged) ** 2))
-    else:
-        kept, flagged, diag = spectral.spectral_transform_qpe(eig, f, vec, config)
+    kept, flagged, diag = spectral.spectral_transform(eig, f, psi.to_vector(), config)
     return PolarApplyResult(
         output=DilationVector.from_vector(kept, n),
         flagged=None

@@ -79,6 +79,10 @@ class ProcrustesInstance:
         """A = sum_j psi_j phi_j^dag, the (m, n) matrix whose polar isometry solves the fit."""
         return self.outputs @ self.inputs.conj().T
 
+    def residual(self, u: np.ndarray) -> float:
+        """sum_j ||U phi_j - psi_j||^2 = ||U F - G||_F^2 over the pair matrices."""
+        return float(np.linalg.norm(u @ self.inputs - self.outputs) ** 2)
+
 
 @dataclasses.dataclass(frozen=True)
 class DensityPair:
@@ -163,11 +167,10 @@ def solve_procrustes_classical(
     """Best-fit (partial) isometry and its residual sum of squares.
 
     U is the polar isometry of the cross-covariance; the residual is
-    sum_j ||U phi_j - psi_j||^2 = ||U F - G||_F^2 over the pair matrices.
+    ``inst.residual(U)``.
     """
     u = linalg.classical_polar(inst.cross_covariance()).isometry
-    residual = float(np.linalg.norm(u @ inst.inputs - inst.outputs) ** 2)
-    return u, residual
+    return u, inst.residual(u)
 
 
 def apply_procrustes_quantum(
@@ -209,7 +212,7 @@ def apply_procrustes_quantum(
     delta_t = t_w * inst.n_pairs / n_steps
     walk = np.linalg.matrix_power(dme_step(pair, delta_t), n_steps)
     f = SpectralFunction.sign_phase(kappa_tilde)
-    kept, _, diag = spectral.spectral_transform_qpe(
+    kept, _, diag = spectral.spectral_transform(
         spectral.walk_eig(walk), f, psi.to_vector(), config
     )
     return kept[inst.input_dim :], diag

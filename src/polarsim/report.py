@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 
+__all__ = ["Report", "format_value", "strip_timings"]
+
 
 def format_value(value: object) -> str:
     if isinstance(value, bool):

@@ -1,30 +1,31 @@
 """Spectral-function application, exact or through a simulated phase register.
 
 The transform implemented here sends a state psi to e^{-i f(H)} psi for a
-Hermitian H and a scalar function f.  Every route takes H as its
-precomputed (eigenvalues, eigenvectors) pair, so the caller factors each
-operator once, and states as one vector or a (d, k) block.  Two routes are
-provided:
+Hermitian H and a scalar function f.  It takes H as its precomputed
+(eigenvalues, eigenvectors) pair, so the caller factors each operator once,
+and states as one vector or a (d, k) block.  ``spectral_transform`` scales
+each eigencomponent by a kept factor g and a flagged factor h:
 
-* ``exact_flag_branches`` evaluates f on the true spectrum (the exact
-  route, and the reference of the qpe route's ``fidelity_vs_exact``);
-* the three-stage pipeline ``qpe_correlate`` -> ``apply_phase_function`` ->
-  ``qpe_uncompute`` simulates textbook phase estimation with a b-bit pointer
-  register, applies e^{-i f(.)} at the decoded grid values only, and inverts
-  the estimation, tracking leakage, flag weight and rounding behavior.
-  Stage three keeps pointer code 0 only, so for each eigenpair of H the
-  whole pipeline is one fixed number: ``transfer_function`` evaluates it in
-  closed form (the Fejer kernel of phase estimation, weighted by the phase
-  table), with the exact leakage, and ``spectral_transform_qpe`` applies it
-  to a whole (d, k) block at once.  The explicit stages stay as the
-  reference the closed form is graded against.
+* without a pointer setting, g and h come from the true spectrum: g =
+  e^{-i f} off the flag mask, h the mask, nothing leaks (the exact route);
+* with a ``QPEConfig`` they are what textbook phase estimation with a b-bit
+  pointer register leaves on pointer code 0 after applying e^{-i f(.)} at
+  the decoded grid values only and inverting the estimation.  For each
+  eigenpair of H that is one fixed number: ``transfer_function`` evaluates
+  it in closed form (the Fejer kernel of phase estimation, weighted by the
+  phase table), with the exact leakage.
+
+The three explicit stages ``qpe_correlate`` -> ``apply_phase_function`` ->
+``qpe_uncompute`` simulate the same register on the joint statevector; they
+stay here as the reference the closed form is graded against.  No route
+grades its own output: the oracles live in ``verify``.
 
 A black-box walk W (the procrustes route knows H only through a synthesized
 W) enters the same closed form: ``walk_eig`` factors W and returns the
 eigenpairs of the H it implies.  Since W^k = Q Lambda^k Q^dag, the explicit
 stages on that pair are the literal table of controlled powers of W.
 
-Every route refuses a pointer whose (d, 2^b) complex table would exceed
+Every pointer run refuses a (d, 2^b) complex table that would exceed
 ``POINTER_BUDGET_BYTES`` before allocating anything.
 
 Pointer conventions, fixed once here: callers rescale H to ||H|| <= 1 (top
@@ -184,24 +185,19 @@ class PointerState:
 
 @dataclasses.dataclass(frozen=True)
 class SimDiagnostics:
-    """What the simulated pipeline knew about its own accuracy.
+    """What a route's factors say about where the amplitude went.
 
     For a (d, k) block of states each field aggregates over the columns: the
-    largest leakage, the smallest fidelity and the summed flag probability.
+    largest leakage and the summed flag probability.
 
     Attributes:
-        leakage_norm: 2-norm of the amplitude not returned to pointer code 0.
-        fidelity_vs_exact: overlap with the exact-route output, computed by
-            the pointer route itself (the 1.0 default on the exact route).
+        leakage_norm: 2-norm of the amplitude not returned to pointer code 0
+            (0 on the exact route).
         flag_probability: squared norm of the flag=1 branch.
-        rounding_table: (k, 2) array of (true eigenvalue, decoded estimate at
-            the nearest grid code); None for exact runs.
     """
 
     leakage_norm: float = 0.0
-    fidelity_vs_exact: float = 1.0
     flag_probability: float = 0.0
-    rounding_table: np.ndarray | None = None
 
 
 def _check_unit_norm(psi: np.ndarray) -> np.ndarray:
@@ -231,38 +227,11 @@ def _check_spectrum(w: np.ndarray, config: QPEConfig) -> None:
         raise ValueError("eigenvalue bound violated: max |eigenvalue| > 1")
 
 
-def _rounding_table(w: np.ndarray, config: QPEConfig) -> np.ndarray:
-    """(true eigenvalue, decoded estimate at the nearest grid code) per eigenvalue."""
-    n = config.grid_size
-    codes = np.mod(np.rint(w / 4.0 * n), n).astype(int)
-    return np.column_stack([w, config.decode(codes)])
-
-
 def _phase_table(f: SpectralFunction, config: QPEConfig) -> tuple[np.ndarray, np.ndarray]:
     """Stage two per pointer code: the kept-branch factor p0(c) and the 0/1 flag mask m(c)."""
     grid = config.grid_values()
     ill = f.flags(grid)
     return np.where(ill, 0.0, np.exp(-1j * f(grid))), ill.astype(float)
-
-
-def exact_flag_branches(
-    eig: tuple[np.ndarray, np.ndarray], f: SpectralFunction, psi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply e^{-i f(H)} on the true spectrum of H, split by the flag threshold.
-
-    ``eig`` is the (eigenvalues, eigenvectors) pair of H and ``psi`` one state
-    or a (d, k) block.  Returns (kept, flagged) shaped like ``psi``:
-    eigencomponents with |eigenvalue| below the flag threshold pass through
-    unphased into the flagged part, the rest receive e^{-i f}.  With no
-    threshold the flagged part is zero.
-    """
-    psi = _check_unit_norm(psi)
-    w, v = eig
-    coeff = v.conj().T @ psi.reshape(w.size, -1)
-    ill = f.flags(w)
-    kept = v @ (np.where(ill, 0.0, np.exp(-1j * f(w)))[:, None] * coeff)
-    flagged = v @ (ill[:, None] * coeff)
-    return kept.reshape(psi.shape), flagged.reshape(psi.shape)
 
 
 def _pointer_qft(x: np.ndarray) -> np.ndarray:
@@ -334,8 +303,7 @@ def qpe_uncompute(
 
     Returns the unnormalized flag=0 and flag=1 system vectors (the latter
     zero when the flag branch is empty).  Diagnostics carry the leakage
-    (amplitude stuck at nonzero codes), the flag weight and the
-    per-eigenvalue rounding table of H under the configured grid.
+    (amplitude stuck at nonzero codes) and the flag weight.
     """
     w, v = eig
     kept, leak_sq = _project_branch(state.flag0, w, v, config)
@@ -345,9 +313,7 @@ def qpe_uncompute(
         flagged, leak_flagged = _project_branch(state.flag1, w, v, config)
         leak_sq += leak_flagged
     diag = SimDiagnostics(
-        leakage_norm=float(np.sqrt(leak_sq)),
-        flag_probability=flag_probability,
-        rounding_table=_rounding_table(w, config),
+        leakage_norm=float(np.sqrt(leak_sq)), flag_probability=flag_probability
     )
     return kept, flagged, diag
 
@@ -399,41 +365,42 @@ def transfer_function(
     return g, h, loss
 
 
-def spectral_transform_qpe(
+def spectral_transform(
     eig: tuple[np.ndarray, np.ndarray],
     f: SpectralFunction,
     psi: np.ndarray,
-    config: QPEConfig,
+    config: QPEConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Full pipeline: correlate, phase at decoded values, uncompute.
+    """Apply e^{-i f(H)}, split by the flag threshold, exactly or through the pointer.
 
-    ``psi`` is one state or a (d, k) block.  Each eigencomponent of every
-    column is scaled by its ``transfer_function`` factors, which is exactly
-    the three stages followed by keeping pointer code 0; leakage and flag
-    probability per column are the eigenweighted loss and h.  Returns the
-    unnormalized (kept, flagged) parts shaped like ``psi`` and the
-    diagnostics, including the overlap with the exact route.
+    ``eig`` is the (eigenvalues, eigenvectors) pair of H and ``psi`` one state
+    or a (d, k) block.  Each eigencomponent of every column is scaled by a
+    kept factor g and a flagged factor h.  Without ``config`` they come from
+    the true spectrum: eigencomponents with |eigenvalue| below the flag
+    threshold pass unphased into the flagged part (h = 1, g = 0), the rest
+    receive g = e^{-i f} and nothing leaks.  With ``config`` they are the
+    ``transfer_function`` factors, which is exactly the three stages followed
+    by keeping pointer code 0.  Leakage and flag probability per column are
+    the eigenweighted loss and h.  Returns the unnormalized (kept, flagged)
+    parts shaped like ``psi`` and the diagnostics.
     """
     psi = _check_unit_norm(psi)
     w, v = eig
-    _check_spectrum(w, config)
+    if config is None:
+        ill = f.flags(w)
+        g, h = np.where(ill, 0.0, np.exp(-1j * f(w))), ill.astype(float)
+        loss = np.zeros(w.size)
+    else:
+        _check_spectrum(w, config)
+        g, h, loss = transfer_function(w, f, config)
     block = psi.reshape(psi.shape[0], -1)
-    g, h, loss = transfer_function(w, f, config)
     coeff = v.conj().T @ block
     weight = np.abs(coeff) ** 2
     kept = v @ (g[:, None] * coeff)
     flagged = v @ (h[:, None] * coeff)
-    # the flag register is part of the state: stack both branches before the overlap
-    got = np.concatenate([kept, flagged])
-    exact = np.concatenate(exact_flag_branches(eig, f, block))
-    overlap = np.abs(np.sum(exact.conj() * got, axis=0))
-    norms = np.linalg.norm(got, axis=0) * np.linalg.norm(exact, axis=0)
-    fidelity = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0)
     diag = SimDiagnostics(
         leakage_norm=float(np.max(np.sqrt(loss @ weight))),
-        fidelity_vs_exact=float(np.min(fidelity)),
         flag_probability=float(np.sum(h @ weight)),
-        rounding_table=_rounding_table(w, config),
     )
     return kept.reshape(psi.shape), flagged.reshape(psi.shape), diag
 

@@ -102,6 +102,10 @@ def test_exit_codes(workdir, capsys):
     assert cli.main(["polar", "--input", str(workdir / "a.json"), "--bits", "0"]) == 2
     assert cli.main(["generate", "--kind", "matrix", "--dims", "2",
                      "--seed", "1", "--output", str(workdir / "g.json")]) == 2
+    # kappa_tilde is range-checked where the sign function is built, from the CLI too
+    for bad in ("1", "nan", "inf", "1e12"):
+        assert cli.main(["polar", "--input", str(workdir / "a.json"),
+                         "--kappa-tilde", bad]) == 2, bad
     # unreadable file
     assert cli.main(["polar", "--input", str(workdir / "missing.json")]) == 3
     # malformed content
@@ -449,15 +453,18 @@ def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch
           "--steps", "20", "--tolerance", "1"], 7),
         (["hsvt", "--input", "m.json", "--mode", "qpe", "--bits", "6",
           "--tolerance", "1"], 3),
+        (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
+          "--steps", "20", "--kappa-tilde", "2", "--tolerance", "1"], 7),
     ],
 )
 def test_product_formulas_factor_each_generator_once(
     workdir, capsys, monkeypatch, argv, expected
 ):
     # procrustes: rho once for the walk, then rho and the target for each of the
-    # three trotter_deviation lines, and one SVD for the classical solution;
-    # hsvt: M and the target for the Trotter product, the dilation for the
-    # route, and one SVD for the oracle isometry
+    # three trotter_deviation lines, and one SVD for the classical solution,
+    # whose columns also give U_r under --kappa-tilde; hsvt: M and the target
+    # for the Trotter product, the dilation for the route, and one SVD for the
+    # oracle isometry
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
     calls = _count_factorizations(monkeypatch)
     assert cli.main(argv) == 0

@@ -1,0 +1,34 @@
+"""Source-tree rules that no single module can check for itself."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polarsim"
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a public module-level function that no src code names and __all__ does
+    # not export serves only the tests: delete it and assert with numpy there
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named, exported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Assign) and "__all__" in {
+                getattr(t, "id", None) for t in node.targets
+            }:
+                exported |= {elt.value for elt in node.value.elts}
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in named | exported
+    ]
+    assert unused == []

@@ -88,7 +88,7 @@ def test_dme_step_is_first_order_effective_evolution():
         step = procrustes.dme_step(pair, dt)
         target = linalg.matrix_exp_hermitian(h_eff, dt)
         assert np.linalg.norm(step - target, ord=2) < 10.0 * dt**2
-        assert linalg.is_unitary(step)
+        np.testing.assert_allclose(step.conj().T @ step, np.eye(len(step)), atol=1e-10)
 
 
 def test_effective_evolution_converges():
@@ -109,7 +109,7 @@ def test_classical_solver_optimality():
     rng = generate.rng_for(509)
     inst = generate.random_procrustes_instance(3, 3, 5, rng)
     u, residual = procrustes.solve_procrustes_classical(inst)
-    assert linalg.is_unitary(u)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-10)
     direct = float(np.linalg.norm(u @ inst.inputs - inst.outputs) ** 2)
     assert residual == pytest.approx(direct, abs=1e-10)
     # local optimality along unitary perturbation directions

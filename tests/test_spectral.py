@@ -66,7 +66,7 @@ def test_correlate_rejects_unbounded_spectrum():
     # a block is checked column by column
     block = np.column_stack([psi, [np.nan, 0.0]])
     with pytest.raises(ValueError, match="normalized"):
-        spectral.exact_flag_branches(half, SpectralFunction.linear(1.0), block)
+        spectral.spectral_transform(half, SpectralFunction.linear(1.0), block)
 
 
 def test_sign_phase_conventions():
@@ -128,11 +128,11 @@ def test_representable_spectrum_matches_exact_route():
     psi = generate.random_state(4, rng)
     eig = linalg.hermitian_eig(h)
     for f in (SpectralFunction.sign_phase(), SpectralFunction.linear(0.9)):
-        out, _, diag = spectral.spectral_transform_qpe(eig, f, psi, cfg)
-        expected, _ = spectral.exact_flag_branches(eig, f, psi)
+        out, _, diag = spectral.spectral_transform(eig, f, psi, cfg)
+        expected, _, exact = spectral.spectral_transform(eig, f, psi)
         np.testing.assert_allclose(out, expected, atol=1e-10)
-        assert diag.fidelity_vs_exact == pytest.approx(1.0, abs=1e-12)
         assert diag.leakage_norm < 1e-10
+        assert exact.leakage_norm == 0.0
 
 
 def test_offgrid_eigenvalue_rounding_and_leakage():
@@ -140,15 +140,13 @@ def test_offgrid_eigenvalue_rounding_and_leakage():
     cfg = QPEConfig(bits=6)
     h = np.array([[1.0 / 3.0]], dtype=complex)
     psi = np.array([1.0 + 0j])
-    out, _, diag = spectral.spectral_transform_qpe(
+    out, _, diag = spectral.spectral_transform(
         linalg.hermitian_eig(h), SpectralFunction.linear(1.0), psi, cfg
     )
-    assert diag.rounding_table.shape == (1, 2)
-    assert diag.rounding_table[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert diag.rounding_table[0, 1] == pytest.approx(0.3125, abs=1e-15)
+    assert cfg.decode(np.rint(1.0 / 3.0 / 4.0 * cfg.grid_size)) == 0.3125
     assert diag.leakage_norm == pytest.approx(0.15311462022750771, abs=1e-12)
-    # a single eigencomponent only picks up a global phase
-    assert diag.fidelity_vs_exact == pytest.approx(1.0, abs=1e-12)
+    # what stays on code 0 and what leaks add back to the unit norm
+    assert abs(out[0]) ** 2 + diag.leakage_norm**2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leakage_shrinks_with_bits():
@@ -156,7 +154,7 @@ def test_leakage_shrinks_with_bits():
     psi = np.array([1.0 + 0j])
     leaks = []
     for bits in (4, 6, 8, 10):
-        _, _, diag = spectral.spectral_transform_qpe(
+        _, _, diag = spectral.spectral_transform(
             linalg.hermitian_eig(h), SpectralFunction.linear(1.0), psi, QPEConfig(bits=bits)
         )
         leaks.append(diag.leakage_norm)
@@ -251,7 +249,7 @@ def test_closed_form_equals_explicit_stages(k):
         d = h.shape[0]
         block = np.column_stack([generate.random_state(d, rng) for _ in range(k)])
         for f in functions:
-            kept, flagged, diag = spectral.spectral_transform_qpe(eig, f, block, cfg)
+            kept, flagged, diag = spectral.spectral_transform(eig, f, block, cfg)
             ref_kept, ref_flagged, ref_leak, ref_flag = _explicit_stages(eig, f, block, cfg)
             np.testing.assert_allclose(kept, ref_kept, atol=1e-12, err_msg=label)
             np.testing.assert_allclose(flagged, ref_flagged, atol=1e-12, err_msg=label)
@@ -303,7 +301,7 @@ def test_walk_route_is_code_zero_of_the_literal_walk_table(bits):
             np.column_stack([p @ psi for p in powers]) / np.sqrt(n)
         )
         for f in (SpectralFunction.sign_phase(), SpectralFunction.sign_phase(kappa_tilde=3.0)):
-            kept, flagged, diag = spectral.spectral_transform_qpe(
+            kept, flagged, diag = spectral.spectral_transform(
                 spectral.walk_eig(walk), f, psi, cfg
             )
             state = spectral.apply_phase_function(
@@ -357,14 +355,14 @@ def test_closed_form_map_is_linear_and_norm_preserving():
         hypothesis.assume(np.linalg.norm(mix) > 1e-3)
         mix = mix / np.linalg.norm(mix)
         block = np.column_stack([a, b, mix])
-        kept, flagged, _ = spectral.spectral_transform_qpe(eig, f, block, cfg)
+        kept, flagged, _ = spectral.spectral_transform(eig, f, block, cfg)
         scale = np.linalg.norm(a + alpha * b)
         for part in (kept, flagged):
             combo = (part[:, 0] + alpha * part[:, 1]) / scale
             np.testing.assert_allclose(part[:, 2], combo, atol=1e-12)
         # kept, flagged and leaked weight add back to each column's unit norm
         for col in range(3):
-            _, _, diag = spectral.spectral_transform_qpe(eig, f, block[:, col], cfg)
+            _, _, diag = spectral.spectral_transform(eig, f, block[:, col], cfg)
             total = (
                 np.linalg.norm(kept[:, col]) ** 2
                 + np.linalg.norm(flagged[:, col]) ** 2
@@ -381,7 +379,7 @@ def test_pointer_budget_is_checked_before_allocation():
     huge = QPEConfig(bits=40)
     f = SpectralFunction.sign_phase()
     with pytest.raises(spectral.PointerBudgetError, match="budget"):
-        spectral.spectral_transform_qpe(eig, f, psi, huge)
+        spectral.spectral_transform(eig, f, psi, huge)
     with pytest.raises(spectral.PointerBudgetError):
         spectral.qpe_correlate(eig, psi, huge)
     # the largest grid inside the budget for this dimension still passes the check

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 
-from polarsim import generate, polar, verify
+from polarsim import cli, generate, io, linalg, polar, verify
 
 
 def test_nan_output_fails_the_item(monkeypatch):
@@ -43,3 +43,40 @@ def test_sampled_residuals_match_the_per_unitary_loop():
         )
         batch = np.concatenate([verify._sampled_residuals(inst, c, twin) for c in (250, 50)])
         np.testing.assert_array_equal(batch, loop)
+
+
+def _mispair(monkeypatch, spectrum):
+    # the route's dilation eigenvalues, moved by ``spectrum`` off their eigenvectors
+    original = polar._prepared
+
+    def wrong(a):
+        (w, v), scale = original(a)
+        return (spectrum(w), v), scale
+
+    monkeypatch.setattr(polar, "_prepared", wrong)
+
+
+def test_qpe_fidelity_grades_fail_on_mispaired_eigenpairs(monkeypatch, tmp_path, capsys):
+    # the fidelity comes from the SVD oracle, not from the route's own eigenpairs:
+    # negated eigenvalues give each sign to the wrong eigenvector
+    _mispair(monkeypatch, np.negative)
+    assert not verify.check_qpe_dyadic_exactness(7)[0]
+    path = str(tmp_path / "wide.json")
+    io.write_matrix(path, generate.random_complex_matrix(3, 5, generate.rng_for(1)))
+    assert cli.main(["polar", "--input", path, "--mode", "qpe"]) == 1
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(report["min_column_fidelity"]) < 0.99
+    # on a square full-rank A with no flag branch the negated route is
+    # -sign(H), a global phase that no fidelity sees; a rolled spectrum is not
+    monkeypatch.undo()
+    _mispair(monkeypatch, lambda w: np.roll(w, 1))
+    assert not verify.check_condition_number_scaling(7)[0]
+
+
+def test_core_invariants_tell_the_absolute_value_from_other_functions(monkeypatch):
+    # commuting with h alone would pass any function of h, h^3 included
+    assert verify.check_core_oracle_invariants(7)[0]
+    monkeypatch.setattr(linalg, "hermitian_abs", lambda h: h @ h @ h)
+    passed, metrics = verify.check_core_oracle_invariants(7)
+    assert not passed
+    assert metrics["max_residual"] > 1.0
