@@ -34,7 +34,7 @@ def run(seed: int = 3) -> None:
         assert dev < 1e-10
 
     # Odd extension of the identity recovers plain dilated evolution.
-    h = embedding.embed(a).to_matrix()
+    h = embedding.embed(a)
     res_odd = polar.evolve_generalized(a, ParityExtension(lambda x: x, "odd"), 1.0, psi)
     dev_odd = np.linalg.norm(
         res_odd.output.to_vector() - linalg.matrix_exp_hermitian(h, 1.0) @ psi.to_vector()

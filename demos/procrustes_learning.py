@@ -36,7 +36,7 @@ def run(seed: int = 5) -> None:
     m = inst.cross_covariance()
     p = embedding.block_parity(3, 6)
     identity_gap = np.linalg.norm(
-        pair.rho - p[:, None] * pair.rho * p - embedding.embed(m).to_matrix() / inst.n_pairs
+        pair.rho - p[:, None] * pair.rho * p - embedding.embed(m) / inst.n_pairs
     )
     print(f"density-pair identity gap:         {identity_gap:.3e}")
     assert identity_gap < 1e-12
@@ -44,9 +44,7 @@ def run(seed: int = 5) -> None:
     # Second-order accuracy of a single exponentiation step.
     print("dt        step error   error/dt^2")
     for dt in (1e-1, 1e-2, 1e-3):
-        target = linalg.matrix_exp_hermitian(
-            embedding.embed(m).to_matrix() / inst.n_pairs, dt
-        )
+        target = linalg.matrix_exp_hermitian(embedding.embed(m) / inst.n_pairs, dt)
         err = np.linalg.norm(dme_step(pair, dt) - target, ord=2)
         print(f"{dt:<9.0e} {err:.3e}    {err / dt**2:.3f}")
 

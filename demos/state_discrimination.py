@@ -12,7 +12,7 @@ with real overlap s the mean success probability has the closed form
 
 import numpy as np
 
-from polarsim import generate, linalg, pgm
+from polarsim import generate, pgm, verify
 from polarsim.pgm import PGMInstance
 
 
@@ -23,7 +23,7 @@ def run(seed: int = 13) -> None:
     # The source emitted state 0; the measurement should usually say so.
     emitted = np.outer(inst.states[:, 0], inst.states[:, 0].conj())
     direct = pgm.pgm_probabilities(inst, emitted)
-    via_polar, u = pgm.pgm_via_polar(inst, emitted)
+    via_polar = pgm.pgm_via_polar(inst, emitted)
     gap = np.max(np.abs(direct - via_polar))
     print("guess probabilities (direct):   ", np.round(direct, 6))
     print("guess probabilities (via polar):", np.round(via_polar, 6))
@@ -35,11 +35,7 @@ def run(seed: int = 13) -> None:
     print("ensemble-average outcomes:      ", np.round(avg, 6))
 
     # chi chi+ is the projector onto the ensemble span; U+ re-prepares chi_j.
-    chi = pgm.pgm_vectors(inst)
-    dec = linalg.svd(inst.states)
-    span = dec.left_vectors[:, : dec.rank()]
-    completeness = np.linalg.norm(chi @ chi.conj().T - span @ span.conj().T)
-    reprep = np.max(np.linalg.norm(u.conj().T - chi, axis=0))
+    completeness, reprep = verify.pgm_residuals(inst)
     print(f"POVM completeness on the span: {completeness:.3e}")
     print(f"re-preparation gap U+|j> vs chi_j: {reprep:.3e}")
     assert completeness < 1e-10 and reprep < 1e-10

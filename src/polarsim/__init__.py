@@ -10,7 +10,7 @@ the deterministic invariant battery, and ``cli`` the command-line front end.
 
 from __future__ import annotations
 
-from .embedding import BlockHamiltonian, DilationVector, SpectralPair, embed
+from .embedding import DilationVector, embed
 from .hsvt import SplitHamiltonian, isolate_offdiagonal
 from .linalg import PolarFactors, SVDResult, classical_polar, svd
 from .pgm import PGMInstance, pgm_probabilities, pgm_vectors, pgm_via_polar
@@ -32,7 +32,6 @@ from .verify import ItemResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockHamiltonian",
     "DilationVector",
     "ItemResult",
     "PGMInstance",
@@ -44,7 +43,6 @@ __all__ = [
     "SVDResult",
     "SimDiagnostics",
     "SpectralFunction",
-    "SpectralPair",
     "SplitHamiltonian",
     "apply_polar_isometry",
     "apply_procrustes_quantum",

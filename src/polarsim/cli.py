@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import math
 import os
 import sys
 import time
@@ -60,6 +61,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
     return value
 
 
@@ -160,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="evolve under singular-value generators of A")
     _add_common(p)
-    p.add_argument("--time", type=float, required=True, help="evolution time t")
+    p.add_argument("--time", type=_finite_float, required=True, help="evolution time t")
     p.add_argument(
         "--function",
         choices=("abs", "linear"),
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hsvt", help="transform the coupling block of a Hamiltonian")
     _add_common(p, kappa_tilde=True)
     p.add_argument("--split", type=_positive_int, default=None)
-    p.add_argument("--time", type=float, default=1.0)
+    p.add_argument("--time", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument(
         "--function",
@@ -373,9 +381,9 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
     else:
         rep.add("rho", "from-file")
     p_direct = pgm.pgm_probabilities(inst, rho)
-    p_polar, u = pgm.pgm_via_polar(inst, rho, _config(args))
+    p_polar = pgm.pgm_via_polar(inst, rho, _config(args))
     gap = float(np.max(np.abs(p_direct - p_polar)))
-    completeness, reprep = verify.pgm_residuals(inst, u)
+    completeness, reprep = verify.pgm_residuals(inst)
     for j, p in enumerate(p_direct):
         rep.add(f"probability.{j}", float(p))
     rep.add("outside_span_probability", float(np.maximum(0.0, 1.0 - p_direct.sum())))
@@ -410,7 +418,7 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     rep.add("trotter_deviation", tr.deviation)
     rep.add("trotter_step_size", tr.step_size)
     # the diagonal blocks never enter: only the isolated coupling is transformed
-    a = hsvt.isolate_offdiagonal(sh).a_block
+    a = hsvt.isolate_offdiagonal(sh)
     config = _config(args)
     if args.function == "sign":
         result = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)

@@ -5,8 +5,8 @@ off-diagonal part can be isolated algebraically, (M - V M V)/2 with
 V = P_top - P_bottom, or dynamically, by interleaving forward and
 V-conjugated backward evolutions of M.  Either way the surviving operator is
 the plain dilation of A: a singular-value transform of the coupling is any
-``polar`` primitive applied to ``isolate_offdiagonal(sh).a_block``, and the
-diagonal blocks never matter.  V is the +/-1 diagonal of
+``polar`` primitive applied to ``isolate_offdiagonal(sh)``, and the diagonal
+blocks never matter.  V is the +/-1 diagonal of
 ``embedding.block_parity``; the Trotter product is graded and applied by
 ``embedding.product_formula_evolution``, as density exponentiation is.
 """
@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from . import embedding, linalg
-from .embedding import BlockHamiltonian, DilationVector, TrotterReport, block_parity
+from .embedding import DilationVector, TrotterReport, block_parity
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,25 +54,20 @@ class SplitHamiltonian:
     def bottom_dim(self) -> int:
         return self.matrix.shape[0] - self.split
 
-    @property
-    def coupling_block(self) -> np.ndarray:
-        """The (m, n) lower-left block A."""
-        return self.matrix[self.split :, : self.split]
-
     def parity(self) -> np.ndarray:
         """The +1/-1 diagonal of V = P_top - P_bottom for this split."""
         return block_parity(self.split, self.matrix.shape[0])
 
 
-def isolate_offdiagonal(sh: SplitHamiltonian) -> BlockHamiltonian:
-    """Exact algebraic isolation (M - V M V)/2 of the off-diagonal coupling.
+def isolate_offdiagonal(sh: SplitHamiltonian) -> np.ndarray:
+    """The (m, n) coupling block A, isolated algebraically as (M - V M V)/2.
 
-    The diagonal blocks cancel identically (entrywise zero up to float
-    subtraction, which is exact here), leaving the dilation of A.
+    The diagonal blocks cancel identically (float subtraction of equal
+    numbers is exact), leaving the dilation of A; its lower-left block is A.
     """
     p = sh.parity()
     isolated = (sh.matrix - p[:, None] * sh.matrix * p) / 2.0
-    return embedding.embed(isolated[sh.split :, : sh.split])
+    return isolated[sh.split :, : sh.split]
 
 
 def trotter_offdiagonal_evolution(
@@ -96,7 +91,7 @@ def trotter_offdiagonal_evolution(
     forward = linalg.matrix_exp_hermitian(sh.matrix, dt / 2.0)
     p = sh.parity()
     step = forward @ (p[:, None] * forward.conj().T * p)
-    target = linalg.matrix_exp_hermitian(isolate_offdiagonal(sh).to_matrix(), t)
+    target = linalg.matrix_exp_hermitian(embedding.embed(isolate_offdiagonal(sh)), t)
     return embedding.product_formula_evolution(
         step, n_steps, dt, target, psi, sh.top_dim
     )

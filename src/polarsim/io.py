@@ -72,12 +72,30 @@ def _parse_entry(entry: Any, where: str) -> complex:
 
 
 def _parse_entries(entries: list[Any], where: str) -> np.ndarray:
-    """The [re, im] pairs as one complex array; NaN and infinities are rejected."""
-    values = np.array([_parse_entry(e, where) for e in entries], dtype=complex)
+    """The [re, im] pairs as one complex array; NaN, infinities and integer
+    literals too large for a float are rejected."""
+    try:
+        values = np.array([_parse_entry(e, where) for e in entries], dtype=complex)
+    except OverflowError:
+        bad = next(k for k, e in enumerate(entries) if not _fits_float(e))
+        raise FormatError(f"{where}: entry {bad} is not a finite number") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise FormatError(f"{where}: entry {bad[0]} is not a finite number")
     return values
+
+
+def _fits_float(entry: Any) -> bool:
+    try:
+        _parse_entry(entry, "")
+    except OverflowError:
+        return False
+    return True
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer literal: true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_matrix(payload: Any, where: str = "matrix") -> np.ndarray:
@@ -87,7 +105,7 @@ def _parse_matrix(payload: Any, where: str = "matrix") -> np.ndarray:
         if key not in payload:
             raise FormatError(f"{where}: missing field {key!r}")
     rows, cols = payload["rows"], payload["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
         raise FormatError(f"{where}: rows/cols must be positive integers")
     data = payload["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -209,7 +227,7 @@ def read_split_hamiltonian(path: str, split: int | None = None) -> SplitHamilton
         if not isinstance(doc, dict) or "split" not in doc:
             raise FormatError(f"{path}: missing field 'split' and no override given")
         split = doc["split"]
-    if not isinstance(split, int):
+    if not _is_int(split):
         raise FormatError(f"{path}: split must be an integer, got {split!r}")
     try:
         return SplitHamiltonian(matrix=mat, split=split)

@@ -68,10 +68,6 @@ class SVDResult:
         """Reassemble the original matrix from the triplets."""
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
 
-    def rank(self, tol: float | None = None) -> int:
-        """Numerical rank under the relative cutoff used across the package."""
-        return int(np.count_nonzero(self.singular_values > rank_cutoff(self.singular_values, tol)))
-
 
 @dataclasses.dataclass(frozen=True)
 class PolarFactors:

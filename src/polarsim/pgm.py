@@ -6,8 +6,8 @@ square-root measurement directs outcome j along chi_j = S^(-1/2) phi_j
 isometry of the stacking map A = sum_j |j><phi_j|: U^dag |j> = chi_j, so
 outcome probabilities can be computed either directly from the chi vectors
 or by pushing the state through U and reading the index basis.  Both paths
-are implemented and must agree; the second one reuses the Procrustes
-machinery with computational-basis targets.
+are implemented and must agree; the second one is the sign transform of the
+stacking map's dilation, the same route ``polar`` runs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from . import embedding, linalg, polar, procrustes
+from . import embedding, linalg, polar
 from .spectral import QPEConfig
 
 _TRACE_ATOL = 1e-8
@@ -99,32 +99,20 @@ def pgm_via_polar(
     inst: PGMInstance,
     rho: np.ndarray,
     config: QPEConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Outcome distribution through the polar isometry of the stacking map.
 
-    The isometry U is learned from the pairing (phi_j -> |j>) with the
-    Procrustes solver, the state is conjugated through it, and outcomes are
-    read in the index basis: p(j) = <j| U rho U^dag |j>.  With ``config`` the
-    eigenvectors of rho ride the simulated sign-transform pipeline as one
-    block instead.
-
-    Returns:
-        (probabilities, U); U^dag maps index states back to the measurement
-        directions, so it re-prepares chi_j from |j>.
+    The eigenvectors of rho ride the sign transform of the dilation of
+    A = sum_j |j><phi_j| as one block, exactly when ``config`` is None and
+    through the simulated pipeline otherwise; the isometry U carries each to
+    the index basis, where p(j) = <j| U rho U^dag |j> is read off.
     """
     rho = _check_density(rho, inst.dim)
-    targets = np.eye(inst.n_states, dtype=complex)
-    pairing = procrustes.ProcrustesInstance(inputs=inst.states, outputs=targets)
-    u, _ = procrustes.solve_procrustes_classical(pairing)
-    if config is None:
-        probs = np.real(np.diag(u @ rho @ u.conj().T)).copy()
-    else:
-        w, vecs = linalg.hermitian_eig(rho)
-        keep = w > 1e-14
-        psi = embedding.inject_right(vecs[:, keep], inst.n_states)
-        result = polar.apply_polar_isometry(inst.stacking_map(), psi, config)
-        probs = np.abs(result.output.bottom) ** 2 @ w[keep]
-    return probs, u
+    w, vecs = linalg.hermitian_eig(rho)
+    keep = w > 1e-14
+    psi = embedding.inject_right(vecs[:, keep], inst.n_states)
+    result = polar.apply_polar_isometry(inst.stacking_map(), psi, config)
+    return np.abs(result.output.bottom) ** 2 @ w[keep]
 
 
 def sample_outcomes(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -82,7 +82,7 @@ def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     The dilation's spectrum is +/- sigma_j padded with zeros, so one
     eigendecomposition gives both: sigma_max = max |eigenvalue| (1.0 for A = 0).
     """
-    w, v = linalg.hermitian_eig(embedding.embed(a).to_matrix())
+    w, v = linalg.hermitian_eig(embedding.embed(a))
     scale = float(np.max(np.abs(w), initial=0.0)) or 1.0
     return (w / scale, v), scale
 

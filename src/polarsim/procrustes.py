@@ -153,9 +153,7 @@ def effective_hamiltonian_evolution(
         raise ValueError("n_steps must be positive")
     delta_t = t * inst.n_pairs / n_steps
     step = dme_step(reduced_density(inst), delta_t)
-    target = linalg.matrix_exp_hermitian(
-        embedding.embed(inst.cross_covariance()).to_matrix(), t
-    )
+    target = linalg.matrix_exp_hermitian(embedding.embed(inst.cross_covariance()), t)
     return embedding.product_formula_evolution(
         step, n_steps, delta_t, target, psi, inst.input_dim
     )

@@ -129,16 +129,20 @@ def isolation_error(sh: hsvt.SplitHamiltonian) -> float:
     direct = np.zeros_like(sh.matrix)
     direct[n:, :n] = sh.matrix[n:, :n]
     direct[:n, n:] = sh.matrix[:n, n:]
-    return float(np.max(np.abs(hsvt.isolate_offdiagonal(sh).to_matrix() - direct)))
+    return float(np.max(np.abs(embedding.embed(hsvt.isolate_offdiagonal(sh)) - direct)))
 
 
-def pgm_residuals(inst: pgm.PGMInstance, u: np.ndarray) -> tuple[float, float]:
+def pgm_residuals(inst: pgm.PGMInstance) -> tuple[float, float]:
     """Completeness and re-preparation residuals of the square-root measurement.
 
     Completeness compares sum_j |chi_j><chi_j| with the projector onto the
     ensemble span, taken from an SVD of the states; re-preparation compares
-    U^dag |j> with chi_j column by column.
+    U^dag |j> with chi_j column by column, U the classical Procrustes solution
+    of the pairing phi_j -> |j>.
     """
+    targets = np.eye(inst.n_states, dtype=complex)
+    pairing = procrustes.ProcrustesInstance(inputs=inst.states, outputs=targets)
+    u, _ = procrustes.solve_procrustes_classical(pairing)
     chi = pgm.pgm_vectors(inst)
     res = linalg.svd(inst.states)
     w = res.left_vectors[:, res.singular_values > linalg.rank_cutoff(res.singular_values)]
@@ -361,9 +365,7 @@ def check_trotter_step_order(seed: int) -> tuple[bool, dict]:
     rng = generate.rng_for(seed, 6)
     inst = generate.random_procrustes_instance(2, 2, 3, rng)
     pair = procrustes.reduced_density(inst)
-    h_over_r = (
-        embedding.embed(inst.cross_covariance()).to_matrix() / inst.n_pairs
-    )
+    h_over_r = embedding.embed(inst.cross_covariance()) / inst.n_pairs
     dts = np.array([1e-1, 1e-2, 1e-3])
     errs = []
     for dt in dts:
@@ -494,9 +496,9 @@ def check_pgm_dual_path(seed: int) -> tuple[bool, dict]:
             v = generate.random_state(d, rng)
             rho = np.outer(v, v.conj())
         p_direct = pgm.pgm_probabilities(inst, rho)
-        p_polar, u = pgm.pgm_via_polar(inst, rho)
+        p_polar = pgm.pgm_via_polar(inst, rho)
         worst_gap = np.maximum(worst_gap, float(np.max(np.abs(p_direct - p_polar))))
-        completeness, reprep = pgm_residuals(inst, u)
+        completeness, reprep = pgm_residuals(inst)
         worst_complete = np.maximum(worst_complete, completeness)
         worst_reprep = np.maximum(worst_reprep, reprep)
     passed = bool(worst_gap <= 1e-8 and worst_complete <= 1e-10 and worst_reprep <= 1e-8)
@@ -582,7 +584,13 @@ def check_core_oracle_invariants(seed: int) -> tuple[bool, dict]:
 
 
 def check_embedding_spectrum(seed: int) -> tuple[bool, dict]:
-    """Dilation spectra: +/- pairing, block balance, kernel counting."""
+    """The factorization every route takes, ``hermitian_eig(embed(a))``, against the SVD.
+
+    Eigenvalues are +/- sigma padded with zeros and satisfy H V = V Lambda;
+    each eigenvector off the kernel splits its weight evenly between the
+    blocks; the kernel counts m + n - 2 rank; and max |lambda| is sigma_max,
+    the scale ``polar`` divides out.
+    """
     rng = generate.rng_for(seed, 11)
     tol = 1e-10
     worst = 0.0
@@ -597,35 +605,21 @@ def check_embedding_spectrum(seed: int) -> tuple[bool, dict]:
         else:
             a = generate.random_complex_matrix(m, n, rng)
         h = embedding.embed(a)
-        hmat = h.to_matrix()
-        pairs, kernel = embedding.eigenstructure(h)
+        w, v = linalg.hermitian_eig(h)
         sig = linalg.svd(a).singular_values
-        cut = linalg.rank_cutoff(sig)
-        nonzero = sig[sig > cut]
+        nonzero = sig[sig > linalg.rank_cutoff(sig)]
         expected = np.sort(np.concatenate([nonzero, -nonzero, np.zeros(m + n - 2 * nonzero.size)]))
-        worst = np.maximum(
-            worst, float(np.max(np.abs(np.linalg.eigvalsh(hmat) - expected)))
-        )
-        counts_ok = counts_ok and len(kernel) == (m + n - 2 * len(pairs))
-        for pair in pairs:
-            for val, vec in ((pair.sigma, pair.plus), (-pair.sigma, pair.minus)):
-                v = vec.to_vector()
-                worst = np.max(
-                    [
-                        worst,
-                        float(np.linalg.norm(hmat @ v - val * v)),
-                        abs(float(np.linalg.norm(vec.top)) - 1.0 / math.sqrt(2.0)),
-                        abs(float(np.linalg.norm(vec.bottom)) - 1.0 / math.sqrt(2.0)),
-                    ]
-                )
-        for kvec in kernel:
-            worst = np.maximum(worst, float(np.linalg.norm(hmat @ kvec.to_vector())))
-        worst = np.maximum(
-            worst,
-            abs(
-                float(np.linalg.norm(hmat, ord=2))
-                - (float(nonzero[0]) if nonzero.size else 0.0)
-            ),
+        paired = np.abs(w) > linalg.rank_cutoff(np.abs(w))
+        top_norms = np.linalg.norm(v[:n, paired], axis=0)
+        counts_ok = counts_ok and int(np.count_nonzero(~paired)) == m + n - 2 * nonzero.size
+        worst = np.max(
+            [
+                worst,
+                float(np.max(np.abs(w - expected))),
+                float(np.linalg.norm(h @ v - v * w, ord=2)),
+                float(np.max(np.abs(top_norms - 1.0 / math.sqrt(2.0)), initial=0.0)),
+                abs(float(np.max(np.abs(w))) - float(sig[0])),
+            ]
         )
     passed = bool(worst <= tol and counts_ok)
     return passed, {

@@ -106,6 +106,10 @@ def test_exit_codes(workdir, capsys):
     for bad in ("1", "nan", "inf", "1e12"):
         assert cli.main(["polar", "--input", str(workdir / "a.json"),
                          "--kappa-tilde", bad]) == 2, bad
+    # so is the evolution time: a non-finite one is refused before any work
+    for bad in ("nan", "inf", "-inf"):
+        assert cli.main(["evolve", "--input", str(workdir / "a.json"), "--time", bad]) == 2, bad
+        assert cli.main(["hsvt", "--input", str(workdir / "m.json"), "--time", bad]) == 2, bad
     # unreadable file
     assert cli.main(["polar", "--input", str(workdir / "missing.json")]) == 3
     # malformed content

@@ -41,19 +41,19 @@ def test_isolation_equals_conjugation_formula():
         m = int(rng.integers(1, 5))
         sh = generate.random_split_hamiltonian(n, m, rng)
         iso = hsvt.isolate_offdiagonal(sh)
-        assert iso.right_dim == n and iso.left_dim == m
+        assert iso.shape == (m, n)
         # dual route: (M - VMV)/2
         v = np.diag(sh.parity())
         expected = (sh.matrix - v @ sh.matrix @ v) / 2.0
-        np.testing.assert_array_equal(iso.to_matrix(), expected)
-        np.testing.assert_array_equal(iso.a_block, sh.matrix[n:, :n])
+        np.testing.assert_array_equal(embedding.embed(iso), expected)
+        np.testing.assert_array_equal(iso, sh.matrix[n:, :n])
 
 
 def test_isolation_is_entrywise_exact():
     # fp algebra: subtracting identical diagonal blocks leaves literal zeros
     rng = generate.rng_for(603)
     sh = generate.random_split_hamiltonian(3, 2, rng)
-    iso = hsvt.isolate_offdiagonal(sh).to_matrix()
+    iso = embedding.embed(hsvt.isolate_offdiagonal(sh))
     assert np.all(iso[:3, :3] == 0.0)
     assert np.all(iso[3:, 3:] == 0.0)
 
@@ -118,7 +118,7 @@ def test_diagonal_blocks_never_enter():
     for kappa_tilde in (None, 2.0):
         outs = []
         for seed in (1, 2):
-            a = hsvt.isolate_offdiagonal(build(seed)).a_block
+            a = hsvt.isolate_offdiagonal(build(seed))
             sign = polar.apply_polar_isometry(a, psi, kappa_tilde=kappa_tilde)
             evolved = polar.evolve_generalized(a, ext, 0.7, psi)
             outs.append((sign.output.to_vector(), evolved.output.to_vector()))
@@ -129,9 +129,6 @@ def test_diagonal_blocks_never_enter():
 def test_isolated_block_spectrum_is_coupling_svd():
     rng = generate.rng_for(616)
     sh = generate.random_split_hamiltonian(3, 3, rng)
-    iso = hsvt.isolate_offdiagonal(sh)
-    w = np.linalg.eigvalsh(iso.to_matrix())
-    s = linalg.svd(sh.coupling_block).singular_values
-    np.testing.assert_allclose(np.sort(np.abs(w)), np.sort(np.concatenate([s, s])), atol=1e-10)
-    pairs, _ = embedding.eigenstructure(iso)
-    np.testing.assert_allclose([p.sigma for p in pairs], s, atol=1e-10)
+    w, _ = linalg.hermitian_eig(embedding.embed(hsvt.isolate_offdiagonal(sh)))
+    s = linalg.svd(sh.matrix[3:, :3]).singular_values
+    np.testing.assert_allclose(w, np.concatenate([-s, s[::-1]]), atol=1e-10)

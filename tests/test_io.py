@@ -41,12 +41,18 @@ def test_matrix_rejects_malformed(tmp_path):
         '{"rows": 1, "cols": 2, "data": [[1, 0], [NaN, 0]]}',
         '{"rows": 1, "cols": 1, "data": [[0, Infinity]]}',
         '{"rows": 1, "cols": 1, "data": [[-Infinity, 0]]}',
+        # a boolean is not an integer, though Python's bool subclasses int
+        '{"rows": true, "cols": true, "data": [[0.5, 0]]}',
+        '{"rows": 1, "cols": 2, "data": [[1, 0], [1%s, 0]]}' % ("0" * 400),
     ]
     for text in cases:
         with open(path, "w") as fh:
             fh.write(text)
         with pytest.raises(io.FormatError):
             io.read_matrix(path)
+    # an integer literal too large for a float is named like NaN and Infinity
+    with pytest.raises(io.FormatError, match=r"bad\.json: entry 1 is not a finite number"):
+        io.read_matrix(path)
 
 
 def test_procrustes_instance_roundtrip(tmp_path):
@@ -120,6 +126,11 @@ def test_split_hamiltonian_roundtrip_and_override(tmp_path):
     assert override.split == 3
     with pytest.raises(io.FormatError):
         io.read_split_hamiltonian(path, split=5)
+    # a stored split of true is a boolean, not the integer 1
+    with open(path, "w") as fh:
+        fh.write('{"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [1, 0], [0, 0]], "split": true}')
+    with pytest.raises(io.FormatError, match="split must be an integer"):
+        io.read_split_hamiltonian(path)
 
 
 def test_split_hamiltonian_requires_split_field(tmp_path):

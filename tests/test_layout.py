@@ -9,8 +9,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polarsim"
 
 
 def test_every_public_function_has_a_caller_in_src():
-    # a public module-level function that no src code names and __all__ does
-    # not export serves only the tests: delete it and assert with numpy there
+    # a public module-level function, or a public method or property of a src
+    # class, that no src code names and __all__ does not export serves only
+    # the tests: delete it and assert with numpy there
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     named, exported = set(), set()
     for tree in trees.values():
@@ -23,10 +24,23 @@ def test_every_public_function_has_a_caller_in_src():
                 getattr(t, "id", None) for t in node.targets
             }:
                 exported |= {elt.value for elt in node.value.elts}
-    unused = [
-        f"{module}.{node.name}"
+    defs = (ast.FunctionDef, ast.ClassDef)
+    defined = [
+        (f"{module}.{node.name}", node)
         for module, tree in trees.items()
         for node in tree.body
+        if isinstance(node, defs)
+    ]
+    defined += [
+        (f"{name}.{member.name}", member)
+        for name, node in defined
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, defs)
+    ]
+    unused = [
+        name
+        for name, node in defined
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
         and node.name not in named | exported

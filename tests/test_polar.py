@@ -146,7 +146,7 @@ def test_generalized_odd_identity_is_plain_evolution():
     psi = _state(3, 3, rng)
     ext = ParityExtension(base=lambda x: x, parity="odd")
     res = polar.evolve_generalized(a, ext, 1.1, psi)
-    h = embedding.embed(a).to_matrix()
+    h = embedding.embed(a)
     expected = linalg.matrix_exp_hermitian(h, 1.1) @ psi.to_vector()
     np.testing.assert_allclose(res.output.to_vector(), expected, atol=1e-10)
 
@@ -182,7 +182,7 @@ def test_generalized_function_sees_unscaled_spectrum():
     ext = ParityExtension(base=lambda x: np.minimum(x, 0.7), parity="odd")
 
     def oracle(mat: np.ndarray) -> np.ndarray:
-        h = embedding.embed(mat).to_matrix()
+        h = embedding.embed(mat)
         w, v = linalg.hermitian_eig(h)
         return v @ (np.exp(-1j * ext.extend(w)) * (v.conj().T @ psi.to_vector()))
 

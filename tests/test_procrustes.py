@@ -62,7 +62,7 @@ def test_density_difference_recovers_cross_covariance():
     pair = procrustes.reduced_density(inst)
     v = np.diag(embedding.block_parity(3, 5))
     lhs = pair.rho - v @ pair.rho @ v
-    rhs = embedding.embed(inst.cross_covariance()).to_matrix() / inst.n_pairs
+    rhs = embedding.embed(inst.cross_covariance()) / inst.n_pairs
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_dme_step_is_first_order_effective_evolution():
     rng = generate.rng_for(506)
     inst = generate.random_procrustes_instance(2, 2, 3, rng)
     pair = procrustes.reduced_density(inst)
-    h_eff = embedding.embed(inst.cross_covariance()).to_matrix() / inst.n_pairs
+    h_eff = embedding.embed(inst.cross_covariance()) / inst.n_pairs
     for dt in (1e-2, 1e-3):
         step = procrustes.dme_step(pair, dt)
         target = linalg.matrix_exp_hermitian(h_eff, dt)

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 
-from polarsim import cli, generate, io, linalg, polar, verify
+from polarsim import cli, embedding, generate, io, linalg, polar, verify
 
 
 def test_nan_output_fails_the_item(monkeypatch):
@@ -80,3 +80,14 @@ def test_core_invariants_tell_the_absolute_value_from_other_functions(monkeypatc
     passed, metrics = verify.check_core_oracle_invariants(7)
     assert not passed
     assert metrics["max_residual"] > 1.0
+
+
+def test_embedding_spectrum_grades_the_dilation_the_routes_factor(monkeypatch):
+    # the item reads the spectrum off hermitian_eig(embed(a)), so a dilation of
+    # A/2 halves every eigenvalue and max |lambda| against the SVD's sigma_max
+    assert verify.check_embedding_spectrum(7)[0]
+    original = embedding.embed
+    monkeypatch.setattr(embedding, "embed", lambda a: original(np.asarray(a) / 2))
+    passed, metrics = verify.check_embedding_spectrum(7)
+    assert not passed
+    assert metrics["max_residual"] > 0.1
