@@ -33,10 +33,12 @@ def run(seed: int = 5) -> None:
     assert best <= min(worse) + 1e-9
 
     pair = reduced_density(inst)
+    w, v = pair.eig
+    rho = (v * w) @ v.conj().T
     m = inst.cross_covariance()
     p = embedding.block_parity(3, 6)
     identity_gap = np.linalg.norm(
-        pair.rho - p[:, None] * pair.rho * p - embedding.embed(m) / inst.n_pairs
+        rho - p[:, None] * rho * p - embedding.embed(m) / inst.n_pairs
     )
     print(f"density-pair identity gap:         {identity_gap:.3e}")
     assert identity_gap < 1e-12

@@ -108,21 +108,6 @@ def _env_tolerance() -> float:
     return value
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("POLARSIM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"polarsim: POLARSIM_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise SystemExit(f"polarsim: POLARSIM_THREADS must be >= 1, got {raw!r}")
-    return value
-
-
 def _add_common(
     p: argparse.ArgumentParser, state: bool = True, kappa_tilde: bool = False
 ) -> None:
@@ -209,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'all', 'acceptance', or comma-separated item name prefixes",
     )
     p.add_argument("--seed", type=_nonnegative_int, default=_DEFAULT_SEED)
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help="parallel items (default 1 or POLARSIM_THREADS)",
-    )
     p.add_argument("--output", help="also write the report to this path")
 
     p = sub.add_parser("generate", help="write a reproducible random instance file")
@@ -442,14 +421,12 @@ def _cmd_verify(args: _Args) -> tuple[Report, bool]:
         names = verify.select_items(args.suite)
     except ValueError as exc:
         raise SystemExit(f"polarsim: {exc}") from exc
-    threads = args.threads if args.threads is not None else _env_threads()
     rep = Report()
     rep.add("command", "verify")
     rep.add("suite", args.suite)
     rep.add("seed", args.seed)
-    rep.add("threads", threads)
     rep.add("items", len(names))
-    results = verify.run_suite(names, args.seed, threads=threads)
+    results = verify.run_suite(names, args.seed)
     all_passed = True
     for res in results:
         rep.add(f"item.{res.name}.verdict", "pass" if res.passed else "fail")

@@ -57,7 +57,6 @@ class TrotterReport:
     """Accuracy record for a product-formula evolution."""
 
     deviation: float
-    n_steps: int
     step_size: float
 
 
@@ -84,7 +83,7 @@ def product_formula_evolution(
     product = np.linalg.matrix_power(step, n_steps)
     deviation = float(np.linalg.norm(product - target, ord=2))
     out = DilationVector.from_vector(product @ psi.to_vector(), split)
-    return out, TrotterReport(deviation=deviation, n_steps=n_steps, step_size=step_size)
+    return out, TrotterReport(deviation=deviation, step_size=step_size)
 
 
 def embed(a: np.ndarray) -> np.ndarray:

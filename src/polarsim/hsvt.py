@@ -60,13 +60,16 @@ class SplitHamiltonian:
 
 
 def isolate_offdiagonal(sh: SplitHamiltonian) -> np.ndarray:
-    """The (m, n) coupling block A, isolated algebraically as (M - V M V)/2.
+    """The (m, n) coupling block A, isolated algebraically as M/2 - V (M/2) V.
 
     The diagonal blocks cancel identically (float subtraction of equal
     numbers is exact), leaving the dilation of A; its lower-left block is A.
+    Halving before subtracting keeps every finite entry finite, where
+    (M - V M V)/2 would overflow at 2A.
     """
     p = sh.parity()
-    isolated = (sh.matrix - p[:, None] * sh.matrix * p) / 2.0
+    half = sh.matrix / 2.0
+    isolated = half - p[:, None] * half * p
     return isolated[sh.split :, : sh.split]
 
 

@@ -86,14 +86,13 @@ class ProcrustesInstance:
 
 @dataclasses.dataclass(frozen=True)
 class DensityPair:
-    """Reduced density matrix of the pair state, factored once.
+    """Reduced density matrix rho of the pair state, factored once.
 
-    ``rho`` lives on the direct sum (input space first), ``eig`` is its
+    rho lives on the direct sum (input space first), ``eig`` is its
     (eigenvalues, eigenvectors) pair and ``split`` the input dimension, where
     the block parity V = P_top - P_bottom changes sign.
     """
 
-    rho: np.ndarray
     eig: tuple[np.ndarray, np.ndarray]
     split: int
 
@@ -120,7 +119,7 @@ def reduced_density(inst: ProcrustesInstance) -> DensityPair:
     n, m = inst.input_dim, inst.output_dim
     psi = build_pair_state(inst).reshape(r, n + m)
     rho = psi.T @ psi.conj()
-    return DensityPair(rho=rho, eig=linalg.hermitian_eig(rho), split=n)
+    return DensityPair(eig=linalg.hermitian_eig(rho), split=n)
 
 
 def dme_step(pair: DensityPair, delta_t: float) -> np.ndarray:

@@ -15,25 +15,23 @@ each eigencomponent by a kept factor g and a flagged factor h:
   it in closed form (the Fejer kernel of phase estimation, weighted by the
   phase table), with the exact leakage.
 
-The three explicit stages ``qpe_correlate`` -> ``apply_phase_function`` ->
-``qpe_uncompute`` simulate the same register on the joint statevector; they
-stay here as the reference the closed form is graded against.  No route
-grades its own output: the oracles live in ``verify``.
+No pointer register is ever built here: the closed form is the only
+simulation of it.  ``verify`` grades it against a literal phase-estimation
+circuit on the walk W itself, and no route grades its own output.
 
 A black-box walk W (the procrustes route knows H only through a synthesized
 W) enters the same closed form: ``walk_eig`` factors W and returns the
-eigenpairs of the H it implies.  Since W^k = Q Lambda^k Q^dag, the explicit
-stages on that pair are the literal table of controlled powers of W.
+eigenpairs of the H it implies.
 
-Every pointer run refuses a (d, 2^b) complex table that would exceed
-``POINTER_BUDGET_BYTES`` before allocating anything.
+Every pointer run refuses a setting of d eigenvalues and 2^b codes whose
+d 2^b cells, charged 16 bytes each, exceed ``POINTER_BUDGET_BYTES``, before
+computing anything.
 
 Pointer conventions, fixed once here: callers rescale H to ||H|| <= 1 (top
 singular value 1) and the walk unitary is W = e^{2 pi i H / 4}, so the
 eigenphases live in [-1/4, 1/4] and two's-complement decoding (phi = c/2^b;
 estimate = 4 phi for phi < 1/2, else 4 (phi - 1)) recovers signed eigenvalues
-with a factor-4 guard band between the sign sectors.  No sampling anywhere: stages
-are exact unitaries on the joint statevector.
+with a factor-4 guard band between the sign sectors.  No sampling anywhere.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ _NORM_ATOL = 1e-6
 # cutoff of the classical oracle on the rescaled (top singular value 1) spectrum.
 ZERO_BAND = 1e-12
 
-# Largest (system dim, 2^bits) complex pointer table a run may ask for.
+# Largest pointer run, in (eigenvalue, code) cells at 16 bytes each.
 POINTER_BUDGET_BYTES = 2**30
 
 # Largest ||W Q - Q Lambda||_2 a walk's eigenpairs may leave: synthesized DME
@@ -62,7 +60,7 @@ _TRANSFER_CHUNK_CELLS = 2**18
 
 
 class PointerBudgetError(ValueError):
-    """The pointer table of a run would exceed ``POINTER_BUDGET_BYTES``."""
+    """The pointer cells of a run would exceed ``POINTER_BUDGET_BYTES``."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,30 +157,6 @@ class SpectralFunction:
         return cls(values=fn)
 
 
-@dataclasses.dataclass
-class PointerState:
-    """Joint system x pointer amplitudes, split into flag branches.
-
-    Both arrays have shape (system dim, 2^bits); flag1 holds the amplitude
-    routed away by a thresholded phase stage and is acted on as identity by
-    later phase stages.
-    """
-
-    flag0: np.ndarray
-    flag1: np.ndarray
-
-    @property
-    def total_norm(self) -> float:
-        return float(
-            np.sqrt(np.linalg.norm(self.flag0) ** 2 + np.linalg.norm(self.flag1) ** 2)
-        )
-
-    @property
-    def flag_weight(self) -> float:
-        """Probability carried by the flag=1 branch."""
-        return float(np.linalg.norm(self.flag1) ** 2)
-
-
 @dataclasses.dataclass(frozen=True)
 class SimDiagnostics:
     """What a route's factors say about where the amplitude went.
@@ -210,7 +184,14 @@ def _check_unit_norm(psi: np.ndarray) -> np.ndarray:
 
 
 def _check_pointer_budget(dim: int, config: QPEConfig) -> None:
-    """Refuse a (dim, 2^b) complex pointer table above the budget, before any is built."""
+    """Refuse a run of ``dim`` eigenvalues on 2^b codes whose cells pass the budget.
+
+    Each (eigenvalue, code) cell is charged 16 bytes, one complex amplitude of
+    the pointer table the closed form stands in for.  The closed form never
+    builds that table: it walks the cells in chunks, so the count bounds its
+    work, while its arrays (decoded grid, phase table, one chunk) grow with
+    2^b alone.  The check runs before any of them is allocated.
+    """
     # past 2^64 codes every table is over budget; the cap keeps the product cheap
     needed = dim * 16 * 2 ** min(config.bits, 64)
     if needed > POINTER_BUDGET_BYTES:
@@ -232,90 +213,6 @@ def _phase_table(f: SpectralFunction, config: QPEConfig) -> tuple[np.ndarray, np
     grid = config.grid_values()
     ill = f.flags(grid)
     return np.where(ill, 0.0, np.exp(-1j * f(grid))), ill.astype(float)
-
-
-def _pointer_qft(x: np.ndarray) -> np.ndarray:
-    """Fourier transform on the pointer axis (axis 1), |k> -> sum_c e^{2pi i ck/N}|c>/sqrt(N)."""
-    n = x.shape[1]
-    return np.fft.ifft(x, axis=1) * np.sqrt(n)
-
-
-def _pointer_qft_inverse(x: np.ndarray) -> np.ndarray:
-    n = x.shape[1]
-    return np.fft.fft(x, axis=1) / np.sqrt(n)
-
-
-def qpe_correlate(
-    eig: tuple[np.ndarray, np.ndarray], psi: np.ndarray, config: QPEConfig
-) -> PointerState:
-    """Entangle the pointer with the spectrum of H (stage one).
-
-    ``eig`` is the (eigenvalues, eigenvectors) pair of H and ``psi`` one
-    state.  Simulates pointer-in-uniform-superposition, controlled powers of
-    W = e^{2 pi i H/4}, inverse Fourier transform on the pointer, all as one
-    exact linear map.  Rejects H whose spectrum leaves [-1, 1].
-    """
-    psi = _check_unit_norm(psi)
-    w, v = eig
-    _check_spectrum(w, config)
-    n = config.grid_size
-    phases = w / 4.0
-    coeff = v.conj().T @ psi
-    k = np.arange(n)
-    # rows: eigenindex j, columns: pointer value k after the controlled powers
-    correlated = coeff[:, None] * np.exp(2j * np.pi * np.outer(phases, k)) / np.sqrt(n)
-    joint = v @ _pointer_qft_inverse(correlated)
-    return PointerState(flag0=joint, flag1=np.zeros_like(joint))
-
-
-def apply_phase_function(
-    state: PointerState, f: SpectralFunction, config: QPEConfig
-) -> PointerState:
-    """Multiply each pointer code by e^{-i f(decoded value)} (stage two).
-
-    Thresholded functions instead move codes with |decoded| < threshold to
-    the flag=1 branch unphased.  Amplitude already flagged is left alone.
-    """
-    p0, mask = _phase_table(f, config)
-    flag1 = state.flag1
-    if f.flag_threshold > 0.0:
-        flag1 = flag1 + state.flag0 * mask
-    return PointerState(flag0=state.flag0 * p0, flag1=flag1)
-
-
-def _project_branch(
-    branch: np.ndarray, w: np.ndarray, v: np.ndarray, config: QPEConfig
-) -> tuple[np.ndarray, float]:
-    """Invert the correlate unitary on one flag branch; return code 0 and the squared rest."""
-    n = config.grid_size
-    k = np.arange(n)
-    y = v.conj().T @ branch
-    y = _pointer_qft(y)
-    y = y * np.exp(-2j * np.pi * np.outer(w / 4.0, k))
-    out = v @ _pointer_qft_inverse(y)
-    return out[:, 0].copy(), float(np.linalg.norm(out[:, 1:]) ** 2)
-
-
-def qpe_uncompute(
-    state: PointerState, eig: tuple[np.ndarray, np.ndarray], config: QPEConfig
-) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Invert stage one and project the pointer back onto code 0 (stage three).
-
-    Returns the unnormalized flag=0 and flag=1 system vectors (the latter
-    zero when the flag branch is empty).  Diagnostics carry the leakage
-    (amplitude stuck at nonzero codes) and the flag weight.
-    """
-    w, v = eig
-    kept, leak_sq = _project_branch(state.flag0, w, v, config)
-    flagged = np.zeros_like(kept)
-    flag_probability = state.flag_weight
-    if flag_probability > 0.0:
-        flagged, leak_flagged = _project_branch(state.flag1, w, v, config)
-        leak_sq += leak_flagged
-    diag = SimDiagnostics(
-        leakage_norm=float(np.sqrt(leak_sq)), flag_probability=flag_probability
-    )
-    return kept, flagged, diag
 
 
 def transfer_function(
@@ -379,8 +276,8 @@ def spectral_transform(
     the true spectrum: eigencomponents with |eigenvalue| below the flag
     threshold pass unphased into the flagged part (h = 1, g = 0), the rest
     receive g = e^{-i f} and nothing leaks.  With ``config`` they are the
-    ``transfer_function`` factors, which is exactly the three stages followed
-    by keeping pointer code 0.  Leakage and flag probability per column are
+    ``transfer_function`` factors, which is exactly the three circuit stages
+    followed by keeping pointer code 0.  Leakage and flag probability per column are
     the eigenweighted loss and h.  Returns the unnormalized (kept, flagged)
     parts shaped like ``psi`` and the diagnostics.
     """

@@ -181,16 +181,6 @@ def test_tolerance_env_override(workdir, capsys, monkeypatch):
     assert code == 2
 
 
-def test_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("POLARSIM_THREADS", "2")
-    code, out = run_cli(capsys, "verify", "--suite", "embedding", "--seed", "2")
-    assert code == 0
-    assert lines_of(out)["threads"] == "2"
-    monkeypatch.setenv("POLARSIM_THREADS", "0")
-    assert cli.main(["verify", "--suite", "embedding"]) == 2
-    capsys.readouterr()
-
-
 def test_output_file_matches_stdout(workdir, capsys):
     out_path = workdir / "report.txt"
     code, out = run_cli(

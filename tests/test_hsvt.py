@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarsim import embedding, generate, hsvt, linalg, polar
+from polarsim import embedding, generate, hsvt, io, linalg, polar, verify
 from polarsim.embedding import DilationVector
 from polarsim.hsvt import SplitHamiltonian
 from polarsim.polar import ParityExtension
@@ -56,6 +56,17 @@ def test_isolation_is_entrywise_exact():
     iso = embedding.embed(hsvt.isolate_offdiagonal(sh))
     assert np.all(iso[:3, :3] == 0.0)
     assert np.all(iso[3:, 3:] == 0.0)
+
+
+def test_isolation_keeps_a_huge_coupling_finite(tmp_path):
+    # a split file with a 1e308 coupling entry: forming M - VMV first would
+    # overflow to 2e308 before halving, though every entry of A is finite
+    mat = np.array([[0.5, 1e308, 0.0], [1e308, -0.25, 2.0], [0.0, 2.0, 1.0]], dtype=complex)
+    path = str(tmp_path / "huge.json")
+    io.write_split_hamiltonian(path, SplitHamiltonian(matrix=mat, split=1))
+    sh = io.read_split_hamiltonian(path)
+    np.testing.assert_array_equal(hsvt.isolate_offdiagonal(sh), mat[1:, :1])
+    assert verify.isolation_error(sh) == 0.0
 
 
 def test_trotter_converges_and_identity_without_coupling():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from polarsim import generate, linalg, procrustes, spectral
+from polarsim import generate, linalg, procrustes, spectral, verify
 from polarsim.spectral import QPEConfig, SpectralFunction
 
 
@@ -24,13 +24,17 @@ def test_qpe_config_validation():
     assert [f.name for f in dataclasses.fields(QPEConfig)] == ["bits"]
 
 
+def _walk(h):
+    """W = e^{2 pi i H/4}, built without an eigensolver as the reference circuit takes it."""
+    return verify.taylor_exp(0.5j * np.pi * np.asarray(h, dtype=complex))
+
+
 def test_identity_lands_on_single_code():
     # eigenvalue +1 at 3 bits sits exactly on code 2; -1 on code 6
     cfg = QPEConfig(bits=3)
     psi = np.array([1.0 + 0j])
     for h, code in ((np.eye(1), 2), (-np.eye(1), 6)):
-        state = spectral.qpe_correlate(linalg.hermitian_eig(h), psi, cfg)
-        weights = np.abs(state.flag0[0]) ** 2
+        weights = np.abs(verify._correlate(_walk(h), psi, cfg.grid_size)[0]) ** 2
         assert weights[code] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -41,28 +45,29 @@ def test_correlate_closed_form():
     lam = 0.37
     h = np.array([[lam]], dtype=complex)
     psi = np.array([1.0 + 0j])
-    state = spectral.qpe_correlate(linalg.hermitian_eig(h), psi, cfg)
     n = cfg.grid_size
+    table = verify._correlate(_walk(h), psi, n)
     phi = lam / 4.0
     k = np.arange(n)
     expected = np.array(
         [np.sum(np.exp(2j * np.pi * k * (phi - c / n))) / n for c in range(n)]
     )
-    np.testing.assert_allclose(state.flag0[0], expected, atol=1e-12)
+    np.testing.assert_allclose(table[0], expected, atol=1e-12)
 
 
 def test_correlate_rejects_unbounded_spectrum():
     cfg = QPEConfig(bits=4)
     h = np.diag([0.5, 1.5]).astype(complex)
     psi = np.array([1.0, 0.0], dtype=complex)
+    f = SpectralFunction.sign_phase()
     # the whole spectrum counts, even where psi has no weight
     with pytest.raises(ValueError, match="bound"):
-        spectral.qpe_correlate(linalg.hermitian_eig(h), psi, cfg)
+        spectral.spectral_transform(linalg.hermitian_eig(h), f, psi, cfg)
     half = linalg.hermitian_eig(0.5 * np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="normalized"):
-        spectral.qpe_correlate(half, 2 * psi, cfg)
+        spectral.spectral_transform(half, f, 2 * psi, cfg)
     with pytest.raises(ValueError, match="normalized"):
-        spectral.qpe_correlate(half, np.array([np.nan, 0.0]), cfg)
+        spectral.spectral_transform(half, f, np.array([np.nan, 0.0]), cfg)
     # a block is checked column by column
     block = np.column_stack([psi, [np.nan, 0.0]])
     with pytest.raises(ValueError, match="normalized"):
@@ -91,13 +96,14 @@ def test_phase_on_zero_hamiltonian():
     cfg = QPEConfig(bits=3)
     h = np.zeros((2, 2), dtype=complex)
     psi = np.array([0.6, 0.8], dtype=complex)
-    eig = linalg.hermitian_eig(h)
-    state = spectral.qpe_correlate(eig, psi, cfg)
-    state = spectral.apply_phase_function(state, SpectralFunction.sign_phase(), cfg)
-    out, flagged, diag = spectral.qpe_uncompute(state, eig, cfg)
-    np.testing.assert_allclose(out, psi, atol=1e-12)
-    np.testing.assert_array_equal(flagged, np.zeros(2))
-    assert diag.leakage_norm < 1e-14
+    f = SpectralFunction.sign_phase()
+    for out, flagged, diag in (
+        verify.pointer_circuit(_walk(h), f, psi, cfg),
+        spectral.spectral_transform(linalg.hermitian_eig(h), f, psi, cfg),
+    ):
+        np.testing.assert_allclose(out, psi, atol=1e-12)
+        np.testing.assert_array_equal(flagged, np.zeros(2))
+        assert diag.leakage_norm < 1e-14
 
 
 def test_uncompute_inverts_correlate():
@@ -109,11 +115,10 @@ def test_uncompute_inverts_correlate():
         h = generate.random_hermitian(d, rng)
         h = 0.95 * h / float(np.linalg.norm(h, ord=2))
         psi = generate.random_state(d, rng)
-        eig = linalg.hermitian_eig(h)
-        state = spectral.qpe_correlate(eig, psi, cfg)
-        assert state.total_norm == pytest.approx(1.0, abs=1e-12)
-        state = spectral.apply_phase_function(state, zero, cfg)
-        out, _, diag = spectral.qpe_uncompute(state, eig, cfg)
+        walk = _walk(h)
+        table = verify._correlate(walk, psi, cfg.grid_size)
+        assert np.linalg.norm(table) == pytest.approx(1.0, abs=1e-12)
+        out, _, diag = verify.pointer_circuit(walk, zero, psi, cfg)
         np.testing.assert_allclose(out, psi, atol=1e-12)
         assert diag.leakage_norm < 1e-12
 
@@ -169,46 +174,38 @@ def test_flag_routes_small_codes():
     hmat[2:, :2] = a
     hmat[:2, 2:] = a.conj().T
     psi = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    eig = linalg.hermitian_eig(hmat)
-    state = spectral.qpe_correlate(eig, psi, cfg)
-    state = spectral.apply_phase_function(
-        state, SpectralFunction.sign_phase(kappa_tilde=4.0), cfg
+    _, flagged, diag = verify.pointer_circuit(
+        _walk(hmat), SpectralFunction.sign_phase(kappa_tilde=4.0), psi, cfg
     )
-    # flagged weight: the two eigencomponents with |lambda| = 0.1
-    assert state.flag_weight == pytest.approx(0.25 + 0.25, abs=1e-10)
-    out, flagged, diag = spectral.qpe_uncompute(state, eig, cfg)
-    assert diag.flag_probability == pytest.approx(0.5, abs=1e-10)
+    # flagged weight: the two eigencomponents with |lambda| = 1/16
+    assert diag.flag_probability == pytest.approx(0.25 + 0.25, abs=1e-10)
     # the flagged branch is carried through untouched (identity action)
     expected_flagged = np.array([0.0, 0.5, 0.0, 0.5], dtype=complex)
     np.testing.assert_allclose(flagged, expected_flagged, atol=1e-10)
 
 
 def test_pointer_transform_is_unitary_qft():
-    # row-wise transform over the pointer axis of a (systems, codes) table
+    # the uncompute stage is unitary on any (systems, codes) table, not only on
+    # a correlated one: code 0 and the rest add back to the table's norm
     rng = generate.rng_for(304)
     x = (rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
-    y = spectral._pointer_qft(x)
-    assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), abs=1e-12)
-    np.testing.assert_allclose(spectral._pointer_qft_inverse(y), x, atol=1e-12)
-    # basis pointer |1> maps to the linear-phase row e^{2 pi i k / N}/sqrt(N)
+    code0, rest = verify._uncompute(generate.random_unitary(3, rng), x)
+    assert np.linalg.norm(code0) ** 2 + rest == pytest.approx(np.linalg.norm(x) ** 2, abs=1e-12)
+    # with W = 1 the Fourier pair cancels: basis pointer |c> returns to |c>,
+    # so code 0 keeps its own amplitude and nothing else
     e1 = np.zeros((1, 8), dtype=complex)
     e1[0, 1] = 1.0
-    row = spectral._pointer_qft(e1)[0]
-    np.testing.assert_allclose(
-        row, np.exp(2j * np.pi * np.arange(8) / 8) / np.sqrt(8), atol=1e-12
-    )
+    code0, rest = verify._uncompute(np.eye(1), e1)
+    assert abs(code0[0]) < 1e-15 and rest == pytest.approx(1.0, abs=1e-12)
+    # the uniform pointer, all columns psi/sqrt(N), transforms onto code 0 alone
+    table = verify._correlate(np.eye(1), np.array([1.0 + 0j]), 8)
+    np.testing.assert_allclose(table[0], np.eye(8)[0], atol=1e-15)
 
 
-def _explicit_stages(eig, f, block, cfg):
-    """The three explicit stages, one column at a time: the closed form's reference."""
-    runs = [
-        spectral.qpe_uncompute(
-            spectral.apply_phase_function(spectral.qpe_correlate(eig, col, cfg), f, cfg),
-            eig,
-            cfg,
-        )
-        for col in block.T
-    ]
+def _literal_circuit(h, f, block, cfg):
+    """The literal circuit on W = e^{2 pi i H/4}, one column at a time: the reference."""
+    walk = _walk(h)
+    runs = [verify.pointer_circuit(walk, f, col, cfg) for col in block.T]
     kept = np.column_stack([run[0] for run in runs])
     flagged = np.column_stack([run[1] for run in runs])
     leakage = max(run[2].leakage_norm for run in runs)
@@ -250,7 +247,7 @@ def test_closed_form_equals_explicit_stages(k):
         block = np.column_stack([generate.random_state(d, rng) for _ in range(k)])
         for f in functions:
             kept, flagged, diag = spectral.spectral_transform(eig, f, block, cfg)
-            ref_kept, ref_flagged, ref_leak, ref_flag = _explicit_stages(eig, f, block, cfg)
+            ref_kept, ref_flagged, ref_leak, ref_flag = _literal_circuit(h, f, block, cfg)
             np.testing.assert_allclose(kept, ref_kept, atol=1e-12, err_msg=label)
             np.testing.assert_allclose(flagged, ref_flagged, atol=1e-12, err_msg=label)
             assert diag.leakage_norm == pytest.approx(ref_leak, abs=1e-12), label
@@ -283,40 +280,24 @@ def _dme_walk(inst, n_steps):
 
 @pytest.mark.parametrize("bits", [1, 3, 6])
 def test_walk_route_is_code_zero_of_the_literal_walk_table(bits):
-    # the closed form on walk_eig's pair against the literal walk pipeline:
-    # column k of the correlated pointer holds W^k psi, and stage three sends
-    # column k of each transformed branch through W^dag^k; rectangular
-    # instances repeat the eigenvalue 1 of W on their zero padding
+    # the closed form on walk_eig's pair against the literal circuit on the
+    # synthesized walk itself: column k of the correlated pointer holds W^k psi,
+    # and stage three sends column k of each branch through W^dag k times;
+    # rectangular instances repeat the eigenvalue 1 of W on their zero padding
     rng = generate.rng_for(310 + bits)
     cfg = QPEConfig(bits=bits)
-    n = cfg.grid_size
     for dims in ((2, 2, 3), (2, 4, 3), (3, 1, 4)):
         walk = _dme_walk(generate.random_procrustes_instance(*dims, rng), 20)
-        d = walk.shape[0]
-        powers = [np.eye(d, dtype=complex)]
-        for _ in range(n - 1):
-            powers.append(walk @ powers[-1])
-        psi = generate.random_state(d, rng)
-        correlated = spectral._pointer_qft_inverse(
-            np.column_stack([p @ psi for p in powers]) / np.sqrt(n)
-        )
+        psi = generate.random_state(walk.shape[0], rng)
         for f in (SpectralFunction.sign_phase(), SpectralFunction.sign_phase(kappa_tilde=3.0)):
             kept, flagged, diag = spectral.spectral_transform(
                 spectral.walk_eig(walk), f, psi, cfg
             )
-            state = spectral.apply_phase_function(
-                spectral.PointerState(correlated, np.zeros_like(correlated)), f, cfg
-            )
-            leak_sq = 0.0
-            for branch, got in ((state.flag0, kept), (state.flag1, flagged)):
-                y = spectral._pointer_qft(branch)
-                for k in range(n):
-                    y[:, k] = powers[k].conj().T @ y[:, k]
-                table = spectral._pointer_qft_inverse(y)
-                np.testing.assert_allclose(got, table[:, 0], atol=1e-10)
-                leak_sq += float(np.linalg.norm(table[:, 1:]) ** 2)
-            assert diag.leakage_norm**2 == pytest.approx(leak_sq, abs=1e-10)
-            assert diag.flag_probability == pytest.approx(state.flag_weight, abs=1e-10)
+            ref_kept, ref_flagged, ref = verify.pointer_circuit(walk, f, psi, cfg)
+            np.testing.assert_allclose(kept, ref_kept, atol=1e-10)
+            np.testing.assert_allclose(flagged, ref_flagged, atol=1e-10)
+            assert diag.leakage_norm**2 == pytest.approx(ref.leakage_norm**2, abs=1e-10)
+            assert diag.flag_probability == pytest.approx(ref.flag_probability, abs=1e-10)
 
 
 def test_walk_eig_recovers_the_hamiltonian_and_refuses_a_non_normal_walk():
@@ -380,8 +361,6 @@ def test_pointer_budget_is_checked_before_allocation():
     f = SpectralFunction.sign_phase()
     with pytest.raises(spectral.PointerBudgetError, match="budget"):
         spectral.spectral_transform(eig, f, psi, huge)
-    with pytest.raises(spectral.PointerBudgetError):
-        spectral.qpe_correlate(eig, psi, huge)
     # the largest grid inside the budget for this dimension still passes the check
     bits = int(np.log2(spectral.POINTER_BUDGET_BYTES // (4 * 16)))
     spectral._check_pointer_budget(4, QPEConfig(bits=bits))

@@ -3,8 +3,9 @@ from __future__ import annotations
 import copy
 
 import numpy as np
+import pytest
 
-from polarsim import cli, embedding, generate, io, linalg, polar, verify
+from polarsim import cli, embedding, generate, io, linalg, polar, spectral, verify
 
 
 def test_nan_output_fails_the_item(monkeypatch):
@@ -91,3 +92,37 @@ def test_embedding_spectrum_grades_the_dilation_the_routes_factor(monkeypatch):
     passed, metrics = verify.check_embedding_spectrum(7)
     assert not passed
     assert metrics["max_residual"] > 0.1
+
+
+def _rolled_eigenvectors(monkeypatch):
+    # each eigenvalue paired with its neighbour's eigenvector
+    original = linalg.hermitian_eig
+
+    def rolled(h):
+        w, v = original(h)
+        return w, np.roll(v, 1, axis=1)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", rolled)
+
+
+def _conjugated_phase_table(monkeypatch):
+    # the closed form applies e^{+i f} on every code; a real sign phase hides it
+    original = spectral._phase_table
+
+    def conjugated(f, config):
+        p0, mask = original(f, config)
+        return p0.conj(), mask
+
+    monkeypatch.setattr(spectral, "_phase_table", conjugated)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("defect", [_rolled_eigenvectors, _conjugated_phase_table])
+def test_pipeline_stage_inverse_fails_on_the_defect_catalogue(monkeypatch, seed, defect):
+    # the literal circuit shares neither the eigenpairs nor the phase table
+    # with the closed form, so either defect opens the closed-form gap
+    assert verify.check_pipeline_stage_inverse(seed)[0]
+    defect(monkeypatch)
+    passed, metrics = verify.check_pipeline_stage_inverse(seed)
+    assert not passed
+    assert metrics["max_closed_form_gap"] > 0.1
