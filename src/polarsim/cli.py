@@ -340,10 +340,9 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     rep.add("flag_probability", diag.flag_probability)
     rep.add("leakage", diag.leakage_norm)
     _add_vector(rep, "mapped_state", bottom)
-    psi = embedding.inject_right(chi, inst.output_dim)
-    for n in sorted({10, 100, max(args.steps, 1)}):
-        _, tr = procrustes.effective_hamiltonian_evolution(inst, 1.0, n, psi)
-        rep.add(f"trotter_deviation.n{n}", tr.deviation)
+    counts = sorted({10, 100, max(args.steps, 1)})
+    for n, deviation in zip(counts, procrustes.dme_deviations(inst, 1.0, counts)):
+        rep.add(f"trotter_deviation.n{n}", deviation)
     return rep, fidelity >= 1.0 - tol
 
 
@@ -393,9 +392,10 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     n, m = sh.top_dim, sh.bottom_dim
     rep.add("isolation_deviation", verify.isolation_error(sh))
     psi = _dilation_state(args, n, m)
-    _, tr = hsvt.trotter_offdiagonal_evolution(sh, args.time, args.steps, psi)
-    rep.add("trotter_deviation", tr.deviation)
-    rep.add("trotter_step_size", tr.step_size)
+    rep.add(
+        "trotter_deviation", hsvt.trotter_offdiagonal_evolution(sh, args.time, args.steps)
+    )
+    rep.add("trotter_step_size", args.time / args.steps)
     # the diagonal blocks never enter: only the isolated coupling is transformed
     a = hsvt.isolate_offdiagonal(sh)
     config = _config(args)

@@ -13,8 +13,9 @@ itself; kernel and cokernel vectors of A pad the spectrum with zeros.  Routes
 factor the dilation with one ``linalg.hermitian_eig`` and never see the SVD.
 
 The block parity V = P_top - P_bottom is kept as its +/-1 diagonal p, so
-V X V is ``p[:, None] * x * p``; ``product_formula_evolution`` grades and
-applies both product formulas that alternate an evolution with its V conjugate.
+V X V is ``p[:, None] * x * p``, as in both product formulas that alternate
+an evolution with its V conjugate (``procrustes.dme_step``,
+``hsvt.trotter_step``).
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class DilationVector:
     top: np.ndarray
     bottom: np.ndarray
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.linalg.norm(self.top) ** 2 + np.linalg.norm(self.bottom) ** 2))
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([np.asarray(self.top, dtype=complex), np.asarray(self.bottom, dtype=complex)])
 
@@ -52,38 +49,11 @@ class DilationVector:
         return cls(top=vec[:top_dim], bottom=vec[top_dim:])
 
 
-@dataclasses.dataclass(frozen=True)
-class TrotterReport:
-    """Accuracy record for a product-formula evolution."""
-
-    deviation: float
-    step_size: float
-
-
 def block_parity(split: int, total: int) -> np.ndarray:
     """The +1/-1 diagonal of V = P_top - P_bottom separating the two blocks."""
     p = np.ones(total)
     p[split:] = -1.0
     return p
-
-
-def product_formula_evolution(
-    step: np.ndarray,
-    n_steps: int,
-    step_size: float,
-    target: np.ndarray,
-    psi: DilationVector,
-    split: int,
-) -> tuple[DilationVector, TrotterReport]:
-    """Raise one product-formula step to n_steps and apply it to psi.
-
-    The report carries the operator-norm deviation of the full product from
-    the exact evolution ``target``; the output keeps a top block of ``split``.
-    """
-    product = np.linalg.matrix_power(step, n_steps)
-    deviation = float(np.linalg.norm(product - target, ord=2))
-    out = DilationVector.from_vector(product @ psi.to_vector(), split)
-    return out, TrotterReport(deviation=deviation, step_size=step_size)
 
 
 def embed(a: np.ndarray) -> np.ndarray:

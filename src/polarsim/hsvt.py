@@ -7,8 +7,9 @@ V-conjugated backward evolutions of M.  Either way the surviving operator is
 the plain dilation of A: a singular-value transform of the coupling is any
 ``polar`` primitive applied to ``isolate_offdiagonal(sh)``, and the diagonal
 blocks never matter.  V is the +/-1 diagonal of
-``embedding.block_parity``; the Trotter product is graded and applied by
-``embedding.product_formula_evolution``, as density exponentiation is.
+``embedding.block_parity``.  The Trotter product is graded as an operator,
+step^n against the exact evolution, as density exponentiation is; no state is
+evolved.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import dataclasses
 import numpy as np
 
 from . import embedding, linalg
-from .embedding import DilationVector, TrotterReport, block_parity
+from .embedding import block_parity
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,29 +74,27 @@ def isolate_offdiagonal(sh: SplitHamiltonian) -> np.ndarray:
     return isolated[sh.split :, : sh.split]
 
 
-def trotter_offdiagonal_evolution(
-    sh: SplitHamiltonian,
-    t: float,
-    n_steps: int,
-    psi: DilationVector,
-) -> tuple[DilationVector, TrotterReport]:
-    """Dynamically evolve under the off-diagonal part using only +/- M and V.
+def trotter_step(sh: SplitHamiltonian, dt: float) -> np.ndarray:
+    """One step e^{-i M dt/2} V e^{+i M dt/2} V built from +/- M and V alone.
 
-    Each step applies e^{-i M dt/2} V e^{+i M dt/2} V with dt = t/n_steps;
-    the product converges to e^{-i t (M - V M V)/2}.  M is factored once: with
-    F = e^{-i M dt/2} the backward half is F^dag, so a step is F (V F^dag V).
-    When M commutes with V (no coupling) every step is exactly the identity.
-    The report carries the operator-norm deviation of the product from the
-    exact target.
+    The product of steps converges to e^{-i t (M - V M V)/2}.  M is factored
+    once: with F = e^{-i M dt/2} the backward half is F^dag, so a step is
+    F (V F^dag V).  When M commutes with V (no coupling) the step is exactly
+    the identity.
+    """
+    forward = linalg.matrix_exp_hermitian(sh.matrix, dt / 2.0)
+    p = sh.parity()
+    return forward @ (p[:, None] * forward.conj().T * p)
+
+
+def trotter_offdiagonal_evolution(sh: SplitHamiltonian, t: float, n_steps: int) -> float:
+    """Operator-norm deviation of n_steps Trotter steps from the exact evolution.
+
+    The steps have dt = t/n_steps, and the exact evolution is that of the
+    isolated off-diagonal part, e^{-i t embed(A)}.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    dt = t / n_steps
-    forward = linalg.matrix_exp_hermitian(sh.matrix, dt / 2.0)
-    p = sh.parity()
-    step = forward @ (p[:, None] * forward.conj().T * p)
+    step = trotter_step(sh, t / n_steps)
     target = linalg.matrix_exp_hermitian(embedding.embed(isolate_offdiagonal(sh)), t)
-    return embedding.product_formula_evolution(
-        step, n_steps, dt, target, psi, sh.top_dim
-    )
-
+    return float(np.linalg.norm(np.linalg.matrix_power(step, n_steps) - target, ord=2))

@@ -14,6 +14,7 @@ reconstruction untouched.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -130,7 +131,7 @@ def hermitian_eig(h: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
 
     Args:
         h: square matrix; rejected if ||h - h^dag||_F exceeds ``atol`` scaled
-            by max(1, ||h||_F).
+            by max(1, ||h||_F), both norms computed without overflow.
 
     Returns:
         (eigenvalues, eigenvectors) with eigenvectors in columns.
@@ -138,9 +139,14 @@ def hermitian_eig(h: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
     h = _as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    asym = float(np.linalg.norm(h - h.conj().T))
-    if asym > atol * max(1.0, float(np.linalg.norm(h))):
-        raise ValueError(f"matrix is not Hermitian: asymmetry norm {asym:.3e}")
+    # both norms are taken on h scaled down by the power of two just above its
+    # largest component: exact, and ||h||_F no longer overflows near 1e308
+    big = np.abs(np.ascontiguousarray(h).view(float)).max(initial=0.0)
+    scale = math.ldexp(1.0, -max(math.frexp(big)[1], 0))
+    hs = h * scale if scale < 1.0 else h
+    asym = float(np.linalg.norm(hs - hs.conj().T))
+    if asym > atol * max(scale, float(np.linalg.norm(hs))):
+        raise ValueError(f"matrix is not Hermitian: asymmetry norm {asym / scale:.3e}")
     w, v = np.linalg.eigh(h)
     v, _ = _fix_column_phases(v)
     return w, v

@@ -21,7 +21,6 @@ import dataclasses
 import numpy as np
 
 from . import embedding, linalg, polar, spectral
-from .embedding import DilationVector, TrotterReport
 from .spectral import QPEConfig, SimDiagnostics, SpectralFunction
 
 
@@ -135,27 +134,25 @@ def dme_step(pair: DensityPair, delta_t: float) -> np.ndarray:
     return (p[:, None] * forward.conj().T * p) @ forward
 
 
-def effective_hamiltonian_evolution(
-    inst: ProcrustesInstance,
-    t: float,
-    n_steps: int,
-    psi: DilationVector,
-) -> tuple[DilationVector, TrotterReport]:
-    """Approximate e^{-i t (A + A^dag)} psi by repeated density exponentiation.
+def dme_deviations(
+    inst: ProcrustesInstance, t: float, step_counts: list[int]
+) -> list[float]:
+    """Operator-norm deviation of n DME steps from e^{-i t (A + A^dag)}, per n.
 
-    Each of the n_steps steps runs dme_step at delta_t = t r / n_steps, so the
-    r in the reduced density is compensated and the product targets the
-    dilated evolution.  The report carries the operator-norm deviation of the
-    full product from the exact evolution.
+    Each of the n steps runs dme_step at delta_t = t r / n, so the r in the
+    reduced density is compensated and the product targets the dilated
+    evolution.  rho and the target are factored once for all counts.
     """
-    if n_steps < 1:
+    if min(step_counts) < 1:
         raise ValueError("n_steps must be positive")
-    delta_t = t * inst.n_pairs / n_steps
-    step = dme_step(reduced_density(inst), delta_t)
+    pair = reduced_density(inst)
     target = linalg.matrix_exp_hermitian(embedding.embed(inst.cross_covariance()), t)
-    return embedding.product_formula_evolution(
-        step, n_steps, delta_t, target, psi, inst.input_dim
-    )
+    deviations = []
+    for n in step_counts:
+        step = dme_step(pair, t * inst.n_pairs / n)
+        product = np.linalg.matrix_power(step, n)
+        deviations.append(float(np.linalg.norm(product - target, ord=2)))
+    return deviations
 
 
 def solve_procrustes_classical(

@@ -24,8 +24,8 @@ W) enters the same closed form: ``walk_eig`` factors W and returns the
 eigenpairs of the H it implies.
 
 Every pointer run refuses a setting of d eigenvalues and 2^b codes whose
-d 2^b cells, charged 16 bytes each, exceed ``POINTER_BUDGET_BYTES``, before
-computing anything.
+d 2^b cells, charged 16 bytes each, and 2^b per-code array entries exceed
+``POINTER_BUDGET_BYTES``, before computing anything.
 
 Pointer conventions, fixed once here: callers rescale H to ||H|| <= 1 (top
 singular value 1) and the walk unitary is W = e^{2 pi i H / 4}, so the
@@ -47,8 +47,13 @@ _NORM_ATOL = 1e-6
 # cutoff of the classical oracle on the rescaled (top singular value 1) spectrum.
 ZERO_BAND = 1e-12
 
-# Largest pointer run, in (eigenvalue, code) cells at 16 bytes each.
+# Largest pointer run, in (eigenvalue, code) cells at 16 bytes each plus the
+# per-code arrays at _POINTER_CODE_BYTES each.
 POINTER_BUDGET_BYTES = 2**30
+
+# Peak bytes per code of the closed form's decoded grid, phase table and
+# one-row chunk: 80 under tracemalloc at b = 18, 19 and 20, any dimension.
+_POINTER_CODE_BYTES = 80
 
 # Largest ||W Q - Q Lambda||_2 a walk's eigenpairs may leave: synthesized DME
 # walks measure <= 1.3e-12, a Jordan block (not diagonalizable) 1.
@@ -189,11 +194,12 @@ def _check_pointer_budget(dim: int, config: QPEConfig) -> None:
     Each (eigenvalue, code) cell is charged 16 bytes, one complex amplitude of
     the pointer table the closed form stands in for.  The closed form never
     builds that table: it walks the cells in chunks, so the count bounds its
-    work, while its arrays (decoded grid, phase table, one chunk) grow with
-    2^b alone.  The check runs before any of them is allocated.
+    work.  Its arrays (decoded grid, phase table, one chunk) grow with 2^b
+    alone and are charged ``_POINTER_CODE_BYTES`` per code.  The check runs
+    before any of them is allocated.
     """
     # past 2^64 codes every table is over budget; the cap keeps the product cheap
-    needed = dim * 16 * 2 ** min(config.bits, 64)
+    needed = (dim * 16 + _POINTER_CODE_BYTES) * 2 ** min(config.bits, 64)
     if needed > POINTER_BUDGET_BYTES:
         raise PointerBudgetError(
             f"a {config.bits}-bit pointer on dimension {dim} exceeds the"

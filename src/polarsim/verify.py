@@ -373,12 +373,8 @@ def check_trotter_step_order(seed: int) -> tuple[bool, dict]:
             float(np.linalg.norm(procrustes.dme_step(pair, dt) - target, ord=2))
         )
     local_slope = float(np.polyfit(np.log10(dts), np.log10(errs), 1)[0])
-    psi = _random_dilation_state(2, 2, rng)
     steps = np.array([10, 100, 1000])
-    devs = []
-    for n in steps:
-        _, report = procrustes.effective_hamiltonian_evolution(inst, 1.0, int(n), psi)
-        devs.append(report.deviation)
+    devs = procrustes.dme_deviations(inst, 1.0, steps.tolist())
     global_slope = float(np.polyfit(np.log10(steps), np.log10(devs), 1)[0])
     passed = abs(local_slope - 2.0) <= 0.2 and abs(global_slope + 1.0) <= 0.2
     metrics: dict[str, float | int | str] = {

@@ -444,17 +444,17 @@ def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch
     "argv, expected",
     [
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
-          "--steps", "20", "--tolerance", "1"], 7),
+          "--steps", "20", "--tolerance", "1"], 3),
         (["hsvt", "--input", "m.json", "--mode", "qpe", "--bits", "6",
           "--tolerance", "1"], 3),
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
-          "--steps", "20", "--kappa-tilde", "2", "--tolerance", "1"], 7),
+          "--steps", "20", "--kappa-tilde", "2", "--tolerance", "1"], 3),
     ],
 )
 def test_product_formulas_factor_each_generator_once(
     workdir, capsys, monkeypatch, argv, expected
 ):
-    # procrustes: rho once for the walk, then rho and the target for each of the
+    # procrustes: rho once for the walk, then rho and the target once for all
     # three trotter_deviation lines, and one SVD for the classical solution,
     # whose columns also give U_r under --kappa-tilde; hsvt: M and the target
     # for the Trotter product, the dilation for the route, and one SVD for the
@@ -468,17 +468,17 @@ def test_product_formulas_factor_each_generator_once(
 
 
 def test_product_formula_evolutions_make_two_factorizations(monkeypatch):
-    # one for the generator (rho or M), one for the exact target
+    # one for the generator (rho or M), one for the exact target; the DME
+    # deviations at three step counts share both
     rng = generate.rng_for(904)
     inst = generate.random_procrustes_instance(2, 3, 4, rng)
     sh = generate.random_split_hamiltonian(2, 3, rng)
-    psi = DilationVector.from_vector(generate.random_state(5, rng), 2)
-    for evolve, problem in (
-        (procrustes.effective_hamiltonian_evolution, inst),
-        (hsvt.trotter_offdiagonal_evolution, sh),
+    for evolve in (
+        lambda: procrustes.dme_deviations(inst, 1.0, [10, 100, 1000]),
+        lambda: hsvt.trotter_offdiagonal_evolution(sh, 1.0, 10),
     ):
         calls = _count_factorizations(monkeypatch)
-        evolve(problem, 1.0, 10, psi)
+        evolve()
         assert calls == [("eigh", (5, 5)), ("eigh", (5, 5))]
         monkeypatch.undo()
 

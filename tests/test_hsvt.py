@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarsim import embedding, generate, hsvt, io, linalg, polar, verify
+from polarsim import cli, embedding, generate, hsvt, io, linalg, polar, verify
 from polarsim.embedding import DilationVector
 from polarsim.hsvt import SplitHamiltonian
 from polarsim.polar import ParityExtension
@@ -58,7 +58,7 @@ def test_isolation_is_entrywise_exact():
     assert np.all(iso[3:, 3:] == 0.0)
 
 
-def test_isolation_keeps_a_huge_coupling_finite(tmp_path):
+def test_isolation_keeps_a_huge_coupling_finite(tmp_path, capsys):
     # a split file with a 1e308 coupling entry: forming M - VMV first would
     # overflow to 2e308 before halving, though every entry of A is finite
     mat = np.array([[0.5, 1e308, 0.0], [1e308, -0.25, 2.0], [0.0, 2.0, 1.0]], dtype=complex)
@@ -67,28 +67,29 @@ def test_isolation_keeps_a_huge_coupling_finite(tmp_path):
     sh = io.read_split_hamiltonian(path)
     np.testing.assert_array_equal(hsvt.isolate_offdiagonal(sh), mat[1:, :1])
     assert verify.isolation_error(sh) == 0.0
+    # the whole command, Trotter factorization of M included, runs without a
+    # warning (the tests raise them as errors) in both modes
+    for mode in ("exact", "qpe"):
+        assert cli.main(["hsvt", "--input", path, "--mode", mode]) == 0
+    capsys.readouterr()
 
 
 def test_trotter_converges_and_identity_without_coupling():
     rng = generate.rng_for(604)
     sh = generate.random_split_hamiltonian(2, 2, rng)
-    psi = _state(4, 2, 605)
-    devs = []
-    for n in (8, 64, 512):
-        out, rep = hsvt.trotter_offdiagonal_evolution(sh, 1.0, n, psi)
-        devs.append(rep.deviation)
-        assert abs(np.linalg.norm(out.to_vector()) - 1.0) < 1e-12
+    devs = [hsvt.trotter_offdiagonal_evolution(sh, 1.0, n) for n in (8, 64, 512)]
     assert devs[0] > devs[1] > devs[2]
+    step = hsvt.trotter_step(sh, 1.0 / 8)
+    np.testing.assert_allclose(step.conj().T @ step, np.eye(4), atol=1e-12)
     # block-diagonal M commutes with V: every step collapses to the identity
     block = np.zeros((4, 4), dtype=complex)
     block[:2, :2] = generate.random_hermitian(2, rng)
     block[2:, 2:] = generate.random_hermitian(2, rng)
     sh0 = SplitHamiltonian(matrix=block, split=2)
-    out, rep = hsvt.trotter_offdiagonal_evolution(sh0, 3.0, 5, psi)
-    assert rep.deviation < 1e-12
-    np.testing.assert_allclose(out.to_vector(), psi.to_vector(), atol=1e-12)
+    assert hsvt.trotter_offdiagonal_evolution(sh0, 3.0, 5) < 1e-12
+    np.testing.assert_allclose(hsvt.trotter_step(sh0, 3.0 / 5), np.eye(4), atol=1e-12)
     with pytest.raises(ValueError):
-        hsvt.trotter_offdiagonal_evolution(sh, 1.0, 0, psi)
+        hsvt.trotter_offdiagonal_evolution(sh, 1.0, 0)
 
 
 def test_trotter_step_matches_the_two_exponential_reference():
@@ -96,8 +97,6 @@ def test_trotter_step_matches_the_two_exponential_reference():
     rng = generate.rng_for(617)
     sh = generate.random_split_hamiltonian(3, 2, rng)
     v = np.diag(sh.parity())
-    # one step applied to the identity block is the step matrix itself
-    basis = DilationVector.from_vector(np.eye(5, dtype=complex), 3)
     for dt in (1e-3, 1e-1, 1.0):
         reference = (
             linalg.matrix_exp_hermitian(sh.matrix, dt / 2.0)
@@ -105,8 +104,7 @@ def test_trotter_step_matches_the_two_exponential_reference():
             @ linalg.matrix_exp_hermitian(sh.matrix, -dt / 2.0)
             @ v
         )
-        out, _ = hsvt.trotter_offdiagonal_evolution(sh, dt, 1, basis)
-        assert np.linalg.norm(out.to_vector() - reference, ord=2) < 1e-13
+        assert np.linalg.norm(hsvt.trotter_step(sh, dt) - reference, ord=2) < 1e-13
 
 
 def test_diagonal_blocks_never_enter():

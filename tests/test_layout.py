@@ -9,10 +9,12 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polarsim"
 
 
 def test_every_public_function_has_a_caller_in_src():
-    # a public module-level function, or a public method or property of a src
-    # class, that no src code names and __all__ does not export serves only
-    # the tests: delete it and assert with numpy there; a dataclass field that
-    # no src code reads is carried only for the tests too
+    # a public module-level function that no src code names and __all__ does
+    # not export, or a public method or property of a src class that no src
+    # code reads as an attribute, serves only the tests: delete it and assert
+    # with numpy there; a dataclass field that no src code reads is carried
+    # only for the tests too.  A local variable of the same name, or a numpy
+    # attribute (np.linalg.norm), does not count as a read of a member.
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     named, read, exported = set(), set(), set()
     for tree in trees.values():
@@ -21,7 +23,11 @@ def test_every_public_function_has_a_caller_in_src():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-                if isinstance(node.ctx, ast.Load):
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                on_numpy = isinstance(base, ast.Name) and base.id == "np"
+                if isinstance(node.ctx, ast.Load) and not on_numpy:
                     read.add(node.attr)
             elif isinstance(node, ast.Assign) and "__all__" in {
                 getattr(t, "id", None) for t in node.targets
@@ -34,7 +40,7 @@ def test_every_public_function_has_a_caller_in_src():
         for node in tree.body
         if isinstance(node, defs)
     ]
-    defined += [
+    members = [
         (f"{name}.{member.name}", member)
         for name, node in defined
         if isinstance(node, ast.ClassDef)
@@ -47,6 +53,13 @@ def test_every_public_function_has_a_caller_in_src():
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
         and node.name not in named | exported
+    ]
+    unused += [
+        name
+        for name, node in members
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
     ]
     unused += [
         f"{name}.{field.target.id}"

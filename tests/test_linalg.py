@@ -99,6 +99,12 @@ def test_hermitian_eig_contract():
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
     with pytest.raises(ValueError, match="not Hermitian"):
         linalg.hermitian_eig(h + 1e-3 * 1j * np.eye(6))
+    # near the float limit ||h||_F overflows, and the relative check must
+    # still see the asymmetry; a Hermitian matrix of that size is factored
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.hermitian_eig(np.array([[1e308, 1e308], [0.0, 1e308]]))
+    w, v = linalg.hermitian_eig(np.array([[1e308, 1e308], [1e308, -1e308]]))
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
 
 
 def test_matrix_exp_hermitian():

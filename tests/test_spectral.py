@@ -361,8 +361,13 @@ def test_pointer_budget_is_checked_before_allocation():
     f = SpectralFunction.sign_phase()
     with pytest.raises(spectral.PointerBudgetError, match="budget"):
         spectral.spectral_transform(eig, f, psi, huge)
-    # the largest grid inside the budget for this dimension still passes the check
-    bits = int(np.log2(spectral.POINTER_BUDGET_BYTES // (4 * 16)))
-    spectral._check_pointer_budget(4, QPEConfig(bits=bits))
-    with pytest.raises(spectral.PointerBudgetError):
-        spectral._check_pointer_budget(4, QPEConfig(bits=bits + 1))
+    # the largest grid inside the budget for each dimension still passes the
+    # check; every code is charged its cells and the closed form's per-code
+    # arrays, so d = 2 stops at b = 23 where the cells alone admitted b = 25
+    for dim, largest in ((2, 23), (4, 22)):
+        per_code = dim * 16 + spectral._POINTER_CODE_BYTES
+        bits = int(np.log2(spectral.POINTER_BUDGET_BYTES // per_code))
+        assert bits == largest
+        spectral._check_pointer_budget(dim, QPEConfig(bits=bits))
+        with pytest.raises(spectral.PointerBudgetError):
+            spectral._check_pointer_budget(dim, QPEConfig(bits=bits + 1))
