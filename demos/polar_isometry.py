@@ -21,9 +21,9 @@ def run(seed: int = 7) -> None:
 
     chi = generate.random_state(3, rng)
     psi = embedding.inject_right(chi, a.shape[0])
-    result = polar.apply_polar_isometry(a, psi)
+    out, _, _ = polar.apply_polar_isometry(a, psi)
 
-    moved = np.asarray(result.output.bottom)
+    moved = out[3:]
     expected = factors.isometry @ chi
     err = np.linalg.norm(moved - expected)
 
@@ -31,15 +31,15 @@ def run(seed: int = 7) -> None:
     print("output (left factor): ", np.round(moved, 4))
     print("U @ input:            ", np.round(expected, 4))
     print(f"deviation from classical isometry: {err:.3e}")
-    print(f"top block after the swap:          {np.linalg.norm(result.output.top):.3e}")
+    print(f"top block after the swap:          {np.linalg.norm(out[:3]):.3e}")
 
     # Rank-deficient corner: kernel components do not move.
     sing = np.array([1.0, 0.5, 0.0])
     a_def = generate.matrix_with_singular_values(sing, 3, 3, rng)
     kernel = linalg.svd(a_def).right_vectors[:, 2]
     psi_k = embedding.inject_right(kernel, 3)
-    res_k = polar.apply_polar_isometry(a_def, psi_k)
-    stayed = np.linalg.norm(np.asarray(res_k.output.top) - kernel)
+    out_k, _, _ = polar.apply_polar_isometry(a_def, psi_k)
+    stayed = np.linalg.norm(out_k[:3] - kernel)
     print(f"kernel passthrough deviation:      {stayed:.3e}")
 
     assert err < 1e-9 and stayed < 1e-9

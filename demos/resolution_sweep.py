@@ -32,8 +32,8 @@ def run() -> None:
         print(f"kappa = {kappa}  (needs b >= {b_req})")
         fids = []
         for bits in range(2, b_req + 3):
-            res = polar.apply_polar_isometry(a, psi, config=QPEConfig(bits=bits))
-            fid = verify.branch_fidelity(res, *oracle)
+            kept, flagged, _ = polar.apply_polar_isometry(a, psi, config=QPEConfig(bits=bits))
+            fid = verify.branch_fidelity(kept, flagged, *oracle)
             fids.append(fid)
             marker = " <- required width" if bits == b_req else ""
             print(f"  b = {bits:2d}   fidelity = {fid:.6f}{marker}")

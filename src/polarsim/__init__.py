@@ -6,17 +6,19 @@ simulated phase register (``spectral``), the user-facing transforms
 (``polar``), and three applications built on them (``procrustes``, ``pgm``,
 ``hsvt``).  ``verify`` holds the oracles every route is graded against and
 the deterministic invariant battery, and ``cli`` the command-line front end.
+A state on the dilation is a plain (n+m,) array or an (n+m, k) block, input
+block first, and every ``polar`` route returns the (kept, flagged,
+diagnostics) triple of ``spectral.spectral_transform``.
 """
 
 from __future__ import annotations
 
-from .embedding import DilationVector, embed
+from .embedding import embed
 from .hsvt import SplitHamiltonian, isolate_offdiagonal
 from .linalg import PolarFactors, SVDResult, classical_polar, svd
 from .pgm import PGMInstance, pgm_probabilities, pgm_vectors, pgm_via_polar
 from .polar import (
     ParityExtension,
-    PolarApplyResult,
     apply_polar_isometry,
     evolve_generalized,
     evolve_positive_factor,
@@ -32,11 +34,9 @@ from .verify import ItemResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "DilationVector",
     "ItemResult",
     "PGMInstance",
     "ParityExtension",
-    "PolarApplyResult",
     "PolarFactors",
     "ProcrustesInstance",
     "QPEConfig",

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from . import embedding, generate, hsvt, io, linalg, pgm, polar, procrustes, spectral, verify
-from .embedding import DilationVector
 from .polar import ParityExtension
 from .report import Report
 from .spectral import QPEConfig
@@ -234,10 +233,6 @@ def _state(args: _Args, dim: int, what: str) -> np.ndarray:
     return vec[:, 0]
 
 
-def _dilation_state(args: _Args, n: int, m: int) -> DilationVector:
-    return DilationVector.from_vector(_state(args, n + m, "this dilation"), n)
-
-
 def _input_report(args: _Args) -> Report:
     """Report opened with the command, its input file and the echoed configuration."""
     rep = Report()
@@ -265,25 +260,25 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     rep.add("cols", n)
     config = _config(args)
     basis = embedding.inject_right(np.eye(n, dtype=complex), m)
-    result = polar.apply_polar_isometry(a, basis, config, args.kappa_tilde)
-    u_pipe = result.output.bottom
+    kept, flagged, diag = polar.apply_polar_isometry(a, basis, config, args.kappa_tilde)
+    u_pipe = kept[n:]
     u = verify.restricted_isometry(linalg.svd(a), args.kappa_tilde)
     deviation = float(np.linalg.norm(u_pipe - u, ord=2))
     rep.add("isometry_deviation", deviation)
     column_oracle = verify.sign_expected(u, basis, args.kappa_tilde)
-    rep.add("min_column_fidelity", verify.branch_fidelity(result, *column_oracle))
-    rep.add("max_leakage", result.diagnostics.leakage_norm)
-    rep.add("mean_flag_probability", result.diagnostics.flag_probability / n)
+    rep.add("min_column_fidelity", verify.branch_fidelity(kept, flagged, *column_oracle))
+    rep.add("max_leakage", diag.leakage_norm)
+    rep.add("mean_flag_probability", diag.flag_probability / n)
     passed = deviation <= tol
     if getattr(args, "state", None):
-        psi = _dilation_state(args, n, m)
-        result = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
-        expected, flagged = verify.sign_expected(u, psi, args.kappa_tilde)
-        state_deviation = float(np.linalg.norm(result.output.to_vector() - expected))
+        psi = _state(args, n + m, "this dilation")
+        out, flagged, diag = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
+        expected, expected_flagged = verify.sign_expected(u, psi, args.kappa_tilde)
+        state_deviation = float(np.linalg.norm(out - expected))
         rep.add("state_deviation", state_deviation)
-        rep.add("state_fidelity", verify.branch_fidelity(result, expected, flagged))
-        rep.add("state_flag_probability", result.diagnostics.flag_probability)
-        _add_vector(rep, "state_output", result.output.to_vector())
+        rep.add("state_fidelity", verify.branch_fidelity(out, flagged, expected, expected_flagged))
+        rep.add("state_flag_probability", diag.flag_probability)
+        _add_vector(rep, "state_output", out)
         passed = passed and state_deviation <= tol
     if m <= 8 and n <= 8:
         for i in range(m):
@@ -299,20 +294,19 @@ def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
     rep = _input_report(args)
     rep.add("function", args.function)
     rep.add("time", args.time)
-    psi = _dilation_state(args, n, m)
+    psi = _state(args, n + m, "this dilation")
     config = _config(args)
     if args.function == "abs":
-        result = polar.evolve_positive_factor(a, args.time, psi, config)
+        out, _, diag = polar.evolve_positive_factor(a, args.time, psi, config)
     else:
         ext = ParityExtension(base=lambda x: x, parity="odd")
-        result = polar.evolve_generalized(a, ext, args.time, psi, config)
+        out, _, diag = polar.evolve_generalized(a, ext, args.time, psi, config)
     expected = verify.evolution_expected(args.function, a, args.time, psi)
-    out = result.output.to_vector()
     deviation = float(np.linalg.norm(out - expected))
     fidelity = float(abs(np.vdot(expected, out)))
     rep.add("deviation", deviation)
     rep.add("fidelity", fidelity)
-    rep.add("leakage", result.diagnostics.leakage_norm)
+    rep.add("leakage", diag.leakage_norm)
     _add_vector(rep, "output", out)
     return rep, deviation <= tol
 
@@ -391,7 +385,7 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     rep.add("steps", args.steps)
     n, m = sh.top_dim, sh.bottom_dim
     rep.add("isolation_deviation", verify.isolation_error(sh))
-    psi = _dilation_state(args, n, m)
+    psi = _state(args, n + m, "this dilation")
     rep.add(
         "trotter_deviation", hsvt.trotter_offdiagonal_evolution(sh, args.time, args.steps)
     )
@@ -400,19 +394,20 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     a = hsvt.isolate_offdiagonal(sh)
     config = _config(args)
     if args.function == "sign":
-        result = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
+        out, flagged, diag = polar.apply_polar_isometry(a, psi, config, args.kappa_tilde)
         u = verify.restricted_isometry(linalg.svd(a), args.kappa_tilde)
-        expected, flagged = verify.sign_expected(u, psi, args.kappa_tilde)
+        expected, expected_flagged = verify.sign_expected(u, psi, args.kappa_tilde)
     else:
         parity = "even" if args.function == "abs" else "odd"
         ext = ParityExtension(base=lambda x: x, parity=parity)
-        result = polar.evolve_generalized(a, ext, args.time, psi, config)
-        expected, flagged = verify.evolution_expected(args.function, a, args.time, psi), None
-    deviation = float(np.linalg.norm(result.output.to_vector() - expected))
+        out, flagged, diag = polar.evolve_generalized(a, ext, args.time, psi, config)
+        expected = verify.evolution_expected(args.function, a, args.time, psi)
+        expected_flagged = None
+    deviation = float(np.linalg.norm(out - expected))
     rep.add("deviation_vs_exact", deviation)
-    rep.add("fidelity", verify.branch_fidelity(result, expected, flagged))
-    rep.add("flag_probability", result.diagnostics.flag_probability)
-    _add_vector(rep, "output", result.output.to_vector())
+    rep.add("fidelity", verify.branch_fidelity(out, flagged, expected, expected_flagged))
+    rep.add("flag_probability", diag.flag_probability)
+    _add_vector(rep, "output", out)
     return rep, deviation <= tol
 
 

@@ -1,4 +1,4 @@
-"""Hermitian dilation of a rectangular matrix and states on it.
+"""Hermitian dilation of a rectangular matrix.
 
 A general m x n matrix A acting between an input space (dim n) and an output
 space (dim m) embeds into the Hermitian operator
@@ -11,6 +11,8 @@ nonzero spectrum is +/- sigma_j with eigenvectors (r_j, +/- l_j)/sqrt(2), so
 evolving or filtering the dilation realizes singular-value transforms of A
 itself; kernel and cokernel vectors of A pad the spectrum with zeros.  Routes
 factor the dilation with one ``linalg.hermitian_eig`` and never see the SVD.
+A state on the direct sum is a plain (n+m,) vector, or an (n+m, k) block of
+k states, with the input block in its first n rows.
 
 The block parity V = P_top - P_bottom is kept as its +/-1 diagonal p, so
 V X V is ``p[:, None] * x * p``, as in both product formulas that alternate
@@ -20,33 +22,7 @@ an evolution with its V conjugate (``procrustes.dme_step``,
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
-
-
-@dataclasses.dataclass(frozen=True)
-class DilationVector:
-    """State on the dilated space, kept as explicit (top, bottom) blocks.
-
-    The blocks may also be (n, k) and (m, k) arrays holding k states.
-    """
-
-    top: np.ndarray
-    bottom: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.top, dtype=complex), np.asarray(self.bottom, dtype=complex)])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, top_dim: int) -> DilationVector:
-        vec = np.asarray(vec, dtype=complex)
-        if not 0 <= top_dim <= vec.shape[0]:
-            raise ValueError(
-                f"top block of size {top_dim} does not fit a vector of "
-                f"length {vec.shape[0]}"
-            )
-        return cls(top=vec[:top_dim], bottom=vec[top_dim:])
 
 
 def block_parity(split: int, total: int) -> np.ndarray:
@@ -70,8 +46,10 @@ def embed(a: np.ndarray) -> np.ndarray:
     return full
 
 
-def inject_right(psi: np.ndarray, left_dim: int) -> DilationVector:
-    """Place a state, or an (n, k) block of states, in the input (top) block."""
+def inject_right(psi: np.ndarray, left_dim: int) -> np.ndarray:
+    """Place a state, or an (n, k) block of states, in the input (top) block.
+
+    Returns the state zero-padded with ``left_dim`` output rows.
+    """
     psi = np.asarray(psi, dtype=complex)
-    bottom = np.zeros((left_dim,) + psi.shape[1:], dtype=complex)
-    return DilationVector(top=psi, bottom=bottom)
+    return np.concatenate([psi, np.zeros((left_dim,) + psi.shape[1:], dtype=complex)])

@@ -27,7 +27,7 @@ class SplitHamiltonian:
     """A Hermitian matrix with a declared block split.
 
     Attributes:
-        matrix: (n+m, n+m) Hermitian.
+        matrix: (n+m, n+m), Hermitian by ``linalg.require_hermitian``.
         split: n, the dimension of the top block.
     """
 
@@ -35,16 +35,11 @@ class SplitHamiltonian:
     split: int
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat = linalg.require_hermitian(self.matrix)
         if not (0 < self.split < mat.shape[0]):
             raise ValueError(
                 f"split must cut the matrix into two nonempty blocks, got {self.split}"
             )
-        if not linalg.is_hermitian(mat, atol=1e-10):
-            asym = float(np.linalg.norm(mat - mat.conj().T))
-            raise ValueError(f"matrix is not Hermitian: asymmetry norm {asym:.3e}")
         object.__setattr__(self, "matrix", mat)
 
     @property

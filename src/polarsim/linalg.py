@@ -126,15 +126,12 @@ def classical_polar(a: np.ndarray, tol: float | None = None) -> PolarFactors:
     )
 
 
-def hermitian_eig(h: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, ascending, phase-fixed.
+def require_hermitian(h: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """The finite square matrix h as a complex array, refused unless Hermitian.
 
-    Args:
-        h: square matrix; rejected if ||h - h^dag||_F exceeds ``atol`` scaled
-            by max(1, ||h||_F), both norms computed without overflow.
-
-    Returns:
-        (eigenvalues, eigenvectors) with eigenvectors in columns.
+    h is rejected if ||h - h^dag||_F exceeds ``atol`` scaled by
+    max(1, ||h||_F), both norms computed without overflow; the refusal
+    reports that ratio, which stays finite where the norm itself would not.
     """
     h = _as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
@@ -145,8 +142,25 @@ def hermitian_eig(h: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
     scale = math.ldexp(1.0, -max(math.frexp(big)[1], 0))
     hs = h * scale if scale < 1.0 else h
     asym = float(np.linalg.norm(hs - hs.conj().T))
-    if asym > atol * max(scale, float(np.linalg.norm(hs))):
-        raise ValueError(f"matrix is not Hermitian: asymmetry norm {asym / scale:.3e}")
+    size = max(scale, float(np.linalg.norm(hs)))
+    if asym > atol * size:
+        raise ValueError(
+            f"matrix is not Hermitian: asymmetry norm {asym / size:.3e}"
+            " relative to max(1, ||h||_F)"
+        )
+    return h
+
+
+def hermitian_eig(h: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, ascending, phase-fixed.
+
+    Args:
+        h: square matrix, checked by ``require_hermitian`` with ``atol``.
+
+    Returns:
+        (eigenvalues, eigenvectors) with eigenvectors in columns.
+    """
+    h = require_hermitian(h, atol)
     w, v = np.linalg.eigh(h)
     v, _ = _fix_column_phases(v)
     return w, v

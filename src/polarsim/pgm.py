@@ -111,8 +111,8 @@ def pgm_via_polar(
     w, vecs = linalg.hermitian_eig(rho)
     keep = w > 1e-14
     psi = embedding.inject_right(vecs[:, keep], inst.n_states)
-    result = polar.apply_polar_isometry(inst.stacking_map(), psi, config)
-    return np.abs(result.output.bottom) ** 2 @ w[keep]
+    kept, _, _ = polar.apply_polar_isometry(inst.stacking_map(), psi, config)
+    return np.abs(kept[inst.dim :]) ** 2 @ w[keep]
 
 
 def sample_outcomes(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -18,9 +18,12 @@ after rescaling) that receives the isometry and a flagged branch left
 untouched; ``SpectralFunction.sign_phase`` is where kappa_tilde is checked.
 
 Each call factors its dilation once and computes no oracle (``verify`` holds
-those); the state may be a block of k states (``DilationVector`` with (n, k)
-and (m, k) blocks), and the diagnostics then aggregate over the columns as
-``SimDiagnostics`` describes.
+those).  A state is a plain (n+m,) vector on the direct sum, input block
+first, or an (n+m, k) block of k states, whose diagnostics aggregate over the
+columns as ``SimDiagnostics`` describes.  Every call returns what
+``spectral.spectral_transform`` returns: the unnormalized (kept, flagged)
+branches shaped like the state, flagged all zeros without a flag threshold,
+and the diagnostics.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from . import embedding, linalg, spectral
-from .embedding import DilationVector
 from .spectral import QPEConfig, SimDiagnostics, SpectralFunction
 
 
@@ -60,22 +62,6 @@ class ParityExtension:
         return fx
 
 
-@dataclasses.dataclass
-class PolarApplyResult:
-    """Outcome of one dilated spectral transform.
-
-    Attributes:
-        output: flag=0 branch (the transformed state), unnormalized so branch
-            weights stay additive.
-        flagged: flag=1 branch (identity action), None when no flag path ran.
-        diagnostics: accuracy bookkeeping from the engine.
-    """
-
-    output: DilationVector
-    flagged: DilationVector | None
-    diagnostics: SimDiagnostics
-
-
 def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Eigenpairs of the dilation of A/sigma_max and the scale divided out.
 
@@ -87,31 +73,12 @@ def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     return (w / scale, v), scale
 
 
-def _run(
-    eig: tuple[np.ndarray, np.ndarray],
-    f: SpectralFunction,
-    psi: DilationVector,
-    config: QPEConfig | None,
-) -> PolarApplyResult:
-    """Apply one spectral function of the prepared dilation: exact without a
-    config, through the simulated pointer with one."""
-    n = np.shape(psi.top)[0]
-    kept, flagged, diag = spectral.spectral_transform(eig, f, psi.to_vector(), config)
-    return PolarApplyResult(
-        output=DilationVector.from_vector(kept, n),
-        flagged=None
-        if f.flag_threshold == 0.0
-        else DilationVector.from_vector(flagged, n),
-        diagnostics=diag,
-    )
-
-
 def apply_polar_isometry(
     a: np.ndarray,
-    psi: DilationVector,
+    psi: np.ndarray,
     config: QPEConfig | None = None,
     kappa_tilde: float | None = None,
-) -> PolarApplyResult:
+) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
     """Apply the polar (partial) isometry of A through its dilation.
 
     On the co-kernel the exact route equals the block map
@@ -125,15 +92,15 @@ def apply_polar_isometry(
     """
     f = SpectralFunction.sign_phase(kappa_tilde)
     eig, _ = _prepared(a)
-    return _run(eig, f, psi, config)
+    return spectral.spectral_transform(eig, f, psi, config)
 
 
 def evolve_positive_factor(
     a: np.ndarray,
     t: float,
-    psi: DilationVector,
+    psi: np.ndarray,
     config: QPEConfig | None = None,
-) -> PolarApplyResult:
+) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
     """Evolve for time t under the positive polar factors.
 
     Realizes e^{-iBt} on the top block and e^{-iB~t} on the bottom block,
@@ -141,16 +108,16 @@ def evolve_positive_factor(
     transform e^{-i |H| t}.
     """
     eig, scale = _prepared(a)
-    return _run(eig, SpectralFunction.abs_times(t * scale), psi, config)
+    return spectral.spectral_transform(eig, SpectralFunction.abs_times(t * scale), psi, config)
 
 
 def evolve_generalized(
     a: np.ndarray,
     ext: ParityExtension,
     t: float,
-    psi: DilationVector,
+    psi: np.ndarray,
     config: QPEConfig | None = None,
-) -> PolarApplyResult:
+) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
     """Evolve for time t under a parity-extended singular-value function.
 
     odd parity realizes e^{-i (f(A) + f(A)^dag) t} with
@@ -167,4 +134,4 @@ def evolve_generalized(
         banded = np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x)
         return ext.extend(banded * scale) * t
 
-    return _run(eig, SpectralFunction.tabulated(phase), psi, config)
+    return spectral.spectral_transform(eig, SpectralFunction.tabulated(phase), psi, config)

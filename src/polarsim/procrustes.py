@@ -195,8 +195,8 @@ def apply_procrustes_quantum(
     a = inst.cross_covariance()
     psi = embedding.inject_right(chi, inst.output_dim)
     if config is None or n_steps is None:
-        result = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
-        return np.asarray(result.output.bottom), result.diagnostics
+        kept, _, diag = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
+        return kept[inst.input_dim :], diag
     scale = float(np.linalg.norm(a, ord=2))
     if scale == 0.0:
         raise ValueError("cross-covariance vanishes; no isometry to learn")
@@ -206,7 +206,5 @@ def apply_procrustes_quantum(
     delta_t = t_w * inst.n_pairs / n_steps
     walk = np.linalg.matrix_power(dme_step(pair, delta_t), n_steps)
     f = SpectralFunction.sign_phase(kappa_tilde)
-    kept, _, diag = spectral.spectral_transform(
-        spectral.walk_eig(walk), f, psi.to_vector(), config
-    )
+    kept, _, diag = spectral.spectral_transform(spectral.walk_eig(walk), f, psi, config)
     return kept[inst.input_dim :], diag

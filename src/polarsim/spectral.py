@@ -285,10 +285,15 @@ def spectral_transform(
     ``transfer_function`` factors, which is exactly the three circuit stages
     followed by keeping pointer code 0.  Leakage and flag probability per column are
     the eigenweighted loss and h.  Returns the unnormalized (kept, flagged)
-    parts shaped like ``psi`` and the diagnostics.
+    parts shaped like ``psi`` and the diagnostics.  A state whose length is
+    not the dimension of H is refused.
     """
-    psi = _check_unit_norm(psi)
     w, v = eig
+    if len(psi) != v.shape[0]:
+        raise ValueError(
+            f"state has dimension {len(psi)}, the operator has dimension {v.shape[0]}"
+        )
+    psi = _check_unit_norm(psi)
     if config is None:
         ill = f.flags(w)
         g, h = np.where(ill, 0.0, np.exp(-1j * f(w))), ill.astype(float)

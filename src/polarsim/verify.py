@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from . import embedding, generate, hsvt, linalg, pgm, polar, procrustes, spectral
-from .embedding import DilationVector
 from .spectral import QPEConfig, SpectralFunction
 
 
@@ -50,31 +49,32 @@ def restricted_isometry(res: linalg.SVDResult, kappa_tilde: float | None) -> np.
 
 
 def sign_expected(
-    u: np.ndarray, psi: DilationVector, kappa_tilde: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    u: np.ndarray, psi: np.ndarray, kappa_tilde: float | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Oracle (kept, flagged) branches of the sign transform, U from ``restricted_isometry``.
 
-    The blocks swap through U and the rest, (I - U^dag U) psi_top (+)
-    (I - U U^dag) psi_bottom (kernel and cokernel included), passes through:
-    into the kept branch without kappa_tilde, into the flagged one with it.
-    The other branch is zero.
+    ``psi`` is split after its first n = ``u.shape[1]`` rows.  The blocks swap
+    through U and the rest, (I - U^dag U) psi_top (+) (I - U U^dag) psi_bottom
+    (kernel and cokernel included), passes through: into the kept branch
+    without kappa_tilde, into the flagged one with it.  Without kappa_tilde
+    there is no flagged branch (None).
     """
-    top, bottom = psi.top, psi.bottom
     n, m = u.shape[1], u.shape[0]
+    top, bottom = psi[:n], psi[n:]
     swapped = [u.conj().T @ bottom, u @ top]
     rest = [(np.eye(n) - u.conj().T @ u) @ top, (np.eye(m) - u @ u.conj().T) @ bottom]
     if kappa_tilde is not None:
         return np.concatenate(swapped), np.concatenate(rest)
-    kept = np.concatenate([swapped[0] + rest[0], swapped[1] + rest[1]])
-    return kept, np.zeros_like(kept)
+    return np.concatenate([swapped[0] + rest[0], swapped[1] + rest[1]]), None
 
 
 def evolution_expected(
-    function: str, a: np.ndarray, t: float, psi: DilationVector
+    function: str, a: np.ndarray, t: float, psi: np.ndarray
 ) -> np.ndarray:
     """Oracle for e^{-i|H|t} (``"abs"``) or e^{-iHt} (``"linear"``), H = embed(A).
 
-    Both take one SVD A = L S R^dag.  ``"abs"`` is e^{-iBt} on the top block,
+    ``psi`` is split after its first n = ``a.shape[1]`` rows.  Both take one
+    SVD A = L S R^dag.  ``"abs"`` is e^{-iBt} on the top block,
     psi_top + R(e^{-iSt} - 1)R^dag psi_top with B = R S R^dag, and the same
     through L on the bottom.  ``"linear"`` gives the top block
     psi_top + R((cos St - 1) R^dag psi_top - i sin St L^dag psi_bottom) and
@@ -82,17 +82,18 @@ def evolution_expected(
     """
     res = linalg.svd(a)
     left, right = res.left_vectors, res.right_vectors
-    top, bottom = right.conj().T @ psi.top, left.conj().T @ psi.bottom
+    psi_top, psi_bottom = psi[: a.shape[1]], psi[a.shape[1] :]
+    top, bottom = right.conj().T @ psi_top, left.conj().T @ psi_bottom
     if function == "abs":
         phase = np.exp(-1j * res.singular_values * t) - 1.0
         return np.concatenate(
-            [psi.top + right @ (phase * top), psi.bottom + left @ (phase * bottom)]
+            [psi_top + right @ (phase * top), psi_bottom + left @ (phase * bottom)]
         )
     cos, sin = np.cos(res.singular_values * t) - 1.0, np.sin(res.singular_values * t)
     return np.concatenate(
         [
-            psi.top + right @ (cos * top - 1j * sin * bottom),
-            psi.bottom + left @ (cos * bottom - 1j * sin * top),
+            psi_top + right @ (cos * top - 1j * sin * bottom),
+            psi_bottom + left @ (cos * bottom - 1j * sin * top),
         ]
     )
 
@@ -108,18 +109,22 @@ def overlap_fidelity(expected: np.ndarray, out: np.ndarray) -> float:
 
 
 def branch_fidelity(
-    result: polar.PolarApplyResult, expected: np.ndarray, flagged: np.ndarray | None
+    kept: np.ndarray,
+    flagged: np.ndarray,
+    expected: np.ndarray,
+    expected_flagged: np.ndarray | None,
 ) -> float:
     """``overlap_fidelity`` of the route's flag register with the oracle's.
 
-    Each column stacks the kept branch over the flagged one, when the route
-    ran a flag path; ``expected`` and ``flagged`` are the oracle's branches.
+    Each column stacks the kept branch over the flagged one when the oracle
+    has a flagged branch (``sign_expected`` with kappa_tilde); otherwise the
+    kept branches alone are compared.
     """
-    got, want = result.output.to_vector(), expected
-    if result.flagged is not None:
-        got = np.concatenate([got, result.flagged.to_vector()])
-        want = np.concatenate([want, flagged])
-    return overlap_fidelity(want, got)
+    if expected_flagged is None:
+        return overlap_fidelity(expected, kept)
+    return overlap_fidelity(
+        np.concatenate([expected, expected_flagged]), np.concatenate([kept, flagged])
+    )
 
 
 def isolation_error(sh: hsvt.SplitHamiltonian) -> float:
@@ -150,13 +155,6 @@ def pgm_residuals(inst: pgm.PGMInstance) -> tuple[float, float]:
     return completeness, reprep
 
 
-def _random_dilation_state(
-    n: int, m: int, rng: np.random.Generator
-) -> DilationVector:
-    vec = generate.random_state(n + m, rng)
-    return DilationVector.from_vector(vec, n)
-
-
 def check_polar_oracle_equivalence(seed: int) -> tuple[bool, dict]:
     """Exact-mode sign transform against the classical polar factorization.
 
@@ -176,10 +174,10 @@ def check_polar_oracle_equivalence(seed: int) -> tuple[bool, dict]:
             n = int(rng.integers(1, 9))
         a = generate.random_complex_matrix(m, n, rng)
         a = a / float(np.linalg.norm(a, ord=2))
-        psi = _random_dilation_state(n, m, rng)
-        result = polar.apply_polar_isometry(a, psi)
+        psi = generate.random_state(n + m, rng)
+        kept, _, _ = polar.apply_polar_isometry(a, psi)
         expected, _ = sign_expected(linalg.classical_polar(a).isometry, psi)
-        err = float(np.linalg.norm(result.output.to_vector() - expected))
+        err = float(np.linalg.norm(kept - expected))
         worst = np.maximum(worst, err)
     return bool(worst <= tol), {
         "instances": n_instances,
@@ -206,12 +204,12 @@ def check_qpe_dyadic_exactness(seed: int) -> tuple[bool, dict]:
             m = int(rng.integers(2, 7))
             n = int(rng.integers(2, 7))
             a = generate.dyadic_singular_matrix(bits, m, n, rng)
-            psi = _random_dilation_state(n, m, rng)
-            result = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
+            psi = generate.random_state(n + m, rng)
+            kept, flagged, diag = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
             u = restricted_isometry(linalg.svd(a), None)
-            fid = branch_fidelity(result, *sign_expected(u, psi))
+            fid = branch_fidelity(kept, flagged, *sign_expected(u, psi))
             worst_fid = np.minimum(worst_fid, fid)
-            worst_leak = np.maximum(worst_leak, result.diagnostics.leakage_norm)
+            worst_leak = np.maximum(worst_leak, diag.leakage_norm)
     passed = bool(worst_fid >= fid_floor and worst_leak <= leak_cap)
     return passed, {
         "instances": 3 * per_bits,
@@ -250,15 +248,12 @@ def check_condition_number_scaling(seed: int) -> tuple[bool, dict]:
             else:
                 a = generate.conditioned_matrix(kappa, 4, rng)
                 right = generate.random_state(4, rng)
-            n = a.shape[1]
-            psi = DilationVector.from_vector(
-                np.concatenate([right, np.zeros(a.shape[0], dtype=complex)]), n
-            )
-            expected, flagged = sign_expected(restricted_isometry(linalg.svd(a), None), psi)
+            psi = embedding.inject_right(right, a.shape[0])
+            oracle = sign_expected(restricted_isometry(linalg.svd(a), None), psi)
             fids = []
             for bits in range(2, b_req + 2):
-                result = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
-                fid = branch_fidelity(result, expected, flagged)
+                kept, flagged, _ = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
+                fid = branch_fidelity(kept, flagged, *oracle)
                 fids.append(fid)
                 if inst == 0:
                     metrics[f"fidelity.kappa{kappa}.b{bits}"] = fid
@@ -293,11 +288,11 @@ def check_positive_factor_evolution(seed: int) -> tuple[bool, dict]:
             a = generate.matrix_with_singular_values(np.sort(s)[::-1], m, n, rng)
         else:
             a = generate.random_complex_matrix(m, n, rng)
-        psi = _random_dilation_state(n, m, rng)
+        psi = generate.random_state(n + m, rng)
         for t in (0.1, 1.0, math.pi):
-            result = polar.evolve_positive_factor(a, t, psi)
+            kept, _, _ = polar.evolve_positive_factor(a, t, psi)
             expected = evolution_expected("abs", a, t, psi)
-            err = float(np.linalg.norm(result.output.to_vector() - expected))
+            err = float(np.linalg.norm(kept - expected))
             worst = np.maximum(worst, err)
     return bool(worst <= tol), {
         "instances": n_instances,
@@ -324,24 +319,18 @@ def check_flag_semantics(seed: int) -> tuple[bool, dict]:
     for sigmas, kappa_tilde, bits in cases:
         a = np.diag(np.array(sigmas, dtype=complex))
         d = len(sigmas)
-        psi = _random_dilation_state(d, d, rng)
+        psi = generate.random_state(2 * d, rng)
+        top, bottom = psi[:d], psi[d:]
         threshold = 1.0 / kappa_tilde
         ill = np.array([s < threshold for s in sigmas])
-        expected_prob = float(
-            np.sum(np.abs(np.asarray(psi.top)[ill]) ** 2)
-            + np.sum(np.abs(np.asarray(psi.bottom)[ill]) ** 2)
-        )
+        expected_prob = float(np.sum(np.abs(top[ill]) ** 2) + np.sum(np.abs(bottom[ill]) ** 2))
         keep = (~ill).astype(float)
-        expected_branch = np.concatenate(
-            [keep * np.asarray(psi.bottom), keep * np.asarray(psi.top)]
-        )
+        expected_branch = np.concatenate([keep * bottom, keep * top])
         configs = [None] if bits is None else [None, QPEConfig(bits=bits)]
         for config in configs:
-            result = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
-            prob_err = abs(result.diagnostics.flag_probability - expected_prob)
-            branch_err = float(
-                np.linalg.norm(result.output.to_vector() - expected_branch)
-            )
+            kept, _, diag = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
+            prob_err = abs(diag.flag_probability - expected_prob)
+            branch_err = float(np.linalg.norm(kept - expected_branch))
             worst_prob = np.maximum(worst_prob, prob_err)
             worst_branch = np.maximum(worst_branch, branch_err)
     passed = bool(worst_prob <= 1e-10 and worst_branch <= 1e-9)

@@ -1,17 +1,17 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from polarsim import cli, generate, hsvt, io, linalg, polar, procrustes
-from polarsim.embedding import DilationVector
 from polarsim.report import strip_timings
 
 
@@ -296,11 +296,11 @@ def test_polar_state_output_is_graded(workdir, capsys, monkeypatch):
     original = polar.apply_polar_isometry
 
     def corrupted(a, psi, *args, **kwargs):
-        res = original(a, psi, *args, **kwargs)
-        if np.ndim(psi.top) == 2:
-            return res
-        flipped = DilationVector(top=res.output.top, bottom=-res.output.bottom)
-        return dataclasses.replace(res, output=flipped)
+        kept, flagged, diag = original(a, psi, *args, **kwargs)
+        if np.ndim(psi) == 2:
+            return kept, flagged, diag
+        n = a.shape[1]
+        return np.concatenate([kept[:n], -kept[n:]]), flagged, diag
 
     monkeypatch.setattr(polar, "apply_polar_isometry", corrupted)
     code, out = run_cli(capsys, *argv)
@@ -323,9 +323,9 @@ def test_hsvt_grades_its_route_against_the_oracle(workdir, capsys, monkeypatch, 
     original = polar.apply_polar_isometry
 
     def wrong_swap(a, psi, *args, **kwargs):
-        res = original(a, psi, *args, **kwargs)
-        flipped = DilationVector(top=res.output.top, bottom=-res.output.bottom)
-        return dataclasses.replace(res, output=flipped)
+        kept, flagged, diag = original(a, psi, *args, **kwargs)
+        n = a.shape[1]
+        return np.concatenate([kept[:n], -kept[n:]]), flagged, diag
 
     monkeypatch.setattr(polar, "apply_polar_isometry", wrong_swap)
     code, out = run_cli(capsys, *argv)
@@ -496,6 +496,21 @@ def test_nonfinite_pair_entry_is_malformed_without_warnings(workdir):
     assert proc.returncode == 4
     assert "RuntimeWarning" not in proc.stderr
     assert "pair 0 psi: entry 0 is not a finite number" in proc.stderr
+
+
+def test_huge_asymmetric_split_file_reports_a_finite_asymmetry(workdir, capsys):
+    # mirrored couplings 1e308 and -1e308: the asymmetry norm itself overflows,
+    # so the refusal reports it relative to the matrix, without a warning
+    path = workdir / "huge.json"
+    zero = "[0, 0]"
+    data = [zero, zero, "[-1e308, 0]", zero, zero, zero, "[1e308, 0]", zero, zero]
+    path.write_text(f'{{"rows": 3, "cols": 3, "split": 1, "data": [{", ".join(data)}]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["hsvt", "--input", str(path)]) == 4
+    err = capsys.readouterr().err
+    norm = float(err.split("asymmetry norm ")[1].split()[0])
+    assert math.isfinite(norm) and norm > 1.0
 
 
 def test_parser_is_built_once_and_keeps_no_state(workdir, capsys, monkeypatch):

@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarsim import embedding, generate, linalg
-from polarsim.embedding import DilationVector
+from polarsim import embedding, generate, linalg, spectral
 
 
 def test_embed_block_layout():
@@ -18,22 +17,13 @@ def test_embed_block_layout():
     assert linalg.is_hermitian(mat)
 
 
-def test_dilation_vector_roundtrip():
-    vec = np.arange(7, dtype=complex) + 1j
-    d = DilationVector.from_vector(vec, 3)
-    assert d.top.shape == (3,) and d.bottom.shape == (4,)
-    np.testing.assert_array_equal(d.to_vector(), vec)
-
-
 def test_inject_and_project():
     psi = np.array([0.6, 0.8], dtype=complex)
     d = embedding.inject_right(psi, 3)
-    assert d.to_vector().shape == (5,)
-    np.testing.assert_array_equal(d.top, psi)
-    np.testing.assert_array_equal(d.bottom, np.zeros(3))
+    np.testing.assert_array_equal(d, [0.6, 0.8, 0.0, 0.0, 0.0])
     # an (n, k) block gets an (m, k) zero block
     block = embedding.inject_right(np.eye(2, dtype=complex), 3)
-    assert block.bottom.shape == (3, 2) and block.to_vector().shape == (5, 2)
+    np.testing.assert_array_equal(block, np.eye(5, 2))
 
 
 def test_eigenstructure_matches_svd():
@@ -67,5 +57,13 @@ def test_embed_rejects_bad_shapes():
         embedding.embed(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         embedding.embed(np.array([[1.0, np.nan]]))
-    with pytest.raises(ValueError):
-        DilationVector.from_vector(np.zeros(3), 5)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 2), (9,)])
+def test_transform_refuses_a_state_of_the_wrong_dimension(shape):
+    # a state must have one row per dimension of the dilation it rides on
+    eig = linalg.hermitian_eig(embedding.embed(np.eye(4, 3, dtype=complex)))
+    psi = np.zeros(shape, dtype=complex)
+    psi[0] = 1.0
+    with pytest.raises(ValueError, match=f"dimension {shape[0]}, the operator has dimension 7"):
+        spectral.spectral_transform(eig, spectral.SpectralFunction.sign_phase(), psi)

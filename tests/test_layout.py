@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import pathlib
 
+import polarsim
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polarsim"
 
 
@@ -70,3 +72,8 @@ def test_every_public_function_has_a_caller_in_src():
         if isinstance(field, ast.AnnAssign) and field.target.id not in read
     ]
     assert unused == []
+
+
+def test_every_exported_name_resolves():
+    # a name in __all__ that the package does not define breaks star imports
+    assert [name for name in polarsim.__all__ if not hasattr(polarsim, name)] == []

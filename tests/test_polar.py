@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polarsim import embedding, generate, linalg, polar, verify
-from polarsim.embedding import DilationVector
 from polarsim.polar import ParityExtension
 from polarsim.spectral import QPEConfig
 
@@ -19,10 +18,6 @@ def _block_action(u: np.ndarray, psi: np.ndarray, split: int) -> np.ndarray:
             u @ top + (np.eye(m) - u @ u.conj().T) @ bottom,
         ]
     )
-
-
-def _state(n: int, m: int, rng: np.random.Generator) -> DilationVector:
-    return DilationVector.from_vector(generate.random_state(n + m, rng), n)
 
 
 def test_parity_extension():
@@ -40,13 +35,11 @@ def test_exact_isometry_matches_block_oracle():
     for _ in range(30):
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         a = generate.random_complex_matrix(m, n, rng)
-        psi = _state(n, m, rng)
-        res = polar.apply_polar_isometry(a, psi)
+        psi = generate.random_state(n + m, rng)
+        kept, flagged, _ = polar.apply_polar_isometry(a, psi)
         u = linalg.classical_polar(a).isometry
-        np.testing.assert_allclose(
-            res.output.to_vector(), _block_action(u, psi.to_vector(), n), atol=1e-10
-        )
-        assert res.flagged is None
+        np.testing.assert_allclose(kept, _block_action(u, psi, n), atol=1e-10)
+        np.testing.assert_array_equal(flagged, np.zeros_like(psi))
 
 
 def test_isometry_handles_scaling_and_rank_deficiency():
@@ -54,36 +47,34 @@ def test_isometry_handles_scaling_and_rank_deficiency():
     for scale in (1e-3, 1.0, 50.0):
         s = np.array([1.4, 0.6, 0.0]) * scale
         a = generate.matrix_with_singular_values(s, 5, 3, rng)
-        psi = _state(3, 5, rng)
-        res = polar.apply_polar_isometry(a, psi)
+        psi = generate.random_state(8, rng)
+        kept, _, _ = polar.apply_polar_isometry(a, psi)
         u = linalg.classical_polar(a).isometry
-        np.testing.assert_allclose(
-            res.output.to_vector(), _block_action(u, psi.to_vector(), 3), atol=1e-9
-        )
+        np.testing.assert_allclose(kept, _block_action(u, psi, 3), atol=1e-9)
 
 
 def test_kernel_components_pass_through():
     # A e_3 = 0: a top-block kernel state is returned unchanged
     a = np.diag([1.0, 0.5, 0.0]).astype(complex)
     psi = embedding.inject_right(np.array([0.0, 0.0, 1.0], dtype=complex), 3)
-    res = polar.apply_polar_isometry(a, psi)
-    np.testing.assert_allclose(res.output.to_vector(), psi.to_vector(), atol=1e-12)
+    kept, _, _ = polar.apply_polar_isometry(a, psi)
+    np.testing.assert_allclose(kept, psi, atol=1e-12)
 
 
 def test_flag_split_conserves_weight():
     rng = generate.rng_for(403)
     a = np.diag([1.0, 0.3, 0.05]).astype(complex)
-    psi = _state(3, 3, rng)
-    res = polar.apply_polar_isometry(a, psi, kappa_tilde=5.0)
-    kept_w = float(np.linalg.norm(res.output.to_vector()) ** 2)
-    flag_w = float(np.linalg.norm(res.flagged.to_vector()) ** 2)
+    psi = generate.random_state(6, rng)
+    kept, flagged, diag = polar.apply_polar_isometry(a, psi, kappa_tilde=5.0)
+    kept_w = float(np.linalg.norm(kept) ** 2)
+    flag_w = float(np.linalg.norm(flagged) ** 2)
     assert kept_w + flag_w == pytest.approx(1.0, abs=1e-12)
-    assert res.diagnostics.flag_probability == pytest.approx(flag_w, abs=1e-12)
+    assert diag.flag_probability == pytest.approx(flag_w, abs=1e-12)
     # the flagged branch is exactly the ill component, untouched
     ill = np.zeros(6, dtype=complex)
-    ill[2] = psi.to_vector()[2]
-    ill[5] = psi.to_vector()[5]
-    np.testing.assert_allclose(res.flagged.to_vector(), ill, atol=1e-12)
+    ill[2] = psi[2]
+    ill[5] = psi[5]
+    np.testing.assert_allclose(flagged, ill, atol=1e-12)
 
 
 def test_wellconditioned_validates_kappa():
@@ -98,57 +89,47 @@ def test_qpe_equals_exact_on_dyadic_spectra():
     rng = generate.rng_for(404)
     for bits in (4, 6):
         a = generate.dyadic_singular_matrix(bits, 4, 4, rng)
-        psi = _state(4, 4, rng)
-        exact = polar.apply_polar_isometry(a, psi)
-        sim = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
-        np.testing.assert_allclose(
-            sim.output.to_vector(), exact.output.to_vector(), atol=1e-9
-        )
-        assert sim.diagnostics.leakage_norm < 1e-10
+        psi = generate.random_state(8, rng)
+        exact, _, _ = polar.apply_polar_isometry(a, psi)
+        sim, _, diag = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
+        np.testing.assert_allclose(sim, exact, atol=1e-9)
+        assert diag.leakage_norm < 1e-10
 
 
 def test_qpe_flag_matches_exact_on_grid():
     rng = generate.rng_for(405)
     a = np.diag([1.0, 0.5, 0.125]).astype(complex)
-    psi = _state(3, 3, rng)
+    psi = generate.random_state(6, rng)
     kt = 3.0
-    exact = polar.apply_polar_isometry(a, psi, kappa_tilde=kt)
-    sim = polar.apply_polar_isometry(a, psi, QPEConfig(bits=6), kappa_tilde=kt)
-    np.testing.assert_allclose(
-        sim.output.to_vector(), exact.output.to_vector(), atol=1e-9
-    )
-    np.testing.assert_allclose(
-        sim.flagged.to_vector(), exact.flagged.to_vector(), atol=1e-9
-    )
-    assert sim.diagnostics.flag_probability == pytest.approx(
-        exact.diagnostics.flag_probability, abs=1e-10
-    )
+    exact_kept, exact_flagged, exact_diag = polar.apply_polar_isometry(a, psi, kappa_tilde=kt)
+    kept, flagged, diag = polar.apply_polar_isometry(a, psi, QPEConfig(bits=6), kappa_tilde=kt)
+    np.testing.assert_allclose(kept, exact_kept, atol=1e-9)
+    np.testing.assert_allclose(flagged, exact_flagged, atol=1e-9)
+    assert diag.flag_probability == pytest.approx(exact_diag.flag_probability, abs=1e-10)
 
 
 def test_positive_evolution_norm_and_composition():
     rng = generate.rng_for(407)
     a = generate.random_complex_matrix(4, 3, rng)
-    psi = _state(3, 4, rng)
-    r1 = polar.evolve_positive_factor(a, 0.6, psi)
-    assert np.linalg.norm(r1.output.to_vector()) == pytest.approx(1.0, abs=1e-12)
-    r2 = polar.evolve_positive_factor(a, 0.9, r1.output)
-    direct = polar.evolve_positive_factor(a, 1.5, psi)
-    np.testing.assert_allclose(
-        r2.output.to_vector(), direct.output.to_vector(), atol=1e-10
-    )
-    r0 = polar.evolve_positive_factor(a, 0.0, psi)
-    np.testing.assert_allclose(r0.output.to_vector(), psi.to_vector(), atol=1e-12)
+    psi = generate.random_state(7, rng)
+    r1, _, _ = polar.evolve_positive_factor(a, 0.6, psi)
+    assert np.linalg.norm(r1) == pytest.approx(1.0, abs=1e-12)
+    r2, _, _ = polar.evolve_positive_factor(a, 0.9, r1)
+    direct, _, _ = polar.evolve_positive_factor(a, 1.5, psi)
+    np.testing.assert_allclose(r2, direct, atol=1e-10)
+    r0, _, _ = polar.evolve_positive_factor(a, 0.0, psi)
+    np.testing.assert_allclose(r0, psi, atol=1e-12)
 
 
 def test_generalized_odd_identity_is_plain_evolution():
     rng = generate.rng_for(408)
     a = generate.random_complex_matrix(3, 3, rng)
-    psi = _state(3, 3, rng)
+    psi = generate.random_state(6, rng)
     ext = ParityExtension(base=lambda x: x, parity="odd")
-    res = polar.evolve_generalized(a, ext, 1.1, psi)
+    kept, _, _ = polar.evolve_generalized(a, ext, 1.1, psi)
     h = embedding.embed(a)
-    expected = linalg.matrix_exp_hermitian(h, 1.1) @ psi.to_vector()
-    np.testing.assert_allclose(res.output.to_vector(), expected, atol=1e-10)
+    expected = linalg.matrix_exp_hermitian(h, 1.1) @ psi
+    np.testing.assert_allclose(kept, expected, atol=1e-10)
 
 
 def test_generalized_even_acts_blockwise():
@@ -156,11 +137,11 @@ def test_generalized_even_acts_blockwise():
     rng = generate.rng_for(409)
     s = np.array([1.3, 0.4, 0.0])
     a = generate.matrix_with_singular_values(s, 4, 3, rng)
-    psi = _state(3, 4, rng)
+    psi = generate.random_state(7, rng)
     base = lambda x: np.cos(x) + x  # noqa: E731
     ext = ParityExtension(base=base, parity="even")
     t = 0.8
-    res = polar.evolve_generalized(a, ext, t, psi)
+    kept, _, _ = polar.evolve_generalized(a, ext, t, psi)
     factors = linalg.classical_polar(a)
 
     def blockwise(b: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -168,36 +149,34 @@ def test_generalized_even_acts_blockwise():
         return v @ (np.exp(-1j * base(np.abs(w)) * t) * (v.conj().T @ vec))
 
     expected = np.concatenate(
-        [blockwise(factors.right_positive, psi.top),
-         blockwise(factors.left_positive, psi.bottom)]
+        [blockwise(factors.right_positive, psi[:3]),
+         blockwise(factors.left_positive, psi[3:])]
     )
-    np.testing.assert_allclose(res.output.to_vector(), expected, atol=1e-10)
+    np.testing.assert_allclose(kept, expected, atol=1e-10)
 
 
 def test_generalized_function_sees_unscaled_spectrum():
     # f is read at the true singular values despite the internal rescale
     rng = generate.rng_for(410)
     a = generate.random_complex_matrix(3, 3, rng)
-    psi = _state(3, 3, rng)
+    psi = generate.random_state(6, rng)
     ext = ParityExtension(base=lambda x: np.minimum(x, 0.7), parity="odd")
 
     def oracle(mat: np.ndarray) -> np.ndarray:
         h = embedding.embed(mat)
         w, v = linalg.hermitian_eig(h)
-        return v @ (np.exp(-1j * ext.extend(w)) * (v.conj().T @ psi.to_vector()))
+        return v @ (np.exp(-1j * ext.extend(w)) * (v.conj().T @ psi))
 
     for scale in (0.5, 1.0, 40.0):
-        res = polar.evolve_generalized(scale * a, ext, 1.0, psi)
-        np.testing.assert_allclose(
-            res.output.to_vector(), oracle(scale * a), atol=1e-10
-        )
+        kept, _, _ = polar.evolve_generalized(scale * a, ext, 1.0, psi)
+        np.testing.assert_allclose(kept, oracle(scale * a), atol=1e-10)
 
 
 def test_zero_matrix_is_identity_action():
     a = np.zeros((2, 3), dtype=complex)
-    psi = DilationVector.from_vector(generate.random_state(5, generate.rng_for(411)), 3)
-    res = polar.apply_polar_isometry(a, psi)
-    np.testing.assert_allclose(res.output.to_vector(), psi.to_vector(), atol=1e-12)
+    psi = generate.random_state(5, generate.rng_for(411))
+    kept, _, _ = polar.apply_polar_isometry(a, psi)
+    np.testing.assert_allclose(kept, psi, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["exact", "qpe"])
@@ -213,23 +192,16 @@ def test_block_equals_single_state_calls(mode):
         lambda psi: polar.evolve_positive_factor(a, 0.7, psi, config),
     )
     for call in calls:
-        whole = call(DilationVector.from_vector(block, 3))
-        singles = [call(DilationVector.from_vector(block[:, j], 3)) for j in range(4)]
-        for j, single in enumerate(singles):
-            np.testing.assert_allclose(
-                whole.output.to_vector()[:, j], single.output.to_vector(), atol=1e-12
-            )
-            if single.flagged is not None:
-                np.testing.assert_allclose(
-                    whole.flagged.to_vector()[:, j],
-                    single.flagged.to_vector(),
-                    atol=1e-12,
-                )
-        diags = [single.diagnostics for single in singles]
-        assert whole.diagnostics.leakage_norm == pytest.approx(
+        kept, flagged, diag = call(block)
+        singles = [call(block[:, j]) for j in range(4)]
+        for j, (single_kept, single_flagged, _) in enumerate(singles):
+            np.testing.assert_allclose(kept[:, j], single_kept, atol=1e-12)
+            np.testing.assert_allclose(flagged[:, j], single_flagged, atol=1e-12)
+        diags = [single[2] for single in singles]
+        assert diag.leakage_norm == pytest.approx(
             max(d.leakage_norm for d in diags), abs=1e-12
         )
-        assert whole.diagnostics.flag_probability == pytest.approx(
+        assert diag.flag_probability == pytest.approx(
             sum(d.flag_probability for d in diags), abs=1e-12
         )
 
@@ -261,14 +233,9 @@ def _sign_property(check, mode: str, kappa_tilde: float | None) -> None:
             )
         psi = generate.random_state(n + m, rng)
 
-        def sign(mat: np.ndarray, vec: np.ndarray, split: int) -> np.ndarray:
-            res = polar.apply_polar_isometry(
-                mat, DilationVector.from_vector(vec, split), config, kappa_tilde
-            )
-            parts = [res.output.to_vector()]
-            if res.flagged is not None:
-                parts.append(res.flagged.to_vector())
-            return np.concatenate(parts)
+        def sign(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+            kept, flagged, _ = polar.apply_polar_isometry(mat, vec, config, kappa_tilde)
+            return np.concatenate([kept, flagged])
 
         check(sign, a, psi, n, c, rng)
 
@@ -285,7 +252,7 @@ _SIGN_CASES = pytest.mark.parametrize(
 def test_sign_transform_is_scale_invariant(mode, kappa_tilde):
     # A -> cA leaves the isometry, the flag split and the pointer route alone
     def check(sign, a, psi, n, c, rng):
-        np.testing.assert_allclose(sign(c * a, psi, n), sign(a, psi, n), atol=1e-12)
+        np.testing.assert_allclose(sign(c * a, psi), sign(a, psi), atol=1e-12)
 
     _sign_property(check, mode, kappa_tilde)
 
@@ -297,8 +264,8 @@ def test_sign_transform_adjoint_swaps_blocks(mode, kappa_tilde):
     def check(sign, a, psi, n, c, rng):
         d = psi.size
         swap = np.concatenate([np.arange(n, d), np.arange(n)])
-        direct = sign(a, psi, n).reshape(-1, d)
-        dual = sign(a.conj().T, psi[swap], d - n).reshape(-1, d)
+        direct = sign(a, psi).reshape(-1, d)
+        dual = sign(a.conj().T, psi[swap]).reshape(-1, d)
         np.testing.assert_allclose(dual, direct[:, swap], atol=1e-12)
 
     _sign_property(check, mode, kappa_tilde)
@@ -314,8 +281,8 @@ def test_sign_transform_is_unitarily_equivariant(mode, kappa_tilde):
         v, w = generate.random_unitary(n, rng), generate.random_unitary(m, rng)
         rotate = np.zeros((d, d), dtype=complex)
         rotate[:n, :n], rotate[n:, n:] = v, w
-        direct = sign(a, psi, n).reshape(-1, d)
-        rotated = sign(w @ a @ v.conj().T, rotate @ psi, n).reshape(-1, d)
+        direct = sign(a, psi).reshape(-1, d)
+        rotated = sign(w @ a @ v.conj().T, rotate @ psi).reshape(-1, d)
         np.testing.assert_allclose(rotated, direct @ rotate.T, atol=1e-12)
 
     _sign_property(check, mode, kappa_tilde)
@@ -337,11 +304,11 @@ def test_sign_transform_keeps_a_singular_value_at_the_threshold(kappa_tilde):
         levels = [1.0, 1.0 / kappa_tilde, 0.5 / kappa_tilde]
         s = np.concatenate([levels[:2], rng.choice(levels, size=min(m, n) - 2)])
         a = generate.matrix_with_singular_values(c * np.sort(s)[::-1], m, n, rng)
-        psi = _state(n, m, rng)
-        got = polar.apply_polar_isometry(a, psi, kappa_tilde=kappa_tilde)
+        psi = generate.random_state(n + m, rng)
+        kept, flagged, _ = polar.apply_polar_isometry(a, psi, kappa_tilde=kappa_tilde)
         u = verify.restricted_isometry(linalg.svd(a), kappa_tilde)
-        expected, flagged = verify.sign_expected(u, psi, kappa_tilde)
-        np.testing.assert_allclose(got.output.to_vector(), expected, atol=1e-12)
-        np.testing.assert_allclose(got.flagged.to_vector(), flagged, atol=1e-12)
+        expected, expected_flagged = verify.sign_expected(u, psi, kappa_tilde)
+        np.testing.assert_allclose(kept, expected, atol=1e-12)
+        np.testing.assert_allclose(flagged, expected_flagged, atol=1e-12)
 
     run()

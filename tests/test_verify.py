@@ -13,11 +13,11 @@ def test_nan_output_fails_the_item(monkeypatch):
     original = polar.apply_polar_isometry
     calls = []
 
-    def poisoned(*args, **kwargs):
-        result = original(*args, **kwargs)
+    def poisoned(a, *args, **kwargs):
+        result = original(a, *args, **kwargs)
         calls.append(result)
         if len(calls) == 100:
-            result.output.top[...] = np.nan
+            result[0][: a.shape[1]] = np.nan
         return result
 
     monkeypatch.setattr(polar, "apply_polar_isometry", poisoned)
