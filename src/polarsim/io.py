@@ -5,10 +5,18 @@ pairs and matrices row-major under ``rows``/``cols``/``data`` keys.  Writers
 print every number with 17 significant digits so round-trips are exact;
 readers accept integer and decimal literals interchangeably and reject the
 non-finite literals NaN, Infinity and -Infinity.
+
+Entries are handled in bulk.  A writer fills one repeated "[%.17g, %.17g]"
+template with every pair at once.  A reader scans the element types once,
+converts the whole pair list with one ``np.array`` and checks finiteness on
+the array; only when that fails does it walk the entries one by one, and
+then only to name the first bad one.  Every rejection of an entry names its
+index.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
@@ -23,12 +31,16 @@ class FormatError(ValueError):
     """Raised when a file parses as text but not as the expected structure."""
 
 
-def _format_number(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _render(value: Any) -> str:
-    """Minimal JSON writer with fixed float formatting."""
+    """Minimal JSON writer with fixed float formatting.
+
+    A complex ndarray renders as its flattened [re, im] pairs in one step:
+    one "[%.17g, %.17g]" template per entry, filled by a single ``%``.
+    """
+    if isinstance(value, np.ndarray):
+        parts = np.ascontiguousarray(value, dtype=complex).reshape(-1).view(float)
+        template = "[" + ", ".join(["[%.17g, %.17g]"] * (parts.size // 2)) + "]"
+        return template % tuple(parts.tolist())
     if isinstance(value, dict):
         items = ", ".join(f'"{k}": {_render(v)}' for k, v in value.items())
         return "{" + items + "}"
@@ -39,7 +51,7 @@ def _render(value: Any) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_number(float(value))
+        return "%.17g" % float(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -47,50 +59,61 @@ def _render(value: Any) -> str:
 
 def _matrix_payload(a: np.ndarray) -> dict[str, Any]:
     a = np.asarray(a, dtype=complex)
-    return {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
-    }
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.reshape(-1)}
 
 
-def _vector_payload(v: np.ndarray) -> list[list[float]]:
-    v = np.asarray(v, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in v]
+def _bulk_pairs(entries: list[Any]) -> np.ndarray | None:
+    """The entries as one complex array when every one is a pair of JSON
+    numbers that fits a float, else None.
+
+    The element types are scanned before the conversion because numpy would
+    quietly read true as 1.0, "1" as 1.0 and null as nan.
+    """
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(entries)))
+    except TypeError:  # an entry that is not an array
+        return None
+    if not kinds <= {int, float}:
+        return None
+    try:
+        pairs = np.array(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.shape != (len(entries), 2):
+        return None
+    return pairs.view(complex).reshape(-1)
 
 
-def _parse_entry(entry: Any, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry
-        )
-    ):
-        raise FormatError(f"{where}: each entry must be a [re, im] pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+def _pairs_one_by_one(entries: list[Any], where: str) -> np.ndarray:
+    """The per-entry reading, which names the first entry that is not a pair
+    of JSON numbers or holds an integer literal too large for a float."""
+    values = np.empty(len(entries), dtype=complex)
+    for k, entry in enumerate(entries):
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry
+            )
+        ):
+            raise FormatError(f"{where}: entry {k} must be a [re, im] pair, got {entry!r}")
+        try:
+            values[k] = complex(float(entry[0]), float(entry[1]))
+        except OverflowError:
+            raise FormatError(f"{where}: entry {k} is not a finite number") from None
+    return values
 
 
 def _parse_entries(entries: list[Any], where: str) -> np.ndarray:
     """The [re, im] pairs as one complex array; NaN, infinities and integer
-    literals too large for a float are rejected."""
-    try:
-        values = np.array([_parse_entry(e, where) for e in entries], dtype=complex)
-    except OverflowError:
-        bad = next(k for k, e in enumerate(entries) if not _fits_float(e))
-        raise FormatError(f"{where}: entry {bad} is not a finite number") from None
+    literals too large for a float are rejected, naming the entry."""
+    values = _bulk_pairs(entries)
+    if values is None:
+        values = _pairs_one_by_one(entries, where)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise FormatError(f"{where}: entry {bad[0]} is not a finite number")
     return values
-
-
-def _fits_float(entry: Any) -> bool:
-    try:
-        _parse_entry(entry, "")
-    except OverflowError:
-        return False
-    return True
 
 
 def _is_int(value: Any) -> bool:
@@ -149,10 +172,7 @@ def read_matrix(path: str) -> np.ndarray:
 
 def write_procrustes_instance(path: str, inst: ProcrustesInstance) -> None:
     pairs = [
-        {
-            "phi": _vector_payload(inst.inputs[:, j]),
-            "psi": _vector_payload(inst.outputs[:, j]),
-        }
+        {"phi": inst.inputs[:, j], "psi": inst.outputs[:, j]}
         for j in range(inst.n_pairs)
     ]
     _write_document(path, {"pairs": pairs})
@@ -185,7 +205,7 @@ def write_pgm_instance(
     path: str, inst: PGMInstance, rho: np.ndarray | None = None
 ) -> None:
     payload: dict[str, Any] = {
-        "states": [_vector_payload(inst.states[:, j]) for j in range(inst.n_states)]
+        "states": [inst.states[:, j] for j in range(inst.n_states)]
     }
     if rho is not None:
         payload["rho"] = _matrix_payload(rho)

@@ -187,13 +187,22 @@ def hermitian_abs(h: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
+    """Whether |a_ij - conj(a_ji)| <= atol for every entry.
+
+    The halves are compared at atol/2: the same rule, but the difference of
+    two finite halves cannot overflow where a_ij - conj(a_ji) would.
+    """
     a = _as_complex_matrix(a)
-    return a.shape[0] == a.shape[1] and bool(np.allclose(a, a.conj().T, atol=atol, rtol=0.0))
+    if a.shape[0] != a.shape[1]:
+        return False
+    half = a / 2
+    return bool(np.allclose(half, half.conj().T, atol=atol / 2, rtol=0.0))
 
 
 def is_positive_semidefinite(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     a = _as_complex_matrix(a)
     if not is_hermitian(a, atol):
         return False
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    half = a / 2
+    w = np.linalg.eigvalsh(half + half.conj().T)
     return bool(np.min(w) >= -atol)

@@ -60,8 +60,9 @@ _POINTER_CODE_BYTES = 80
 _WALK_RESIDUAL_BOUND = 1e-9
 
 # Eigenvalue rows per chunk of the closed form are sized to about this many
-# (eigenvalue, code) cells, so its real temporaries stay near 2 MiB each.
-_TRANSFER_CHUNK_CELLS = 2**18
+# (eigenvalue, code) cells, so its real temporaries stay near 256 KiB each and
+# the chunk's working set fits in L2.
+_TRANSFER_CHUNK_CELLS = 2**15
 
 
 class PointerBudgetError(ValueError):

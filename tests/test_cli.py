@@ -513,6 +513,21 @@ def test_huge_asymmetric_split_file_reports_a_finite_asymmetry(workdir, capsys):
     assert math.isfinite(norm) and norm > 1.0
 
 
+@pytest.mark.parametrize(
+    "mirror, refusal",
+    [("-1e308", "must be Hermitian"), ("1e308", "must be positive semidefinite")],
+)
+def test_huge_mirrored_rho_is_refused_without_warnings(workdir, capsys, mirror, refusal):
+    # rho - rho^dag, and rho + rho^dag, overflow on these couplings
+    path = workdir / "huge_rho.json"
+    rho = f'{{"rows": 2, "cols": 2, "data": [[0.5, 0], [1e308, 0], [{mirror}, 0], [0.5, 0]]}}'
+    path.write_text(f'{{"states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "rho": {rho}}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["pgm", "--input", str(path)]) == 4
+    assert f"density matrix {refusal}" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_keeps_no_state(workdir, capsys, monkeypatch):
     parsers = []
     original = argparse.ArgumentParser.parse_args

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from polarsim import generate, io
 from polarsim.hsvt import SplitHamiltonian
+from polarsim.procrustes import ProcrustesInstance
 
 
 def test_matrix_roundtrip_is_exact(tmp_path):
@@ -55,6 +58,135 @@ def test_matrix_rejects_malformed(tmp_path):
         io.read_matrix(path)
 
 
+def test_matrix_file_matches_golden_text(tmp_path):
+    # signed zeros, the smallest subnormal, a huge finite value and an
+    # integer-valued entry, each printed with %.17g
+    a = np.array([[-0.0, 5e-324], [1e308, -0.0], [3.0, 0.0], [0.1, -2.5e-10]])
+    path = tmp_path / "golden.json"
+    io.write_matrix(str(path), a.view(complex).reshape(2, 2))
+    assert path.read_text() == (
+        '{"rows": 2, "cols": 2, "data": [[-0, 4.9406564584124654e-324], '
+        "[1e+308, -0], [3, 0], [0.10000000000000001, -2.5000000000000002e-10]]}\n"
+    )
+    # "-0" reads back as the JSON integer 0: values round-trip, zero signs do not
+    np.testing.assert_array_equal(io.read_matrix(str(path)), a.view(complex).reshape(2, 2))
+
+
+def _malformed_documents(entry: str) -> list[tuple[str, str]]:
+    """(document, prefix of its rejection) with ``entry`` as entry 2 of a
+    matrix, a procrustes vector and a pgm state."""
+    ok = "[1, 0], [0, 0.5]"
+    return [
+        ('{"rows": 1, "cols": 3, "data": [%s, %s]}' % (ok, entry), "entry 2"),
+        (
+            '{"pairs": [{"phi": [%s, [0, 0]], "psi": [%s, %s]}]}' % (ok, ok, entry),
+            "pair 0 psi: entry 2",
+        ),
+        (
+            '{"states": [[%s, [0, 0]], [%s, %s]]}' % (ok, ok, entry),
+            "state 1: entry 2",
+        ),
+    ]
+
+
+_NOT_A_PAIR = "must be a [re, im] pair, got "
+_NOT_FINITE = "is not a finite number"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("null", _NOT_A_PAIR + "None"),
+        ("[[1, 0], [0, 0]]", _NOT_A_PAIR + "[[1, 0], [0, 0]]"),
+        ("[1, 0, 0]", _NOT_A_PAIR + "[1, 0, 0]"),
+        ("[true, 0]", _NOT_A_PAIR + "[True, 0]"),
+        ('["1", 0]', _NOT_A_PAIR + "['1', 0]"),
+        ('"1"', _NOT_A_PAIR + "'1'"),
+        ("[NaN, 0]", _NOT_FINITE),
+        ("[0, Infinity]", _NOT_FINITE),
+        ("[-Infinity, 0]", _NOT_FINITE),
+        ("[1%s, 0]" % ("0" * 400), _NOT_FINITE),
+    ],
+    ids=["null", "nested", "three", "bool", "string-part", "string", "nan", "inf",
+         "-inf", "huge-int"],
+)
+def test_every_reader_rejection_names_the_entry(tmp_path, entry, message):
+    path = tmp_path / "bad.json"
+    readers = (io.read_matrix, io.read_procrustes_instance, io.read_pgm_instance)
+    for reader, (text, where) in zip(readers, _malformed_documents(entry)):
+        path.write_text(text)
+        with pytest.raises(io.FormatError) as exc:
+            reader(str(path))
+        assert str(exc.value) == f"{path}: {where} {message}"
+
+
+def _reference_entries(entries, where):
+    """The reading one entry at a time: the first malformed or overflowing
+    entry is named, then the first non-finite one."""
+    values = []
+    for k, entry in enumerate(entries):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        ):
+            raise io.FormatError(f"{where}: entry {k} {_NOT_A_PAIR}{entry!r}")
+        try:
+            values.append(complex(float(entry[0]), float(entry[1])))
+        except OverflowError:
+            raise io.FormatError(f"{where}: entry {k} {_NOT_FINITE}") from None
+    for k, z in enumerate(values):
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise io.FormatError(f"{where}: entry {k} {_NOT_FINITE}")
+    return np.array(values, dtype=complex)
+
+
+def test_bulk_reader_matches_the_per_entry_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    number = st.one_of(
+        st.integers(-(2**80), 2**80), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    pair = st.lists(number, min_size=2, max_size=2)
+    nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+    huge = st.sampled_from([10**400, -(10**400), 2**1024])
+    bad = st.one_of(
+        st.none(),
+        number,
+        st.text(max_size=3),
+        st.lists(pair, min_size=2, max_size=2),
+        st.lists(number, max_size=1),
+        st.lists(number, min_size=3, max_size=3),
+        st.tuples(st.booleans(), number).map(list),
+        st.tuples(number, st.text(max_size=3)).map(list),
+        st.tuples(nonfinite, number).map(list),
+        st.tuples(number, nonfinite).map(list),
+        st.tuples(huge, number).map(list),
+        st.tuples(number, huge).map(list),
+    )
+    entry_lists = st.one_of(
+        st.lists(pair, min_size=1, max_size=12),
+        st.lists(st.one_of(pair, bad), min_size=1, max_size=12),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(entries=entry_lists)
+    def check(entries):
+        # through the JSON text, so every element has the type a reader sees
+        entries = json.loads(json.dumps(entries))
+        try:
+            expected = _reference_entries(entries, "f")
+        except io.FormatError as exc:
+            with pytest.raises(io.FormatError) as got:
+                io._parse_entries(entries, "f")
+            assert str(got.value) == str(exc)
+        else:
+            assert io._parse_entries(entries, "f").tobytes() == expected.tobytes()
+
+    check()
+
+
 def test_procrustes_instance_roundtrip(tmp_path):
     rng = generate.rng_for(803)
     inst = generate.random_procrustes_instance(2, 3, 4, rng)
@@ -63,6 +195,24 @@ def test_procrustes_instance_roundtrip(tmp_path):
     back = io.read_procrustes_instance(path)
     np.testing.assert_array_equal(back.inputs, inst.inputs)
     np.testing.assert_array_equal(back.outputs, inst.outputs)
+
+
+def test_procrustes_instance_from_strided_views_roundtrips(tmp_path):
+    # columns of a strided view are not contiguous in memory
+    rng = generate.rng_for(808)
+    inst = generate.random_procrustes_instance(3, 4, 5, rng)
+    wide = np.zeros((2 * inst.inputs.shape[0], 2 * inst.n_pairs), dtype=complex)
+    wide[::2, 1::2] = inst.inputs
+    strided = ProcrustesInstance(inputs=wide[::2, 1::2], outputs=inst.outputs)
+    assert not strided.inputs[:, 0].flags.contiguous
+    assert not strided.outputs[:, 0].flags.contiguous
+    path = tmp_path / "strided.json"
+    io.write_procrustes_instance(str(path), strided)
+    back = io.read_procrustes_instance(str(path))
+    assert back.inputs.tobytes() == inst.inputs.tobytes()
+    assert back.outputs.tobytes() == inst.outputs.tobytes()
+    io.write_procrustes_instance(str(tmp_path / "plain.json"), inst)
+    assert path.read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_procrustes_instance_rejects_bad_pairs(tmp_path):
