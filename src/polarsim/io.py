@@ -2,9 +2,11 @@
 
 All formats are JSON documents.  Complex numbers are stored as [re, im]
 pairs and matrices row-major under ``rows``/``cols``/``data`` keys.  Writers
-print every number with 17 significant digits so round-trips are exact;
-readers accept integer and decimal literals interchangeably and reject the
-non-finite literals NaN, Infinity and -Infinity.
+print every number with 17 significant digits, so round-trips are exact up
+to the sign of zero: -0.0 is written as ``-0``, an integer literal, and
+reads back as +0.0.  Readers accept integer and decimal literals
+interchangeably and reject the non-finite literals NaN, Infinity and
+-Infinity.
 
 Entries are handled in bulk.  A writer fills one repeated "[%.17g, %.17g]"
 template with every pair at once.  A reader scans the element types once,
@@ -150,7 +152,7 @@ def _load_document(path: str) -> Any:
         text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise FormatError(f"{path}: not a valid document ({exc})") from exc
 
 

@@ -13,7 +13,11 @@ each eigencomponent by a kept factor g and a flagged factor h:
   the decoded grid values only and inverting the estimation.  For each
   eigenpair of H that is one fixed number: ``transfer_function`` evaluates
   it in closed form (the Fejer kernel of phase estimation, weighted by the
-  phase table), with the exact leakage.
+  phase table), with the exact leakage.  It takes no sine per (eigenvalue,
+  code) cell: by angle addition the kernel's denominator is a per-row mix of
+  two sine and cosine tables built once per call, each row reading one
+  contiguous window of them, and an unflagged call never forms the flag
+  branch, whose factor is exactly 0 there.
 
 No pointer register is ever built here: the closed form is the only
 simulation of it.  ``verify`` grades it against a literal phase-estimation
@@ -51,17 +55,18 @@ ZERO_BAND = 1e-12
 # per-code arrays at _POINTER_CODE_BYTES each.
 POINTER_BUDGET_BYTES = 2**30
 
-# Peak bytes per code of the closed form's decoded grid, phase table and
-# one-row chunk: 80 under tracemalloc at b = 18, 19 and 20, any dimension.
-_POINTER_CODE_BYTES = 80
+# Peak bytes per code of the closed form: its real phase rows (24 with a flag
+# mask, 16 without), sine and cosine tables (32) and one-row chunk of both
+# windows (16): 72 under tracemalloc at b = 18, 19 and 20, any dimension.
+_POINTER_CODE_BYTES = 72
 
 # Largest ||W Q - Q Lambda||_2 a walk's eigenpairs may leave: synthesized DME
 # walks measure <= 1.3e-12, a Jordan block (not diagonalizable) 1.
 _WALK_RESIDUAL_BOUND = 1e-9
 
 # Eigenvalue rows per chunk of the closed form are sized to about this many
-# (eigenvalue, code) cells, so its real temporaries stay near 256 KiB each and
-# the chunk's working set fits in L2.
+# (eigenvalue, code) cells, so its two real (rows x N) buffers stay near
+# 256 KiB each and the chunk's working set fits in L2.
 _TRANSFER_CHUNK_CELLS = 2**15
 
 
@@ -195,9 +200,9 @@ def _check_pointer_budget(dim: int, config: QPEConfig) -> None:
     Each (eigenvalue, code) cell is charged 16 bytes, one complex amplitude of
     the pointer table the closed form stands in for.  The closed form never
     builds that table: it walks the cells in chunks, so the count bounds its
-    work.  Its arrays (decoded grid, phase table, one chunk) grow with 2^b
-    alone and are charged ``_POINTER_CODE_BYTES`` per code.  The check runs
-    before any of them is allocated.
+    work.  Its arrays (phase table, sine and cosine tables, one chunk) grow
+    with 2^b alone and are charged ``_POINTER_CODE_BYTES`` per code.  The
+    check runs before any of them is allocated.
     """
     # past 2^64 codes every table is over budget; the cap keeps the product cheap
     needed = (dim * 16 + _POINTER_CODE_BYTES) * 2 ** min(config.bits, 64)
@@ -209,10 +214,13 @@ def _check_pointer_budget(dim: int, config: QPEConfig) -> None:
 
 
 def _check_spectrum(w: np.ndarray, config: QPEConfig) -> None:
-    """The pointer budget, then the eigenvalue bound 1 over the whole spectrum."""
+    """The pointer budget, then the eigenvalue bound 1 over the whole spectrum.
+
+    A NaN eigenvalue fails the bound too, so the closed form never decodes one.
+    """
     _check_pointer_budget(w.size, config)
-    if np.max(np.abs(w), initial=0.0) > 1.0 + 1e-12:
-        raise ValueError("eigenvalue bound violated: max |eigenvalue| > 1")
+    if not np.max(np.abs(w), initial=0.0) <= 1.0 + 1e-12:
+        raise ValueError("eigenvalue bound violated: max |eigenvalue| > 1 or not finite")
 
 
 def _phase_table(f: SpectralFunction, config: QPEConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -238,34 +246,78 @@ def transfer_function(
     * loss = sum_c K (|p0 - g|^2 + (m - h)^2), the squared norm stage three
       leaves off code 0.  Summed from nonnegative terms, it stays exact far
       below the round-off of the equal 1 - |g|^2 - |h|^2.
+
+    No sine is taken per (eigenvalue, code) cell.  With N d_jc = D_jc + rem_j,
+    D_jc the wrapped integer distance to the nearest code, angle addition
+    splits the denominator's N sin(pi d_jc) into [N sin(pi D / N)] and
+    [N cos(pi D / N)], read from two tables of 2N - 1 entries built once per
+    call, times per-row factors cos(pi rem_j / N) and sin(pi rem_j / N).  Row
+    j's codes are one contiguous window of each table.  When no code is
+    flagged, h is exactly 0 and (m - h)^2 adds exactly 0, so neither is formed.
     """
     p0, mask = _phase_table(f, config)
+    # real rows Re p0, Im p0 and, only if some code is flagged, m
+    phase = np.array((p0.real, p0.imag, mask) if mask.any() else (p0.real, p0.imag))
+    del p0, mask
     n = config.grid_size
     # N phi_j is exact (N is a power of two); split it into the nearest code
-    # and a remainder, so the wrapped code distance N d_jc = (code - c) + rem
-    # is exact where the kernel peaks
+    # and a remainder, so the wrapped code distance N d_jc = D_jc + rem_j, with
+    # D_jc = wrap(nearest_j - c) in [-N/2, N/2), is exact where the kernel peaks
     turns = n * (np.asarray(eigenvalues, dtype=float) / 4.0)
     nearest = np.rint(turns)
     rem = turns - nearest
     # sin(pi N d_jc) = +/- sin(pi rem_j) for every c: the numerator is one number per row
     numer = np.sin(np.pi * rem) ** 2
-    codes = np.arange(n)
+    shift = np.pi / n * rem
+    sin_rem, cos_rem = np.sin(shift), np.cos(shift)
+    # a distance of exactly zero sits on the code, where the kernel's limit is 1
+    # and every other weight 0: such a row takes that code's factors after the
+    # loop, and a zero numerator keeps its division there at 0/0, never inf
+    on_code = (n * sin_rem) ** 2 == 0
+    numer[on_code] = 0.0
+    # entry k of the tables is taken at D = wrap(N - 1 - k), so |pi D / N| <= pi/2;
+    # they repeat after N entries, and row j reads codes 0 .. N-1 from the
+    # window at N - 1 - (nearest_j mod N)
+    start = np.mod(n - 1 - nearest, n).astype(np.intp)
+    table = np.empty((2, 2 * n - 1))
+    angle = table[0, :n]
+    angle[:] = np.arange(n - 1, -1, -1.0)
+    angle[: n // 2] -= n
+    angle *= np.pi / n
+    np.cos(angle, out=table[1, :n])
+    np.sin(angle, out=angle)
+    table[:, :n] *= n
+    table[:, n:] = table[:, : n - 1]
+    step = table.strides[1]
+    windows = np.lib.stride_tricks.as_strided(
+        table, (2, n, n), (table.strides[0], step, step), writeable=False
+    )
     g = np.empty(turns.size, dtype=complex)
-    h = np.empty(turns.size)
-    loss = np.empty(turns.size)
+    h = np.zeros(turns.size)
+    loss = np.zeros(turns.size)
+    amps = (g.real, g.imag, h)  # what each phase row sums to; zip stops at the rows
     rows = max(1, _TRANSFER_CHUNK_CELLS // n)
     for lo in range(0, turns.size, rows):
         part = slice(lo, lo + rows)
-        dist = np.mod(nearest[part, None] - codes + n // 2, n) - n // 2 + rem[part, None]
-        denom = (n * np.sin(np.pi / n * dist)) ** 2
-        # a distance of exactly zero sits on the code, where the kernel's limit is 1
-        kern = np.divide(numer[part, None], denom, out=np.ones_like(denom), where=denom > 0)
-        g[part] = kern @ p0.real + 1j * (kern @ p0.imag)
-        h[part] = kern @ mask
-        off = (p0.real - g[part, None].real) ** 2
-        off += (p0.imag - g[part, None].imag) ** 2
-        off += (mask - h[part, None]) ** 2
-        loss[part] = np.sum(kern * off, axis=1)
+        # the chunk's one (rows x N) allocation: both windows of every row
+        kern, tmp = windows[:, start[part]]
+        kern *= cos_rem[part, None]
+        tmp *= sin_rem[part, None]
+        kern += tmp
+        np.square(kern, out=kern)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(numer[part, None], kern, out=kern)
+        for row, amp in zip(phase, amps):
+            amp[part] = kern @ row
+            np.subtract(row, amp[part, None], out=tmp)
+            np.square(tmp, out=tmp)
+            loss[part] += np.einsum("ij,ij->i", kern, tmp)
+        del kern, tmp  # released before the next chunk is gathered
+    if on_code.any():
+        code = n - 1 - start[on_code]
+        for row, amp in zip(phase, amps):
+            amp[on_code] = row[code]
+        loss[on_code] = 0.0
     return g, h, loss
 
 

@@ -498,6 +498,19 @@ def test_nonfinite_pair_entry_is_malformed_without_warnings(workdir):
     assert "pair 0 psi: entry 0 is not a finite number" in proc.stderr
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+def test_integer_past_the_digit_limit_is_refused_naming_the_file(workdir, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, for such a literal
+    path = workdir / "digits.json"
+    path.write_text('{"rows": 1, "cols": 1, "data": [[' + "7" * 5001 + ", 0]]}")
+    assert cli.main(["polar", "--input", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"polarsim: {path}: not a valid document (")
+    assert "invalid content" not in err
+
+
 def test_huge_asymmetric_split_file_reports_a_finite_asymmetry(workdir, capsys):
     # mirrored couplings 1e308 and -1e308: the asymmetry norm itself overflows,
     # so the refusal reports it relative to the matrix, without a warning

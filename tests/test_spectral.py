@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,73 @@ def test_transfer_function_on_and_between_codes():
     assert loss[2] == pytest.approx(1.0 - abs(g[2]) ** 2, abs=1e-14)
 
 
+def _long_double_transfer(w, f, cfg):
+    """The closed form's sums, one sine per (eigenvalue, code) cell, in np.longdouble."""
+    p0, mask = spectral._phase_table(f, cfg)
+    ld, n = np.longdouble, cfg.grid_size
+    pi = ld("3.14159265358979323846264338327950288")
+    turns = n * (np.asarray(w, dtype=ld) / 4)
+    nearest = np.rint(turns)
+    rem = turns - nearest
+    dist = np.mod(nearest[:, None] - np.arange(n) + n // 2, n) - n // 2 + rem[:, None]
+    denom = (n * np.sin(pi / n * dist)) ** 2
+    kern = np.ones_like(denom)
+    np.divide(np.sin(pi * rem)[:, None] ** 2, denom, out=kern, where=denom > 0)
+    rows = [p0.real.astype(ld), p0.imag.astype(ld), mask.astype(ld)]
+    amps = [kern @ row for row in rows]
+    loss = sum(np.sum(kern * (row - amp[:, None]) ** 2, axis=1) for row, amp in zip(rows, amps))
+    return amps, loss
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
+)
+@pytest.mark.parametrize("bits", [5, 9, 12])
+def test_transfer_function_matches_a_long_double_reference(bits):
+    rng = generate.rng_for(330 + bits)
+    n = 2**bits
+    codes = rng.integers(-n // 4, n // 4, size=4)
+    on_code = np.concatenate([4.0 * codes / n, [1.0, -1.0]])
+    near = 4.0 * (codes[:3] + np.array([1e-3, 1e-7, 1e-12])) / n
+    w = np.concatenate([on_code, near, rng.uniform(-1.0, 1.0, 10)])
+    cfg = QPEConfig(bits=bits)
+    for f in (
+        SpectralFunction.sign_phase(),
+        SpectralFunction.sign_phase(kappa_tilde=4.0),
+        SpectralFunction.abs_times(1.3),
+        SpectralFunction.linear(0.7),
+    ):
+        g, h, loss = spectral.transfer_function(w, f, cfg)
+        (ref_re, ref_im, ref_h), ref_loss = _long_double_transfer(w, f, cfg)
+        np.testing.assert_allclose(g.real, ref_re.astype(float), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g.imag, ref_im.astype(float), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(h, ref_h.astype(float), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(loss, ref_loss.astype(float), rtol=1e-14, atol=0)
+        # on a code the kernel is one spike: that code's factors, nothing lost
+        p0, mask = spectral._phase_table(f, cfg)
+        code = np.mod(np.rint(n * on_code / 4.0), n).astype(int)
+        np.testing.assert_array_equal(g[: on_code.size], p0[code])
+        np.testing.assert_array_equal(h[: on_code.size], mask[code])
+        np.testing.assert_array_equal(loss[: on_code.size], 0.0)
+
+
+@pytest.mark.parametrize("kappa_tilde", [None, 4.0])
+def test_closed_form_peak_memory_is_within_the_per_code_charge(kappa_tilde):
+    # the budget charges _POINTER_CODE_BYTES per code for the closed form's
+    # arrays; beyond them only a few KiB of per-row arrays and objects remain
+    f = SpectralFunction.sign_phase(kappa_tilde=kappa_tilde)
+    w = np.array([0.3, -0.7])
+    spectral.transfer_function(w, f, QPEConfig(bits=4))
+    for bits in (18, 19, 20):
+        tracemalloc.start()
+        try:
+            spectral.transfer_function(w, f, QPEConfig(bits=bits))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spectral._POINTER_CODE_BYTES * 2**bits + 2**14, bits
+
+
 def _dme_walk(inst, n_steps):
     """W = e^{2 pi i H~/4} for H~ the rescaled dilation, synthesized by density exponentiation."""
     scale = float(np.linalg.norm(inst.cross_covariance(), ord=2))
@@ -371,3 +439,12 @@ def test_pointer_budget_is_checked_before_allocation():
         spectral._check_pointer_budget(dim, QPEConfig(bits=bits))
         with pytest.raises(spectral.PointerBudgetError):
             spectral._check_pointer_budget(dim, QPEConfig(bits=bits + 1))
+
+
+@pytest.mark.parametrize("bad", [1.5, -1.5, np.nan, np.inf])
+def test_spectrum_outside_the_unit_bound_is_refused(bad):
+    # a NaN compares false against the bound, so it is refused explicitly
+    eig = (np.array([bad, 0.5]), np.eye(2, dtype=complex))
+    psi = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="eigenvalue bound"):
+        spectral.spectral_transform(eig, SpectralFunction.sign_phase(), psi, QPEConfig(bits=4))
