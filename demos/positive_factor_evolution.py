@@ -1,17 +1,16 @@
 # python3
 """Demo: evolving under the positive polar factors without forming them.
 
-Taking f(x) = |x| t on the dilation of A evolves the top block by
-e^{-i sqrt(A+ A) t} and the bottom block by e^{-i sqrt(A A+) t}
-simultaneously.  More generally any f with a declared parity extends from
-singular values to a function of the dilation: odd extensions pick up the
-sign structure, even ones act block-diagonally.
+Taking g(x) = |x| on the dilation of A (``polar.evolve(a, np.abs, t, psi)``)
+evolves the top block by e^{-i sqrt(A+ A) t} and the bottom block by
+e^{-i sqrt(A A+) t} simultaneously.  More generally g is any real function
+of the dilation's signed eigenvalues +/- sigma_j: an odd one sign(x) f(|x|)
+picks up the sign structure, an even one f(|x|) acts block-diagonally.
 """
 
 import numpy as np
 
 from polarsim import embedding, generate, linalg, polar
-from polarsim.polar import ParityExtension
 
 
 def run(seed: int = 3) -> None:
@@ -23,7 +22,7 @@ def run(seed: int = 3) -> None:
 
     print("t        deviation from dense exponentials")
     for t in (0.1, 1.0, np.pi):
-        out, _, _ = polar.evolve_positive_factor(a, t, psi)
+        out, _, _ = polar.evolve(a, np.abs, t, psi)
         expected = np.concatenate(
             [
                 linalg.matrix_exp_hermitian(factors.right_positive, t) @ top,
@@ -34,14 +33,14 @@ def run(seed: int = 3) -> None:
         print(f"{t:<8.4f} {dev:.3e}")
         assert dev < 1e-10
 
-    # Odd extension of the identity recovers plain dilated evolution.
+    # The identity, the odd extension of f(s) = s, recovers plain dilated evolution.
     h = embedding.embed(a)
-    out_odd, _, _ = polar.evolve_generalized(a, ParityExtension(lambda x: x, "odd"), 1.0, psi)
+    out_odd, _, _ = polar.evolve(a, lambda x: x, 1.0, psi)
     dev_odd = np.linalg.norm(out_odd - linalg.matrix_exp_hermitian(h, 1.0) @ psi)
     print(f"odd x   -> e^(-iHt):                {dev_odd:.3e}")
 
     # Even extensions never mix the blocks.
-    out_even, _, _ = polar.evolve_generalized(a, ParityExtension(np.cos, "even"), 1.0, psi)
+    out_even, _, _ = polar.evolve(a, lambda x: np.cos(np.abs(x)), 1.0, psi)
     b = factors.right_positive
     eigval, eigvec = linalg.hermitian_eig(b)
     top_expected = eigvec @ (np.exp(-1j * np.cos(eigval)) * (eigvec.conj().T @ top))

@@ -3,9 +3,11 @@
 The package splits into a classical oracle layer (``linalg``), the Hermitian
 dilation (``embedding``), the one spectral transform, exact or through a
 simulated phase register (``spectral``), the user-facing transforms
-(``polar``), and three applications built on them (``procrustes``, ``pgm``,
-``hsvt``).  ``verify`` holds the oracles every route is graded against and
-the deterministic invariant battery, and ``cli`` the command-line front end.
+(``polar``: the polar isometry and ``evolve``, e^{-i g(H) t} for any real g
+of the dilation's signed eigenvalues), and three applications built on them
+(``procrustes``, ``pgm``, ``hsvt``).  ``verify`` holds the oracles every
+route is graded against and the deterministic invariant battery, and ``cli``
+the command-line front end.
 A state on the dilation is a plain (n+m,) array or an (n+m, k) block, input
 block first, and every ``polar`` route returns the (kept, flagged,
 diagnostics) triple of ``spectral.spectral_transform``.
@@ -17,12 +19,7 @@ from .embedding import embed
 from .hsvt import SplitHamiltonian, isolate_offdiagonal
 from .linalg import PolarFactors, SVDResult, classical_polar, svd
 from .pgm import PGMInstance, pgm_probabilities, pgm_vectors, pgm_via_polar
-from .polar import (
-    ParityExtension,
-    apply_polar_isometry,
-    evolve_generalized,
-    evolve_positive_factor,
-)
+from .polar import apply_polar_isometry, evolve
 from .procrustes import (
     ProcrustesInstance,
     apply_procrustes_quantum,
@@ -36,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ItemResult",
     "PGMInstance",
-    "ParityExtension",
     "PolarFactors",
     "ProcrustesInstance",
     "QPEConfig",
@@ -48,8 +44,7 @@ __all__ = [
     "apply_procrustes_quantum",
     "classical_polar",
     "embed",
-    "evolve_generalized",
-    "evolve_positive_factor",
+    "evolve",
     "isolate_offdiagonal",
     "pgm_probabilities",
     "pgm_vectors",

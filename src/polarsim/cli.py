@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from . import embedding, generate, hsvt, io, linalg, pgm, polar, procrustes, spectral, verify
-from .polar import ParityExtension
 from .report import Report
 from .spectral import QPEConfig
 
@@ -36,6 +35,9 @@ EXIT_MALFORMED = 4
 
 _DEFAULT_TOLERANCE = 1e-9
 _DEFAULT_SEED = 7
+
+# the g of ``polar.evolve`` for each --function of evolve, and of hsvt but sign
+_GENERATORS = {"abs": np.abs, "linear": lambda x: x}
 
 
 class _Args(argparse.Namespace):
@@ -155,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=_finite_float, required=True, help="evolution time t")
     p.add_argument(
         "--function",
-        choices=("abs", "linear"),
+        choices=tuple(_GENERATORS),
         default="abs",
         help="abs: e^{-i|H|t} (positive polar factors); linear: e^{-iHt}",
     )
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument(
         "--function",
-        choices=("sign", "abs", "linear"),
+        choices=("sign", *_GENERATORS),
         default="sign",
         help="spectral function applied to the coupling block; --kappa-tilde needs sign",
     )
@@ -296,11 +298,7 @@ def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
     rep.add("time", args.time)
     psi = _state(args, n + m, "this dilation")
     config = _config(args)
-    if args.function == "abs":
-        out, _, diag = polar.evolve_positive_factor(a, args.time, psi, config)
-    else:
-        ext = ParityExtension(base=lambda x: x, parity="odd")
-        out, _, diag = polar.evolve_generalized(a, ext, args.time, psi, config)
+    out, _, diag = polar.evolve(a, _GENERATORS[args.function], args.time, psi, config)
     expected = verify.evolution_expected(args.function, a, args.time, psi)
     deviation = float(np.linalg.norm(out - expected))
     fidelity = float(abs(np.vdot(expected, out)))
@@ -398,9 +396,8 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
         u = verify.restricted_isometry(linalg.svd(a), args.kappa_tilde)
         expected, expected_flagged = verify.sign_expected(u, psi, args.kappa_tilde)
     else:
-        parity = "even" if args.function == "abs" else "odd"
-        ext = ParityExtension(base=lambda x: x, parity=parity)
-        out, flagged, diag = polar.evolve_generalized(a, ext, args.time, psi, config)
+        g = _GENERATORS[args.function]
+        out, flagged, diag = polar.evolve(a, g, args.time, psi, config)
         expected = verify.evolution_expected(args.function, a, args.time, psi)
         expected_flagged = None
     deviation = float(np.linalg.norm(out - expected))

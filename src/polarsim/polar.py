@@ -1,16 +1,16 @@
 """Polar-decomposition primitives realized as spectral transforms of a dilation.
 
 Each operation embeds the target matrix A in its Hermitian dilation, rescales
-so the top singular value is 1 (time arguments are rescaled to compensate),
-and applies a spectral function, exactly when ``config`` is None and through
-the simulated phase-estimation pipeline at ``config.bits`` otherwise:
+so the top singular value is 1 (``evolve`` undoes the scale before reading
+its g), and applies a spectral function, exactly when ``config`` is None and
+through the simulated phase-estimation pipeline at ``config.bits`` otherwise:
 
-* sign phase      -> apply the polar (partial) isometry: (psi_R, psi_L) maps
-                     to (U^dag psi_L, U psi_R), identity on kernel/cokernel;
-* |x| t           -> evolve under the positive factors, e^{-iBt} on the top
-                     block and e^{-iB~t} on the bottom;
-* parity-extended -> evolve under odd/even singular-value extensions f(A) +
-                     f(A)^dag or f(sqrt(A^dag A)) (+) f(sqrt(A A^dag)).
+* ``apply_polar_isometry``, the sign phase: (psi_R, psi_L) maps to
+  (U^dag psi_L, U psi_R), identity on kernel/cokernel;
+* ``evolve``, g(x) t for a real g of the signed, unscaled dilation
+  eigenvalue: |x| evolves under the positive factors (e^{-iBt} on the top
+  block, e^{-iB~t} on the bottom), x is plain e^{-iHt}, and an odd or even
+  extension of a singular-value function f is sign(x) f(|x|) or f(|x|).
 
 Given an effective condition number kappa_tilde, the sign transform splits
 the state into a well-conditioned branch (singular values >= 1/kappa_tilde,
@@ -28,38 +28,12 @@ and the diagnostics.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 import numpy as np
 
 from . import embedding, linalg, spectral
 from .spectral import QPEConfig, SimDiagnostics, SpectralFunction
-
-
-@dataclasses.dataclass(frozen=True)
-class ParityExtension:
-    """A function f on sigma >= 0 plus the parity of its extension to the line.
-
-    odd:  g(x) = sign(x) f(|x|), g(0) = 0
-    even: g(x) = f(|x|)
-    """
-
-    base: Callable[[np.ndarray], np.ndarray]
-    parity: str
-
-    def __post_init__(self) -> None:
-        if self.parity not in ("odd", "even"):
-            raise ValueError(f"parity must be 'odd' or 'even', got {self.parity!r}")
-
-    def extend(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        fx = np.asarray(self.base(np.abs(x)), dtype=float)
-        if self.parity == "odd":
-            # zero band keeps float noise around a kernel from leaking f(0)
-            sign = np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, np.sign(x))
-            return sign * fx
-        return fx
 
 
 def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
@@ -95,43 +69,28 @@ def apply_polar_isometry(
     return spectral.spectral_transform(eig, f, psi, config)
 
 
-def evolve_positive_factor(
+def evolve(
     a: np.ndarray,
+    g: Callable[[np.ndarray], np.ndarray],
     t: float,
     psi: np.ndarray,
     config: QPEConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Evolve for time t under the positive polar factors.
+    """Evolve for time t under g of the dilation: e^{-i g(H) t}, H = embed(A).
 
-    Realizes e^{-iBt} on the top block and e^{-iB~t} on the bottom block,
-    B = (A^dag A)^(1/2), B~ = (A A^dag)^(1/2), as the single dilated
-    transform e^{-i |H| t}.
-    """
-    eig, scale = _prepared(a)
-    return spectral.spectral_transform(eig, SpectralFunction.abs_times(t * scale), psi, config)
-
-
-def evolve_generalized(
-    a: np.ndarray,
-    ext: ParityExtension,
-    t: float,
-    psi: np.ndarray,
-    config: QPEConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Evolve for time t under a parity-extended singular-value function.
-
-    odd parity realizes e^{-i (f(A) + f(A)^dag) t} with
-    f(A) = sum_j f(sigma_j) l_j r_j^dag; even parity realizes
-    e^{-i f(sqrt(A^dag A)) t} (+) e^{-i f(sqrt(A A^dag)) t}.  The function is
-    evaluated at unscaled singular values even though the dilation is
-    rescaled internally.
+    g is a real function of H's signed, unscaled eigenvalues +/- sigma_j and
+    the zeros padding them: the internal rescale is undone before g reads
+    them.  ``np.abs`` realizes e^{-iBt} on the top
+    block and e^{-iB~t} on the bottom, B = (A^dag A)^(1/2) and
+    B~ = (A A^dag)^(1/2); the identity realizes e^{-iHt}.  An odd extension
+    sign(x) f(|x|) realizes e^{-i (f(A) + f(A)^dag) t} with
+    f(A) = sum_j f(sigma_j) l_j r_j^dag, an even one f(|x|) realizes
+    e^{-i f(B) t} (+) e^{-i f(B~) t}.  Eigenvalues within ZERO_BAND of zero on
+    the rescaled spectrum, where the rank cutoff is calibrated, are read as 0.
     """
     eig, scale = _prepared(a)
 
     def phase(x: np.ndarray) -> np.ndarray:
-        # band on the rescaled spectrum, where the rank cutoff is calibrated
-        x = np.asarray(x, dtype=float)
-        banded = np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x)
-        return ext.extend(banded * scale) * t
+        return g(np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x) * scale) * t
 
-    return spectral.spectral_transform(eig, SpectralFunction.tabulated(phase), psi, config)
+    return spectral.spectral_transform(eig, SpectralFunction(phase), psi, config)

@@ -162,11 +162,6 @@ class SpectralFunction:
         """f(x) = x t, plain Hamiltonian evolution (useful as a pipeline check)."""
         return cls(values=lambda x: x * t)
 
-    @classmethod
-    def tabulated(cls, fn: Callable[[np.ndarray], np.ndarray]) -> SpectralFunction:
-        """Arbitrary f given as a callable; evaluated only where the pipeline asks."""
-        return cls(values=fn)
-
 
 @dataclasses.dataclass(frozen=True)
 class SimDiagnostics:

@@ -290,7 +290,7 @@ def check_positive_factor_evolution(seed: int) -> tuple[bool, dict]:
             a = generate.random_complex_matrix(m, n, rng)
         psi = generate.random_state(n + m, rng)
         for t in (0.1, 1.0, math.pi):
-            kept, _, _ = polar.evolve_positive_factor(a, t, psi)
+            kept, _, _ = polar.evolve(a, np.abs, t, psi)
             expected = evolution_expected("abs", a, t, psi)
             err = float(np.linalg.norm(kept - expected))
             worst = np.maximum(worst, err)
@@ -722,7 +722,7 @@ def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
     worst_flag = 0.0
     worst_closed = 0.0
     config = QPEConfig(bits=5)
-    zero = SpectralFunction.tabulated(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    zero = SpectralFunction(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     graded = (
         SpectralFunction.sign_phase(),
         SpectralFunction.sign_phase(kappa_tilde=3.0),

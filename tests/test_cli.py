@@ -417,6 +417,46 @@ def test_polar_factors_the_operator_once(workdir, capsys, monkeypatch):
     assert calls == [("eigh", (12, 12)), ("svd", (6, 6))]
 
 
+def _write_operator_and_split(path, a, rng) -> tuple[str, str]:
+    # A itself, and a split Hamiltonian whose coupling is A, diagonal blocks nonzero
+    m, n = a.shape
+    mat = np.zeros((n + m, n + m), dtype=complex)
+    mat[:n, :n] = generate.random_hermitian(n, rng)
+    mat[n:, n:] = generate.random_hermitian(m, rng)
+    mat[n:, :n] = a
+    mat[:n, n:] = a.conj().T
+    io.write_matrix(str(path / "a.json"), a)
+    io.write_split_hamiltonian(str(path / "m.json"), hsvt.SplitHamiltonian(mat, split=n))
+    return str(path / "a.json"), str(path / "m.json")
+
+
+def test_linear_evolution_of_a_tiny_operator_is_not_zeroed(tmp_path, capsys):
+    # sigma_max = 1e-13 puts every eigenvalue of the dilation inside the zero
+    # band before rescaling, never after: e^{-iHt} at t = 1e13 must not be identity
+    rng = generate.rng_for(904)
+    a = generate.matrix_with_singular_values(np.array([1e-13, 0.6e-13, 0.3e-13]), 3, 3, rng)
+    a_path, m_path = _write_operator_and_split(tmp_path, a, rng)
+    for argv in (["evolve", "--input", a_path], ["hsvt", "--input", m_path]):
+        code, out = run_cli(capsys, *argv, "--function", "linear", "--time", "1e13")
+        assert code == 0, out
+        assert float(lines_of(out)["fidelity"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "qpe", "--bits", "8")], ids=["exact", "qpe"])
+def test_evolve_abs_and_hsvt_abs_take_one_path(tmp_path, capsys, mode):
+    # hsvt transforms the isolated coupling, which is A bit for bit, through
+    # the same evolution as evolve: their outputs agree byte for byte
+    rng = generate.rng_for(905)
+    a_path, m_path = _write_operator_and_split(
+        tmp_path, generate.random_complex_matrix(3, 3, rng), rng
+    )
+    outputs = []
+    for argv in (["evolve", "--input", a_path], ["hsvt", "--input", m_path]):
+        _, out = run_cli(capsys, *argv, "--function", "abs", "--time", "0.7", *mode)
+        outputs.append([line for line in out.splitlines() if line.startswith("output.")])
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_evolve_abs_factors_the_operator_once(workdir, capsys, monkeypatch):
     # the dilation for the route, one SVD for the oracle
     calls = _count_factorizations(monkeypatch)

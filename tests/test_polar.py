@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polarsim import embedding, generate, linalg, polar, verify
-from polarsim.polar import ParityExtension
 from polarsim.spectral import QPEConfig
 
 
@@ -18,16 +17,6 @@ def _block_action(u: np.ndarray, psi: np.ndarray, split: int) -> np.ndarray:
             u @ top + (np.eye(m) - u @ u.conj().T) @ bottom,
         ]
     )
-
-
-def test_parity_extension():
-    ext = ParityExtension(base=lambda x: x + 1.0, parity="odd")
-    x = np.array([-2.0, -1e-14, 0.0, 3.0])
-    np.testing.assert_allclose(ext.extend(x), np.array([-3.0, 0.0, 0.0, 4.0]))
-    even = ParityExtension(base=lambda x: x + 1.0, parity="even")
-    np.testing.assert_allclose(even.extend(x), np.array([3.0, 1.0, 1.0, 4.0]))
-    with pytest.raises(ValueError):
-        ParityExtension(base=lambda x: x, parity="both")
 
 
 def test_exact_isometry_matches_block_oracle():
@@ -112,12 +101,12 @@ def test_positive_evolution_norm_and_composition():
     rng = generate.rng_for(407)
     a = generate.random_complex_matrix(4, 3, rng)
     psi = generate.random_state(7, rng)
-    r1, _, _ = polar.evolve_positive_factor(a, 0.6, psi)
+    r1, _, _ = polar.evolve(a, np.abs, 0.6, psi)
     assert np.linalg.norm(r1) == pytest.approx(1.0, abs=1e-12)
-    r2, _, _ = polar.evolve_positive_factor(a, 0.9, r1)
-    direct, _, _ = polar.evolve_positive_factor(a, 1.5, psi)
+    r2, _, _ = polar.evolve(a, np.abs, 0.9, r1)
+    direct, _, _ = polar.evolve(a, np.abs, 1.5, psi)
     np.testing.assert_allclose(r2, direct, atol=1e-10)
-    r0, _, _ = polar.evolve_positive_factor(a, 0.0, psi)
+    r0, _, _ = polar.evolve(a, np.abs, 0.0, psi)
     np.testing.assert_allclose(r0, psi, atol=1e-12)
 
 
@@ -125,8 +114,7 @@ def test_generalized_odd_identity_is_plain_evolution():
     rng = generate.rng_for(408)
     a = generate.random_complex_matrix(3, 3, rng)
     psi = generate.random_state(6, rng)
-    ext = ParityExtension(base=lambda x: x, parity="odd")
-    kept, _, _ = polar.evolve_generalized(a, ext, 1.1, psi)
+    kept, _, _ = polar.evolve(a, lambda x: x, 1.1, psi)
     h = embedding.embed(a)
     expected = linalg.matrix_exp_hermitian(h, 1.1) @ psi
     np.testing.assert_allclose(kept, expected, atol=1e-10)
@@ -139,9 +127,8 @@ def test_generalized_even_acts_blockwise():
     a = generate.matrix_with_singular_values(s, 4, 3, rng)
     psi = generate.random_state(7, rng)
     base = lambda x: np.cos(x) + x  # noqa: E731
-    ext = ParityExtension(base=base, parity="even")
     t = 0.8
-    kept, _, _ = polar.evolve_generalized(a, ext, t, psi)
+    kept, _, _ = polar.evolve(a, lambda x: base(np.abs(x)), t, psi)
     factors = linalg.classical_polar(a)
 
     def blockwise(b: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -156,20 +143,23 @@ def test_generalized_even_acts_blockwise():
 
 
 def test_generalized_function_sees_unscaled_spectrum():
-    # f is read at the true singular values despite the internal rescale
+    # g is read at the true eigenvalues despite the internal rescale, and the
+    # zero band acts on the rescaled spectrum: a tiny A is not zeroed
     rng = generate.rng_for(410)
     a = generate.random_complex_matrix(3, 3, rng)
     psi = generate.random_state(6, rng)
-    ext = ParityExtension(base=lambda x: np.minimum(x, 0.7), parity="odd")
 
-    def oracle(mat: np.ndarray) -> np.ndarray:
+    def g(x: np.ndarray) -> np.ndarray:
+        return np.sign(x) * np.minimum(np.abs(x), 0.7)
+
+    def oracle(mat: np.ndarray, t: float) -> np.ndarray:
         h = embedding.embed(mat)
         w, v = linalg.hermitian_eig(h)
-        return v @ (np.exp(-1j * ext.extend(w)) * (v.conj().T @ psi))
+        return v @ (np.exp(-1j * g(w) * t) * (v.conj().T @ psi))
 
-    for scale in (0.5, 1.0, 40.0):
-        kept, _, _ = polar.evolve_generalized(scale * a, ext, 1.0, psi)
-        np.testing.assert_allclose(kept, oracle(scale * a), atol=1e-10)
+    for scale, t in ((0.5, 1.0), (1.0, 1.0), (40.0, 1.0), (1e-13, 1e13)):
+        kept, _, _ = polar.evolve(scale * a, g, t, psi)
+        np.testing.assert_allclose(kept, oracle(scale * a, t), atol=1e-10)
 
 
 def test_zero_matrix_is_identity_action():
@@ -189,7 +179,7 @@ def test_block_equals_single_state_calls(mode):
     calls = (
         lambda psi: polar.apply_polar_isometry(a, psi, config),
         lambda psi: polar.apply_polar_isometry(a, psi, config, kappa_tilde=3.0),
-        lambda psi: polar.evolve_positive_factor(a, 0.7, psi, config),
+        lambda psi: polar.evolve(a, np.abs, 0.7, psi, config),
     )
     for call in calls:
         kept, flagged, diag = call(block)

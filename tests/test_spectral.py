@@ -110,7 +110,7 @@ def test_phase_on_zero_hamiltonian():
 def test_uncompute_inverts_correlate():
     rng = generate.rng_for(301)
     cfg = QPEConfig(bits=6)
-    zero = SpectralFunction.tabulated(lambda x: np.zeros_like(np.asarray(x, float)))
+    zero = SpectralFunction(lambda x: np.zeros_like(np.asarray(x, float)))
     for _ in range(10):
         d = int(rng.integers(2, 7))
         h = generate.random_hermitian(d, rng)
