@@ -322,8 +322,10 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     rep.add("residual", inst.residual(u))
     chi = _state(args, inst.input_dim, "this instance")
     n_steps = args.steps if (args.mode == "qpe" and args.steps > 0) else None
+    # rho once, for the walk and for the trotter_deviation lines
+    pair = procrustes.reduced_density(inst)
     bottom, diag = procrustes.apply_procrustes_quantum(
-        inst, chi, _config(args), n_steps, args.kappa_tilde
+        inst, chi, _config(args), n_steps, args.kappa_tilde, pair
     )
     if args.kappa_tilde is not None:  # the flagged rest is not mapped: grade by U_r
         u = verify.restricted_isometry(res, args.kappa_tilde)
@@ -333,7 +335,7 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     rep.add("leakage", diag.leakage_norm)
     _add_vector(rep, "mapped_state", bottom)
     counts = sorted({10, 100, max(args.steps, 1)})
-    for n, deviation in zip(counts, procrustes.dme_deviations(inst, 1.0, counts)):
+    for n, deviation in zip(counts, procrustes.dme_deviations(inst, pair, 1.0, counts)):
         rep.add(f"trotter_deviation.n{n}", deviation)
     return rep, fidelity >= 1.0 - tol
 

@@ -12,15 +12,16 @@ Entries are handled in bulk.  A writer fills one repeated "[%.17g, %.17g]"
 template with every pair at once.  A reader scans the element types once,
 converts the whole pair list with one ``np.array`` and checks finiteness on
 the array; only when that fails does it walk the entries one by one, and
-then only to name the first bad one.  Every rejection of an entry names its
-index.
+then only to name the first bad one.  The procrustes and pgm readers convert
+every vector of a document in that one step.  Every rejection of an entry
+names its index.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -147,6 +148,21 @@ def _parse_vector(payload: Any, where: str) -> np.ndarray:
     return _parse_entries(payload, where)
 
 
+def _parse_vectors(payloads: list[Any], where: Callable[[int], str]) -> list[np.ndarray]:
+    """Every vector of a document through one bulk conversion.
+
+    ``where(k)`` names vector k.  Only when the bulk conversion fails are the
+    vectors read one by one, so the first rejection in document order and its
+    message are those of ``_parse_vector``.
+    """
+    if all(isinstance(p, list) and p for p in payloads):
+        values = _bulk_pairs(list(itertools.chain.from_iterable(payloads)))
+        if values is not None and np.isfinite(values).all():
+            ends = np.cumsum([len(p) for p in payloads]).tolist()
+            return [values[end - len(p) : end] for p, end in zip(payloads, ends)]
+    return [_parse_vector(p, where(k)) for k, p in enumerate(payloads)]
+
+
 def _load_document(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -187,18 +203,19 @@ def read_procrustes_instance(path: str) -> ProcrustesInstance:
     pairs = doc["pairs"]
     if not isinstance(pairs, list) or not pairs:
         raise FormatError(f"{path}: 'pairs' must be a nonempty array")
-    parsed = []
+    vectors: list[Any] = []  # phi_0, psi_0, phi_1, ...
+
+    def where(k: int) -> str:
+        return f"{path}: pair {k // 2} {('phi', 'psi')[k % 2]}"
+
     for idx, pair in enumerate(pairs):
         if not isinstance(pair, dict) or "phi" not in pair or "psi" not in pair:
+            _parse_vectors(vectors, where)  # a bad entry of an earlier pair comes first
             raise FormatError(f"{path}: pair {idx} must have 'phi' and 'psi'")
-        parsed.append(
-            (
-                _parse_vector(pair["phi"], f"{path}: pair {idx} phi"),
-                _parse_vector(pair["psi"], f"{path}: pair {idx} psi"),
-            )
-        )
+        vectors += (pair["phi"], pair["psi"])
+    columns = _parse_vectors(vectors, where)
     try:
-        return ProcrustesInstance.from_pairs(parsed)
+        return ProcrustesInstance.from_pairs(list(zip(columns[::2], columns[1::2])))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -221,7 +238,7 @@ def read_pgm_instance(path: str) -> tuple[PGMInstance, np.ndarray | None]:
     states = doc["states"]
     if not isinstance(states, list) or not states:
         raise FormatError(f"{path}: 'states' must be a nonempty array")
-    columns = [_parse_vector(s, f"{path}: state {j}") for j, s in enumerate(states)]
+    columns = _parse_vectors(states, lambda j: f"{path}: state {j}")
     dims = {c.shape[0] for c in columns}
     if len(dims) != 1:
         raise FormatError(f"{path}: states must share one dimension, got {sorted(dims)}")

@@ -11,7 +11,8 @@ e^{-i t (A + A^dag)} (density-matrix exponentiation).  The walk this
 synthesizes feeds the same closed-form phase-estimation sign transform used
 everywhere else, through the eigenpairs it implies.  Since
 e^{+i dt V rho V} = V (e^{-i dt rho})^dag V, one factorization of rho serves
-every step.
+every step: the caller factors rho once (``reduced_density``) and hands the
+pair to the walk and to the product-formula deviations alike.
 """
 
 from __future__ import annotations
@@ -135,17 +136,17 @@ def dme_step(pair: DensityPair, delta_t: float) -> np.ndarray:
 
 
 def dme_deviations(
-    inst: ProcrustesInstance, t: float, step_counts: list[int]
+    inst: ProcrustesInstance, pair: DensityPair, t: float, step_counts: list[int]
 ) -> list[float]:
     """Operator-norm deviation of n DME steps from e^{-i t (A + A^dag)}, per n.
 
-    Each of the n steps runs dme_step at delta_t = t r / n, so the r in the
-    reduced density is compensated and the product targets the dilated
-    evolution.  rho and the target are factored once for all counts.
+    ``pair`` is ``reduced_density(inst)``.  Each of the n steps runs dme_step
+    at delta_t = t r / n, so the r in the reduced density is compensated and
+    the product targets the dilated evolution.  The target is factored once
+    for all counts.
     """
     if min(step_counts) < 1:
         raise ValueError("n_steps must be positive")
-    pair = reduced_density(inst)
     target = linalg.matrix_exp_hermitian(embedding.embed(inst.cross_covariance()), t)
     deviations = []
     for n in step_counts:
@@ -173,6 +174,7 @@ def apply_procrustes_quantum(
     config: QPEConfig | None = None,
     n_steps: int | None = None,
     kappa_tilde: float | None = None,
+    pair: DensityPair | None = None,
 ) -> tuple[np.ndarray, SimDiagnostics]:
     """Map a new input state through the learned isometry, quantum style.
 
@@ -181,11 +183,11 @@ def apply_procrustes_quantum(
     bottom component is returned (unnormalized) with the route's diagnostics.
     Without ``config`` the transform is exact.  With ``config`` and
     ``n_steps`` the walk unitary W = e^{2 pi i H~/4} is synthesized from
-    n_steps density-exponentiation steps, and the pointer runs on the
-    eigenpairs that W implies (``spectral.walk_eig``); with ``config`` alone
-    the exact dilation drives the pointer.  With ``kappa_tilde`` the sign
-    transform flags singular values below sigma_max/kappa_tilde instead of
-    mapping them.
+    n_steps density-exponentiation steps on ``pair``, which must then be
+    ``reduced_density(inst)``, and the pointer runs on the eigenpairs that W
+    implies (``spectral.walk_eig``); with ``config`` alone the exact dilation
+    drives the pointer.  With ``kappa_tilde`` the sign transform flags
+    singular values below sigma_max/kappa_tilde instead of mapping them.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (inst.input_dim,):
@@ -197,14 +199,16 @@ def apply_procrustes_quantum(
     if config is None or n_steps is None:
         kept, _, diag = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
         return kept[inst.input_dim :], diag
+    if pair is None:
+        raise TypeError("the walk route needs pair=reduced_density(inst)")
     scale = float(np.linalg.norm(a, ord=2))
     if scale == 0.0:
         raise ValueError("cross-covariance vanishes; no isometry to learn")
-    pair = reduced_density(inst)
     # W = e^{2 pi i embed(A/scale)/4} = e^{-i embed(A) t_w}, t_w = -pi/(2 scale)
     t_w = -np.pi / (2.0 * scale)
     delta_t = t_w * inst.n_pairs / n_steps
-    walk = np.linalg.matrix_power(dme_step(pair, delta_t), n_steps)
+    # W is released once factored, before the pointer allocates its tables
+    eig = spectral.walk_eig(np.linalg.matrix_power(dme_step(pair, delta_t), n_steps))
     f = SpectralFunction.sign_phase(kappa_tilde)
-    kept, _, diag = spectral.spectral_transform(spectral.walk_eig(walk), f, psi, config)
+    kept, _, diag = spectral.spectral_transform(eig, f, psi, config)
     return kept[inst.input_dim :], diag

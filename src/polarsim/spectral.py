@@ -24,8 +24,8 @@ simulation of it.  ``verify`` grades it against a literal phase-estimation
 circuit on the walk W itself, and no route grades its own output.
 
 A black-box walk W (the procrustes route knows H only through a synthesized
-W) enters the same closed form: ``walk_eig`` factors W and returns the
-eigenpairs of the H it implies.
+W) enters the same closed form: ``walk_eig`` returns the eigenpairs of the H
+it implies from one Hermitian ``eigh`` of W's Cayley transform.
 
 Every pointer run refuses a setting of d eigenvalues and 2^b codes whose
 d 2^b cells, charged 16 bytes each, and 2^b per-code array entries exceed
@@ -60,8 +60,11 @@ POINTER_BUDGET_BYTES = 2**30
 # windows (16): 72 under tracemalloc at b = 18, 19 and 20, any dimension.
 _POINTER_CODE_BYTES = 72
 
-# Largest ||W Q - Q Lambda||_2 a walk's eigenpairs may leave: synthesized DME
-# walks measure <= 1.3e-12, a Jordan block (not diagonalizable) 1.
+# Largest ||W Q - Q e^{i theta}||_F a walk's eigenpairs may leave.  The
+# Frobenius norm bounds the 2-norm, so nothing the 2-norm would refuse passes.
+# 64-dim DME walks (50 realizable 32,32,48 instances, 200 steps) measure
+# <= 3.6e-12; a Jordan block (not diagonalizable) 0.73, and 2 I (normal, not
+# unitary) 1.7.
 _WALK_RESIDUAL_BOUND = 1e-9
 
 # Eigenvalue rows per chunk of the closed form are sized to about this many
@@ -364,22 +367,40 @@ def spectral_transform(
 def walk_eig(walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (eigenvalues, eigenvectors) pair of the H with W = e^{2 pi i H / 4}.
 
-    The eigenphase phi of each eigenvalue of W decodes as the pointer does
-    (4 phi for phi < 1/2, else 4 (phi - 1)); pairs are sorted stably by that
-    value and the eigenvectors orthonormalized by one QR.  W is unitary up to
-    round-off, so the QR only mixes vectors within one eigenspace.  A W whose
-    eigenpairs leave ||W Q - Q Lambda||_2 above ``_WALK_RESIDUAL_BOUND`` is
-    not diagonalizable by a unitary and is refused.
+    For H in [-1, 1] the eigenphases theta = pi x / 2 of W lie in
+    [-pi/2, pi/2], where I + W is well conditioned (||(I + W)^{-1}||_2 <=
+    1/sqrt(2) for a unitary W).  There the Cayley transform
+    C = i (I + W)^{-1} (I - W) is Hermitian, with eigenvalues tan(theta/2) on
+    the eigenvectors of W.  One solve forms C and one ``eigh`` of its
+    Hermitian part gives tan(theta/2) ascending and the eigenvectors Q
+    orthonormal; x = (4/pi) arctan(tan(theta/2)) decodes as the pointer does.
+
+    Refused: a walk that is not a finite square matrix; one with an eigenvalue
+    at -1 to working precision, which implies |x| = 2, outside the pointer
+    range; and one whose pairs leave ||W Q - Q e^{i theta}||_F above
+    ``_WALK_RESIDUAL_BOUND``, which no unitary W does (a non-normal W, or a
+    normal one with an eigenvalue off the unit circle).
     """
     walk = np.asarray(walk, dtype=complex)
-    lam, vec = np.linalg.eig(walk)
-    phi = np.mod(np.angle(lam) / (2.0 * np.pi), 1.0)
-    implied = 4.0 * np.where(phi < 0.5, phi, phi - 1.0)
-    order = np.argsort(implied, kind="stable")
-    q, _ = np.linalg.qr(vec[:, order])
-    residual = float(np.linalg.norm(walk @ q - q * lam[order], ord=2))
+    if walk.ndim != 2 or walk.shape[0] != walk.shape[1] or not np.isfinite(walk).all():
+        raise ValueError("walk must be a square matrix with finite entries")
+    eye = np.eye(walk.shape[0])
+    try:
+        cayley = np.linalg.solve(eye + walk, 1j * (eye - walk))
+        tan_half, q = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
+    except np.linalg.LinAlgError:  # I + W is exactly singular
+        tan_half = np.array([np.inf])
+    # within about eps / bound of -1, tan(theta/2) passes bound / eps and the
+    # transform's own round-off, about eps tan(theta/2), fills the residual bound
+    if not np.max(np.abs(tan_half)) * np.finfo(float).eps <= _WALK_RESIDUAL_BOUND:
+        raise ValueError(
+            "walk has an eigenvalue at -1 to working precision: it implies an"
+            " eigenvalue of modulus 2, outside the pointer range [-1, 1]"
+        )
+    theta = 2.0 * np.arctan(tan_half)
+    residual = float(np.linalg.norm(walk @ q - q * np.exp(1j * theta)))
     if not residual <= _WALK_RESIDUAL_BOUND:
         raise ValueError(
-            f"walk is not unitary: its eigenvectors leave a residual {residual:.3g}"
+            f"walk is not unitary: its eigenpairs leave a residual {residual:.3g}"
         )
-    return implied[order], q
+    return theta * (2.0 / np.pi), q

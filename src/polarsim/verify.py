@@ -363,7 +363,7 @@ def check_trotter_step_order(seed: int) -> tuple[bool, dict]:
         )
     local_slope = float(np.polyfit(np.log10(dts), np.log10(errs), 1)[0])
     steps = np.array([10, 100, 1000])
-    devs = procrustes.dme_deviations(inst, 1.0, steps.tolist())
+    devs = procrustes.dme_deviations(inst, pair, 1.0, steps.tolist())
     global_slope = float(np.polyfit(np.log10(steps), np.log10(devs), 1)[0])
     passed = abs(local_slope - 2.0) <= 0.2 and abs(global_slope + 1.0) <= 0.2
     metrics: dict[str, float | int | str] = {

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polarsim import cli, generate, hsvt, io, linalg, polar, procrustes
+from polarsim import cli, generate, hsvt, io, linalg, polar, procrustes, spectral
 from polarsim.report import strip_timings
 
 
@@ -393,7 +393,9 @@ def test_nan_state_is_malformed(workdir, capsys):
 
 
 def _count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
-    # ("eigh" or "svd", shape) per factorization, in call order
+    # (kind, shape) per factorization, in call order: "eigh" and "svd" for
+    # linalg.hermitian_eig and linalg.svd, and "np.eig", "np.eigh" and "np.qr"
+    # for numpy's own factorizations where they are called outside linalg
     calls: list[tuple[str, tuple[int, ...]]] = []
     for name, attr in (("eigh", "hermitian_eig"), ("svd", "svd")):
 
@@ -402,6 +404,15 @@ def _count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
             return _original(mat, *args, **kwargs)
 
         monkeypatch.setattr(linalg, attr, counting)
+    for attr in ("eig", "eigh", "qr"):
+
+        def counting_np(mat, *args, _name=f"np.{attr}", _original=getattr(np.linalg, attr),
+                        **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") != linalg.__name__:
+                calls.append((_name, np.shape(mat)))
+            return _original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, attr, counting_np)
     return calls
 
 
@@ -484,43 +495,75 @@ def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch
     "argv, expected",
     [
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
-          "--steps", "20", "--tolerance", "1"], 3),
+          "--steps", "20", "--tolerance", "1"], 2),
         (["hsvt", "--input", "m.json", "--mode", "qpe", "--bits", "6",
           "--tolerance", "1"], 3),
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
-          "--steps", "20", "--kappa-tilde", "2", "--tolerance", "1"], 3),
+          "--steps", "20", "--kappa-tilde", "2", "--tolerance", "1"], 2),
     ],
 )
 def test_product_formulas_factor_each_generator_once(
     workdir, capsys, monkeypatch, argv, expected
 ):
-    # procrustes: rho once for the walk, then rho and the target once for all
-    # three trotter_deviation lines, and one SVD for the classical solution,
-    # whose columns also give U_r under --kappa-tilde; hsvt: M and the target
-    # for the Trotter product, the dilation for the route, and one SVD for the
-    # oracle isometry
+    # procrustes: rho once for both the walk and the three trotter_deviation
+    # lines, the target once for all three, one SVD for the classical
+    # solution, whose columns also give U_r under --kappa-tilde, and one numpy
+    # eigh of the walk's Cayley transform; hsvt: M and the target for the
+    # Trotter product, the dilation for the route, and one SVD for the oracle
+    # isometry
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
     calls = _count_factorizations(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
     kinds = [name for name, _ in calls]
+    walks = int("--steps" in argv)
     assert (kinds.count("eigh"), kinds.count("svd")) == (expected, 1)
+    assert (kinds.count("np.eigh"), kinds.count("np.eig"), kinds.count("np.qr")) == (walks, 0, 0)
 
 
 def test_product_formula_evolutions_make_two_factorizations(monkeypatch):
     # one for the generator (rho or M), one for the exact target; the DME
-    # deviations at three step counts share both
+    # deviations at three step counts share both, rho taken as the caller
+    # factors it for the walk
     rng = generate.rng_for(904)
     inst = generate.random_procrustes_instance(2, 3, 4, rng)
     sh = generate.random_split_hamiltonian(2, 3, rng)
     for evolve in (
-        lambda: procrustes.dme_deviations(inst, 1.0, [10, 100, 1000]),
+        lambda: procrustes.dme_deviations(
+            inst, procrustes.reduced_density(inst), 1.0, [10, 100, 1000]
+        ),
         lambda: hsvt.trotter_offdiagonal_evolution(sh, 1.0, 10),
     ):
         calls = _count_factorizations(monkeypatch)
         evolve()
         assert calls == [("eigh", (5, 5)), ("eigh", (5, 5))]
         monkeypatch.undo()
+
+
+def test_walk_eig_makes_one_eigh(monkeypatch):
+    # the Cayley transform's eigh; no general eig, no QR
+    h = generate.random_hermitian(6, generate.rng_for(905))
+    walk = linalg.matrix_exp_hermitian(0.9 * h / np.linalg.norm(h, ord=2), -0.5 * np.pi)
+    calls = _count_factorizations(monkeypatch)
+    spectral.walk_eig(walk)
+    assert calls == [("np.eigh", (6, 6))]
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (-np.eye(4, dtype=complex), "walk has an eigenvalue at -1 to working precision"),
+        (np.full((4, 4), np.nan, dtype=complex), "walk must be a square matrix with finite"),
+    ],
+    ids=["minus-one", "nan"],
+)
+def test_bad_walk_exits_malformed(workdir, capsys, monkeypatch, step, message):
+    # one DME step of -I makes W = -I; a NaN step a NaN walk
+    monkeypatch.setattr(procrustes, "dme_step", lambda pair, delta_t: step)
+    code = cli.main(["procrustes", "--input", str(workdir / "inst.json"),
+                     "--mode", "qpe", "--bits", "4", "--steps", "1"])
+    assert code == 4
+    assert f"polarsim: invalid content: {message}" in capsys.readouterr().err
 
 
 def test_nonfinite_pair_entry_is_malformed_without_warnings(workdir):

@@ -241,6 +241,28 @@ def test_procrustes_instance_rejects_bad_pairs(tmp_path):
             io.read_procrustes_instance(path)
 
 
+def test_first_rejection_in_document_order_is_named(tmp_path):
+    # the readers convert all vectors at once; a failure still names the first
+    # bad place in the document, whether an entry or a pair's structure
+    path = tmp_path / "inst.json"
+    ok, bad = "[[1, 0], [0, 0]]", "[[0, 0], [1, true]]"
+    cases = [
+        (f'{{"pairs": [{{"phi": {ok}, "psi": {bad}}}, {{"phi": {ok}}}]}}',
+         "pair 0 psi: entry 1 must be a [re, im] pair"),
+        (f'{{"pairs": [{{"phi": {ok}, "psi": {ok}}}, {{"phi": {ok}}}, {{"phi": {bad}}}]}}',
+         "pair 1 must have 'phi' and 'psi'"),
+        (f'{{"pairs": [{{"phi": {ok}, "psi": {ok}}}, {{"phi": [], "psi": {bad}}}]}}',
+         "pair 1 phi: expected a nonempty array"),
+        (f'{{"states": [{ok}, {bad}, [[NaN, 0]]]}}', "state 1: entry 1 must be a [re, im] pair"),
+    ]
+    for text, where in cases:
+        path.write_text(text)
+        reader = io.read_pgm_instance if '"states"' in text else io.read_procrustes_instance
+        with pytest.raises(io.FormatError) as exc:
+            reader(str(path))
+        assert str(exc.value).startswith(f"{path}: {where}")
+
+
 def test_pgm_instance_roundtrip_with_rho(tmp_path):
     rng = generate.rng_for(804)
     inst = generate.random_pgm_instance(3, 4, rng)

@@ -101,13 +101,14 @@ def test_dme_step_is_first_order_effective_evolution():
 def test_effective_evolution_converges():
     rng = generate.rng_for(508)
     inst = generate.random_procrustes_instance(2, 2, 4, rng)
-    devs = procrustes.dme_deviations(inst, 1.0, [10, 100, 1000])
+    pair = procrustes.reduced_density(inst)
+    devs = procrustes.dme_deviations(inst, pair, 1.0, [10, 100, 1000])
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-2
     # each count is graded on its own: one count alone gives the same number
-    assert procrustes.dme_deviations(inst, 1.0, [100]) == devs[1:2]
+    assert procrustes.dme_deviations(inst, pair, 1.0, [100]) == devs[1:2]
     with pytest.raises(ValueError):
-        procrustes.dme_deviations(inst, 1.0, [10, 0])
+        procrustes.dme_deviations(inst, pair, 1.0, [10, 0])
 
 
 def test_classical_solver_optimality():
@@ -152,14 +153,15 @@ def test_quantum_apply_qpe_with_synthesized_walk():
     inst = generate.random_procrustes_instance(2, 2, 3, rng, realizable=True)
     u, _ = procrustes.solve_procrustes_classical(inst)
     chi = generate.random_state(2, rng)
+    pair = procrustes.reduced_density(inst)
     out, _ = procrustes.apply_procrustes_quantum(
-        inst, chi, QPEConfig(bits=7), n_steps=600
+        inst, chi, QPEConfig(bits=7), n_steps=600, pair=pair
     )
     fidelity = verify.overlap_fidelity(u @ chi, out)
     assert fidelity > 0.99
     # more Trotter steps cannot hurt much: the walk converges
     out2, _ = procrustes.apply_procrustes_quantum(
-        inst, chi, QPEConfig(bits=7), n_steps=6000
+        inst, chi, QPEConfig(bits=7), n_steps=6000, pair=pair
     )
     assert verify.overlap_fidelity(u @ chi, out2) > fidelity - 1e-6
 
@@ -169,6 +171,11 @@ def test_quantum_apply_validates_input():
     inst = generate.random_procrustes_instance(3, 3, 4, rng)
     with pytest.raises(ValueError, match="dimension"):
         procrustes.apply_procrustes_quantum(inst, np.ones(2) / np.sqrt(2))
+    # the walk route runs on the caller's factored rho
+    with pytest.raises(TypeError, match="pair"):
+        procrustes.apply_procrustes_quantum(
+            inst, np.ones(3) / np.sqrt(3), QPEConfig(bits=4), n_steps=10
+        )
 
 
 def test_zero_cross_covariance_rejected():
@@ -179,4 +186,6 @@ def test_zero_cross_covariance_rejected():
     assert np.linalg.norm(inst.cross_covariance()) == 0.0
     chi = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="vanishes"):
-        procrustes.apply_procrustes_quantum(inst, chi, QPEConfig(bits=4), n_steps=10)
+        procrustes.apply_procrustes_quantum(
+            inst, chi, QPEConfig(bits=4), n_steps=10, pair=procrustes.reduced_density(inst)
+        )

@@ -380,6 +380,88 @@ def test_walk_eig_recovers_the_hamiltonian_and_refuses_a_non_normal_walk():
         spectral.walk_eig(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
+def _walk_eig_reference(walk):
+    """General eig, decode, stable sort and one QR of every eigenvector."""
+    lam, vec = np.linalg.eig(walk)
+    phi = np.mod(np.angle(lam) / (2.0 * np.pi), 1.0)
+    implied = 4.0 * np.where(phi < 0.5, phi, phi - 1.0)
+    order = np.argsort(implied, kind="stable")
+    q, _ = np.linalg.qr(vec[:, order])
+    return implied[order], q
+
+
+def test_walk_eig_matches_a_general_eigensolver_on_dme_walks():
+    # rectangular instances repeat the eigenvalue 1 of W on their zero padding
+    rng = generate.rng_for(317)
+    for dims in ((2, 2, 3), (2, 4, 3), (3, 1, 4)):
+        walk = _dme_walk(generate.random_procrustes_instance(*dims, rng), 20)
+        w, q = spectral.walk_eig(walk)
+        ref_w, ref_q = _walk_eig_reference(walk)
+        assert np.all(np.diff(w) >= 0)
+        np.testing.assert_allclose(w, ref_w, atol=1e-12)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(len(w)), atol=1e-12)
+        np.testing.assert_allclose(
+            (q * w) @ q.conj().T, (ref_q * ref_w) @ ref_q.conj().T, atol=1e-12
+        )
+
+
+def test_walk_eig_recovers_degenerate_spectra_up_to_the_endpoints():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.lists(
+            st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+            min_size=1, max_size=4,
+        ),
+        repeats=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    )
+    def check(seed, levels, repeats):
+        w = np.repeat(levels, repeats[: len(levels)])
+        u = generate.random_unitary(w.size, generate.rng_for(seed))
+        h = (u * w) @ u.conj().T
+        got, q = spectral.walk_eig(linalg.matrix_exp_hermitian(h, -2.0 * np.pi / 4.0))
+        np.testing.assert_allclose(got, np.sort(w), atol=1e-12)
+        np.testing.assert_allclose((q * got) @ q.conj().T, h, atol=1e-12)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [2.0 * np.eye(3), np.diag([0.5j, 2.0, -1.0j])],
+    ids=["twice-identity", "off-circle-diagonal"],
+)
+def test_normal_walk_off_the_unit_circle_is_refused(walk):
+    # normal, so eigenvectors diagonalize it, but no eigenvalue is a phase
+    with pytest.raises(ValueError, match="walk is not unitary"):
+        spectral.walk_eig(walk)
+
+
+_AT_MINUS_ONE = (
+    "walk has an eigenvalue at -1 to working precision: it implies an"
+    " eigenvalue of modulus 2, outside the pointer range [-1, 1]"
+)
+_NOT_FINITE_WALK = "walk must be a square matrix with finite entries"
+
+
+def test_walk_at_minus_one_or_not_finite_is_refused_by_name():
+    rng = generate.rng_for(318)
+    u = generate.random_unitary(4, rng)
+    rotated = (u * np.exp(1j * np.pi * np.array([1.0, 0.3, -0.2, 0.5]))) @ u.conj().T
+    # I + W exactly singular, then singular only to round-off
+    for walk in (np.diag([-1.0, 1.0]), rotated):
+        with pytest.raises(ValueError) as exc:
+            spectral.walk_eig(walk)
+        assert str(exc.value) == _AT_MINUS_ONE
+    for walk in (np.diag([1.0, np.nan]), np.diag([np.inf, 1.0]), np.eye(2)[:1]):
+        with pytest.raises(ValueError) as exc:
+            spectral.walk_eig(walk)
+        assert str(exc.value) == _NOT_FINITE_WALK
+
+
 def test_closed_form_map_is_linear_and_norm_preserving():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
