@@ -35,7 +35,7 @@ def run(seed: int = 13) -> None:
     print("ensemble-average outcomes:      ", np.round(avg, 6))
 
     # chi chi+ is the projector onto the ensemble span; U+ re-prepares chi_j.
-    completeness, reprep = verify.pgm_residuals(inst)
+    completeness, reprep = verify.pgm_residuals(inst, pgm.pgm_vectors(inst))
     print(f"POVM completeness on the span: {completeness:.3e}")
     print(f"re-preparation gap U+|j> vs chi_j: {reprep:.3e}")
     assert completeness < 1e-10 and reprep < 1e-10

@@ -298,12 +298,11 @@ def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
     rep.add("time", args.time)
     psi = _state(args, n + m, "this dilation")
     config = _config(args)
-    out, _, diag = polar.evolve(a, _GENERATORS[args.function], args.time, psi, config)
+    out, flagged, diag = polar.evolve(a, _GENERATORS[args.function], args.time, psi, config)
     expected = verify.evolution_expected(args.function, a, args.time, psi)
     deviation = float(np.linalg.norm(out - expected))
-    fidelity = float(abs(np.vdot(expected, out)))
     rep.add("deviation", deviation)
-    rep.add("fidelity", fidelity)
+    rep.add("fidelity", verify.branch_fidelity(out, flagged, expected, None))
     rep.add("leakage", diag.leakage_norm)
     _add_vector(rep, "output", out)
     return rep, deviation <= tol
@@ -352,10 +351,11 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
         rep.add("rho", "ensemble-average")
     else:
         rep.add("rho", "from-file")
-    p_direct = pgm.pgm_probabilities(inst, rho)
+    chi = pgm.pgm_vectors(inst)
+    p_direct = pgm.pgm_probabilities(inst, rho, chi)
     p_polar = pgm.pgm_via_polar(inst, rho, _config(args))
     gap = float(np.max(np.abs(p_direct - p_polar)))
-    completeness, reprep = verify.pgm_residuals(inst)
+    completeness, reprep = verify.pgm_residuals(inst, chi)
     for j, p in enumerate(p_direct):
         rep.add(f"probability.{j}", float(p))
     rep.add("outside_span_probability", float(np.maximum(0.0, 1.0 - p_direct.sum())))

@@ -2,12 +2,14 @@
 
 For states phi_1..phi_n with Gram operator S = sum_j |phi_j><phi_j|, the
 square-root measurement directs outcome j along chi_j = S^(-1/2) phi_j
-(pseudo-inverse on the support).  The same vectors arise from the polar
-isometry of the stacking map A = sum_j |j><phi_j|: U^dag |j> = chi_j, so
-outcome probabilities can be computed either directly from the chi vectors
-or by pushing the state through U and reading the index basis.  Both paths
-are implemented and must agree; the second one is the sign transform of the
-stacking map's dilation, the same route ``polar`` runs.
+(pseudo-inverse on the support).  With the states as the columns of
+Phi = L Sigma R^dag, chi_j = L R^dag |j>: the chi_j are the columns of the
+polar isometry of Phi, computed from one SVD of Phi without forming S.  The
+stacking map A = sum_j |j><phi_j| = Phi^dag has the adjoint isometry,
+U^dag |j> = chi_j, so outcome probabilities can be computed either directly
+from the chi vectors or by pushing the state through U and reading the index
+basis.  Both paths are implemented and must agree; the second one is the
+sign transform of the stacking map's dilation, the same route ``polar`` runs.
 """
 
 from __future__ import annotations
@@ -58,21 +60,11 @@ class PGMInstance:
         return self.states @ self.states.conj().T
 
 
-def _inverse_sqrt_on_support(s: np.ndarray) -> np.ndarray:
-    """S^(-1/2) with the pseudo-inverse convention on the kernel."""
-    w, v = linalg.hermitian_eig(s)
-    cut = linalg.RANK_TOL_FACTOR * max(float(np.max(w)), 0.0) if w.size else 0.0
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
-
-
 def pgm_vectors(inst: PGMInstance) -> np.ndarray:
-    """Measurement directions chi_j = S^(-1/2) phi_j as columns.
-
-    Their outer products sum to the projector onto span(phi_j), so the
-    measurement is complete exactly on the ensemble's support.
-    """
-    return _inverse_sqrt_on_support(inst.gram_operator()) @ inst.states
+    """Measurement directions chi_j = S^(-1/2) phi_j as the columns of Phi's
+    polar isometry, singular values above ``linalg.rank_cutoff`` kept; their
+    outer products sum to the projector onto span(phi_j)."""
+    return linalg.classical_polar(inst.states).isometry
 
 
 def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -88,10 +80,12 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def pgm_probabilities(inst: PGMInstance, rho: np.ndarray) -> np.ndarray:
-    """Outcome distribution p(j) = <chi_j| rho |chi_j> of the square-root measurement."""
+def pgm_probabilities(
+    inst: PGMInstance, rho: np.ndarray, chi: np.ndarray | None = None
+) -> np.ndarray:
+    """Outcome distribution p(j) = <chi_j| rho |chi_j>, chi = ``pgm_vectors(inst)`` if not given."""
     rho = _check_density(rho, inst.dim)
-    chi = pgm_vectors(inst)
+    chi = pgm_vectors(inst) if chi is None else chi
     return np.real(np.einsum("ij,ik,kj->j", chi.conj(), rho, chi))
 
 
@@ -102,27 +96,29 @@ def pgm_via_polar(
 ) -> np.ndarray:
     """Outcome distribution through the polar isometry of the stacking map.
 
-    The eigenvectors of rho ride the sign transform of the dilation of
+    Every eigenvector of rho rides the sign transform of the dilation of
     A = sum_j |j><phi_j| as one block, exactly when ``config`` is None and
     through the simulated pipeline otherwise; the isometry U carries each to
-    the index basis, where p(j) = <j| U rho U^dag |j> is read off.
+    the index basis, where p(j) = <j| U rho U^dag |j> is read off.  The
+    slightly negative eigenvalues the density check admits are kept, so both
+    paths read the same rho.
     """
     rho = _check_density(rho, inst.dim)
     w, vecs = linalg.hermitian_eig(rho)
-    keep = w > 1e-14
-    psi = embedding.inject_right(vecs[:, keep], inst.n_states)
+    psi = embedding.inject_right(vecs, inst.n_states)
     kept, _, _ = polar.apply_polar_isometry(inst.stacking_map(), psi, config)
-    return np.abs(kept[inst.dim :]) ** 2 @ w[keep]
+    return np.abs(kept[inst.dim :]) ** 2 @ w
 
 
 def sample_outcomes(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Seeded demonstration sampler: outcome counts over the given distribution.
 
     Residual probability mass (states outside the ensemble span) is collected
-    in a final overflow bin.
+    in a final overflow bin.  Entries down to -_TRACE_ATOL, what a density
+    matrix within the reader's tolerance can give, are clipped to zero.
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    if np.any(probabilities < -1e-10):
+    if np.any(probabilities < -_TRACE_ATOL):
         raise ValueError("probabilities must be nonnegative")
     clipped = np.clip(probabilities, 0.0, None)
     total = float(clipped.sum())

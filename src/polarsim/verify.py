@@ -136,21 +136,18 @@ def isolation_error(sh: hsvt.SplitHamiltonian) -> float:
     return float(np.max(np.abs(embedding.embed(hsvt.isolate_offdiagonal(sh)) - direct)))
 
 
-def pgm_residuals(inst: pgm.PGMInstance) -> tuple[float, float]:
-    """Completeness and re-preparation residuals of the square-root measurement.
+def pgm_residuals(inst: pgm.PGMInstance, chi: np.ndarray) -> tuple[float, float]:
+    """Completeness and re-preparation residuals of measurement directions chi.
 
-    Completeness compares sum_j |chi_j><chi_j| with the projector onto the
-    ensemble span, taken from an SVD of the states; re-preparation compares
-    U^dag |j> with chi_j column by column, U the classical Procrustes solution
-    of the pairing phi_j -> |j>.
+    ``chi`` holds the chi_j = S^(-1/2) phi_j as columns (``pgm.pgm_vectors``).
+    Both residuals grade it against U = ``restricted_isometry`` of one SVD of
+    the stacking map A = Phi^dag, never the factorization chi came from:
+    completeness compares sum_j |chi_j><chi_j| with U^dag U, the projector
+    onto the ensemble span (A's kept right vectors); re-preparation compares
+    U^dag |j> with chi_j column by column.
     """
-    targets = np.eye(inst.n_states, dtype=complex)
-    pairing = procrustes.ProcrustesInstance(inputs=inst.states, outputs=targets)
-    u, _ = procrustes.solve_procrustes_classical(pairing)
-    chi = pgm.pgm_vectors(inst)
-    res = linalg.svd(inst.states)
-    w = res.left_vectors[:, res.singular_values > linalg.rank_cutoff(res.singular_values)]
-    completeness = float(np.linalg.norm(chi @ chi.conj().T - w @ w.conj().T, ord=2))
+    u = restricted_isometry(linalg.svd(inst.stacking_map()), None)
+    completeness = float(np.linalg.norm(chi @ chi.conj().T - u.conj().T @ u, ord=2))
     reprep = float(np.max(np.linalg.norm(u.conj().T - chi, axis=0)))
     return completeness, reprep
 
@@ -176,7 +173,7 @@ def check_polar_oracle_equivalence(seed: int) -> tuple[bool, dict]:
         a = a / float(np.linalg.norm(a, ord=2))
         psi = generate.random_state(n + m, rng)
         kept, _, _ = polar.apply_polar_isometry(a, psi)
-        expected, _ = sign_expected(linalg.classical_polar(a).isometry, psi)
+        expected, _ = sign_expected(restricted_isometry(linalg.svd(a), None), psi)
         err = float(np.linalg.norm(kept - expected))
         worst = np.maximum(worst, err)
     return bool(worst <= tol), {
@@ -479,10 +476,11 @@ def check_pgm_dual_path(seed: int) -> tuple[bool, dict]:
         else:
             v = generate.random_state(d, rng)
             rho = np.outer(v, v.conj())
-        p_direct = pgm.pgm_probabilities(inst, rho)
+        chi = pgm.pgm_vectors(inst)
+        p_direct = pgm.pgm_probabilities(inst, rho, chi)
         p_polar = pgm.pgm_via_polar(inst, rho)
         worst_gap = np.maximum(worst_gap, float(np.max(np.abs(p_direct - p_polar))))
-        completeness, reprep = pgm_residuals(inst)
+        completeness, reprep = pgm_residuals(inst, chi)
         worst_complete = np.maximum(worst_complete, completeness)
         worst_reprep = np.maximum(worst_reprep, reprep)
     passed = bool(worst_gap <= 1e-8 and worst_complete <= 1e-10 and worst_reprep <= 1e-8)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polarsim import cli, generate, hsvt, io, linalg, polar, procrustes, spectral
+from polarsim import cli, generate, hsvt, io, linalg, pgm, polar, procrustes, spectral
 from polarsim.report import strip_timings
 
 
@@ -464,8 +464,9 @@ def test_evolve_abs_and_hsvt_abs_take_one_path(tmp_path, capsys, mode):
     outputs = []
     for argv in (["evolve", "--input", a_path], ["hsvt", "--input", m_path]):
         _, out = run_cli(capsys, *argv, "--function", "abs", "--time", "0.7", *mode)
-        outputs.append([line for line in out.splitlines() if line.startswith("output.")])
-    assert outputs[0] and outputs[0] == outputs[1]
+        outputs.append([line for line in out.splitlines()
+                        if line.startswith(("output.", "fidelity:"))])
+    assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
 
 
 def test_evolve_abs_factors_the_operator_once(workdir, capsys, monkeypatch):
@@ -476,19 +477,54 @@ def test_evolve_abs_factors_the_operator_once(workdir, capsys, monkeypatch):
     assert calls == [("eigh", (6, 6)), ("svd", (3, 3))]
 
 
-def test_pgm_factorizations_do_not_grow_with_states(workdir, capsys, monkeypatch):
-    rng = generate.rng_for(903)
-    counts = []
-    for n in (4, 8):
-        path = workdir / f"pgm{n}.json"
-        io.write_pgm_instance(str(path), generate.random_pgm_instance(n, n, rng))
-        calls = _count_factorizations(monkeypatch)
-        cli.main(["pgm", "--input", str(path), "--mode", "qpe", "--bits", "6",
-                  "--tolerance", "1"])
-        counts.append(len(calls))
-        monkeypatch.undo()
+@pytest.mark.parametrize("d, n", [(4, 3), (5, 8)])
+def test_pgm_factors_each_operator_once(tmp_path, capsys, monkeypatch, d, n):
+    # the route: rho and the stacking map's dilation; the direct path: one SVD
+    # of the states; the residuals: one SVD of the stacking map, never shared
+    path = tmp_path / "pgm.json"
+    io.write_pgm_instance(str(path), generate.random_pgm_instance(d, n, generate.rng_for(903)))
+    calls = _count_factorizations(monkeypatch)
+    assert cli.main(["pgm", "--input", str(path), "--mode", "qpe", "--bits", "6",
+                     "--tolerance", "1"]) == 0
     capsys.readouterr()
-    assert counts[0] == counts[1]
+    assert sorted(calls) == sorted(
+        [("eigh", (d, d)), ("eigh", (n + d, n + d)), ("svd", (d, n)), ("svd", (n, d))]
+    )
+
+
+def _conditioned_ensemble(eps: float) -> pgm.PGMInstance:
+    # phi_3 leans on phi_1 by an angle eps: sigma_min/sigma_max = eps/2
+    q = generate.random_unitary(4, generate.rng_for(5))
+    phi = np.column_stack([q[:, 0], q[:, 1], np.cos(eps) * q[:, 0] + np.sin(eps) * q[:, 2]])
+    return pgm.PGMInstance(states=phi / np.linalg.norm(phi, axis=0))
+
+
+@pytest.mark.parametrize("eps, cap", [(3.8e-6, 1e-10), (8.2e-8, 1e-8)], ids=["1.9e-6", "4.1e-8"])
+def test_pgm_keeps_every_state_of_an_ill_conditioned_ensemble(tmp_path, capsys, eps, cap):
+    # through S = Phi Phi^dag the condition number squares: at 1.9e-6 the
+    # completeness residual reaches 6e-5, and at 4.1e-8 a state falls under
+    # S's rank cut; the residuals must stay near eps kappa(Phi)
+    path = tmp_path / "pgm.json"
+    io.write_pgm_instance(str(path), _conditioned_ensemble(eps))
+    code, out = run_cli(capsys, "pgm", "--input", str(path))
+    entries = lines_of(out)
+    assert code == 0, out
+    assert float(entries["completeness_residual"]) <= cap
+    assert float(entries["repreparation_error"]) <= cap
+
+
+def test_pgm_paths_read_one_rho(tmp_path, capsys):
+    # the reader admits an eigenvalue down to -1e-8; both paths and the
+    # sampler must read that rho alike
+    path = tmp_path / "pgm.json"
+    rho = np.diag([1.0 + 5e-9, -5e-9, 0.0]).astype(complex)
+    io.write_pgm_instance(str(path), pgm.PGMInstance(np.eye(3, 2, dtype=complex)), rho=rho)
+    code, out = run_cli(capsys, "pgm", "--input", str(path))
+    assert code == 0, out
+    assert float(lines_of(out)["dual_path_gap"]) <= 1e-15
+    code, out = run_cli(capsys, "pgm", "--input", str(path), "--shots", "100")
+    assert code == 0, out
+    assert lines_of(out)["counts.0"] == "100"
 
 
 @pytest.mark.parametrize(

@@ -110,7 +110,7 @@ def test_polar_route_agrees_exactly():
         routed = pgm.pgm_via_polar(inst, rho)
         np.testing.assert_allclose(routed, direct, atol=1e-10)
         # U^dag |j> re-prepares the measurement direction chi_j
-        assert max(verify.pgm_residuals(inst)) < 1e-10
+        assert max(verify.pgm_residuals(inst, pgm.pgm_vectors(inst))) < 1e-10
 
 
 def test_polar_route_qpe_on_orthonormal_states():
@@ -136,3 +136,28 @@ def test_sampler_is_seeded_and_conserves_shots():
         pgm.sample_outcomes(np.array([0.9, 0.3]), 10, seed=1)
     with pytest.raises(ValueError):
         pgm.sample_outcomes(np.array([-0.1, 0.5]), 10, seed=1)
+
+
+def test_residuals_scale_with_the_ensemble_condition_number():
+    # chi comes from Phi's own SVD, not from S = Phi Phi^dag, so the dual-path
+    # gap and both residuals stay within c eps kappa(Phi), not c eps kappa^2
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    eps = np.finfo(float).eps
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), log_ratio=st.floats(-7.0, 0.0))
+    def run(seed, log_ratio):
+        rng = generate.rng_for(seed)
+        d, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        s = np.geomspace(1.0, 10.0**log_ratio, min(d, n))
+        phi = generate.matrix_with_singular_values(s, d, n, rng)
+        inst = PGMInstance(states=phi / np.linalg.norm(phi, axis=0))
+        sv = np.linalg.svd(inst.states, compute_uv=False)
+        bound = 100.0 * eps * sv[0] / sv[-1]
+        rho = generate.random_density(d, rng)
+        chi = pgm.pgm_vectors(inst)
+        gap = np.max(np.abs(pgm.pgm_probabilities(inst, rho, chi) - pgm.pgm_via_polar(inst, rho)))
+        assert max(gap, *verify.pgm_residuals(inst, chi)) <= bound
+
+    run()
