@@ -21,7 +21,7 @@ def run(seed: int = 7) -> None:
 
     chi = generate.random_state(3, rng)
     psi = embedding.inject_right(chi, a.shape[0])
-    out, _, _ = polar.apply_polar_isometry(a, psi)
+    out, _, _ = polar.apply_polar_isometry(polar.dilation(a), psi)
 
     moved = out[3:]
     expected = factors.isometry @ chi
@@ -38,7 +38,7 @@ def run(seed: int = 7) -> None:
     a_def = generate.matrix_with_singular_values(sing, 3, 3, rng)
     kernel = linalg.svd(a_def).right_vectors[:, 2]
     psi_k = embedding.inject_right(kernel, 3)
-    out_k, _, _ = polar.apply_polar_isometry(a_def, psi_k)
+    out_k, _, _ = polar.apply_polar_isometry(polar.dilation(a_def), psi_k)
     stayed = np.linalg.norm(out_k[:3] - kernel)
     print(f"kernel passthrough deviation:      {stayed:.3e}")
 

@@ -30,9 +30,10 @@ def run() -> None:
         oracle = verify.sign_expected(verify.restricted_isometry(linalg.svd(a), None), psi)
         b_req = math.ceil(math.log2(4 * kappa))
         print(f"kappa = {kappa}  (needs b >= {b_req})")
+        dil = polar.dilation(a)
         fids = []
         for bits in range(2, b_req + 3):
-            kept, flagged, _ = polar.apply_polar_isometry(a, psi, config=QPEConfig(bits=bits))
+            kept, flagged, _ = polar.apply_polar_isometry(dil, psi, config=QPEConfig(bits=bits))
             fid = verify.branch_fidelity(kept, flagged, *oracle)
             fids.append(fid)
             marker = " <- required width" if bits == b_req else ""

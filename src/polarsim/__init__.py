@@ -3,11 +3,11 @@
 The package splits into a classical oracle layer (``linalg``), the Hermitian
 dilation (``embedding``), the one spectral transform, exact or through a
 simulated phase register (``spectral``), the user-facing transforms
-(``polar``: the polar isometry and ``evolve``, e^{-i g(H) t} for any real g
-of the dilation's signed eigenvalues), and three applications built on them
-(``procrustes``, ``pgm``, ``hsvt``).  ``verify`` holds the oracles every
-route is graded against and the deterministic invariant battery, and ``cli``
-the command-line front end.
+(``polar``: the dilation factored once, the polar isometry and ``evolve``,
+e^{-i g(H) t} for any real g of the dilation's signed eigenvalues), and
+three applications built on them (``procrustes``, ``pgm``, ``hsvt``).
+``verify`` holds the oracles every route is graded against and the
+deterministic invariant battery, and ``cli`` the command-line front end.
 A state on the dilation is a plain (n+m,) array or an (n+m, k) block, input
 block first, and every ``polar`` route returns the (kept, flagged,
 diagnostics) triple of ``spectral.spectral_transform``.
@@ -18,8 +18,8 @@ from __future__ import annotations
 from .embedding import embed
 from .hsvt import SplitHamiltonian, isolate_offdiagonal
 from .linalg import PolarFactors, SVDResult, classical_polar, svd
-from .pgm import PGMInstance, pgm_probabilities, pgm_vectors, pgm_via_polar
-from .polar import apply_polar_isometry, evolve
+from .pgm import PGMInstance, density_matrix, pgm_probabilities, pgm_vectors, pgm_via_polar
+from .polar import Dilation, apply_polar_isometry, dilation, evolve
 from .procrustes import (
     ProcrustesInstance,
     apply_procrustes_quantum,
@@ -31,6 +31,7 @@ from .verify import ItemResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
+    "Dilation",
     "ItemResult",
     "PGMInstance",
     "PolarFactors",
@@ -43,6 +44,8 @@ __all__ = [
     "apply_polar_isometry",
     "apply_procrustes_quantum",
     "classical_polar",
+    "density_matrix",
+    "dilation",
     "embed",
     "evolve",
     "isolate_offdiagonal",

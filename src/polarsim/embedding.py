@@ -37,7 +37,7 @@ def embed(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     m, n = a.shape
     full = np.zeros((n + m, n + m), dtype=complex)

@@ -5,11 +5,13 @@ off-diagonal part can be isolated algebraically, (M - V M V)/2 with
 V = P_top - P_bottom, or dynamically, by interleaving forward and
 V-conjugated backward evolutions of M.  Either way the surviving operator is
 the plain dilation of A: a singular-value transform of the coupling is any
-``polar`` primitive applied to ``isolate_offdiagonal(sh)``, and the diagonal
-blocks never matter.  V is the +/-1 diagonal of
+``polar`` primitive applied to ``polar.dilation(isolate_offdiagonal(sh))``,
+and the diagonal blocks never matter.  V is the +/-1 diagonal of
 ``embedding.block_parity``.  The Trotter product is graded as an operator,
 step^n against the exact evolution, as density exponentiation is; no state is
-evolved.
+evolved.  That exact evolution comes from the same factored dilation the
+transforms take: it grades the Trotter product, never the transform, so one
+factorization of the coupling serves both.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from . import embedding, linalg
+from . import linalg, polar
 from .embedding import block_parity
 
 
@@ -82,14 +84,17 @@ def trotter_step(sh: SplitHamiltonian, dt: float) -> np.ndarray:
     return forward @ (p[:, None] * forward.conj().T * p)
 
 
-def trotter_offdiagonal_evolution(sh: SplitHamiltonian, t: float, n_steps: int) -> float:
+def trotter_offdiagonal_evolution(
+    sh: SplitHamiltonian, coupling: polar.Dilation, t: float, n_steps: int
+) -> float:
     """Operator-norm deviation of n_steps Trotter steps from the exact evolution.
 
     The steps have dt = t/n_steps, and the exact evolution is that of the
-    isolated off-diagonal part, e^{-i t embed(A)}.
+    isolated off-diagonal part, e^{-i t embed(A)}, formed from ``coupling``,
+    which must be ``polar.dilation(isolate_offdiagonal(sh))``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     step = trotter_step(sh, t / n_steps)
-    target = linalg.matrix_exp_hermitian(embedding.embed(isolate_offdiagonal(sh)), t)
+    target = linalg.exp_from_eig(coupling.eig, t)
     return float(np.linalg.norm(np.linalg.matrix_power(step, n_steps) - target, ord=2))

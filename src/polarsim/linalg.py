@@ -29,7 +29,7 @@ def _as_complex_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -72,11 +72,23 @@ class SVDResult:
 
 @dataclasses.dataclass(frozen=True)
 class PolarFactors:
-    """Polar factorization A = isometry @ right_positive = left_positive @ isometry."""
+    """Polar factorization A = isometry @ right_positive = left_positive @ isometry.
+
+    The positive factors are multiplied out of ``svd`` each time one is read.
+    """
 
     isometry: np.ndarray
-    right_positive: np.ndarray
-    left_positive: np.ndarray
+    svd: SVDResult
+
+    @property
+    def right_positive(self) -> np.ndarray:
+        r = self.svd.right_vectors
+        return (r * self.svd.singular_values) @ r.conj().T
+
+    @property
+    def left_positive(self) -> np.ndarray:
+        left = self.svd.left_vectors
+        return (left * self.svd.singular_values) @ left.conj().T
 
 
 def rank_cutoff(singular_values: np.ndarray, tol: float | None = None) -> float:
@@ -112,18 +124,9 @@ def classical_polar(a: np.ndarray, tol: float | None = None) -> PolarFactors:
     left_positive = (A A^dag)^(1/2) keep their kernel blocks at zero.
     """
     res = svd(a)
-    cut = rank_cutoff(res.singular_values, tol)
-    keep = res.singular_values > cut
-    l_keep = res.left_vectors[:, keep]
-    r_keep = res.right_vectors[:, keep]
-    isometry = l_keep @ r_keep.conj().T
-    right_positive = (res.right_vectors * res.singular_values) @ res.right_vectors.conj().T
-    left_positive = (res.left_vectors * res.singular_values) @ res.left_vectors.conj().T
-    return PolarFactors(
-        isometry=isometry,
-        right_positive=right_positive,
-        left_positive=left_positive,
-    )
+    keep = res.singular_values > rank_cutoff(res.singular_values, tol)
+    isometry = res.left_vectors[:, keep] @ res.right_vectors[:, keep].conj().T
+    return PolarFactors(isometry=isometry, svd=res)
 
 
 def require_hermitian(h: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:

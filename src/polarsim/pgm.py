@@ -67,15 +67,25 @@ def pgm_vectors(inst: PGMInstance) -> np.ndarray:
     return linalg.classical_polar(inst.states).isometry
 
 
-def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
+def density_matrix(rho: np.ndarray, dim: int) -> np.ndarray:
+    """rho checked once as a density matrix on C^dim, returned as rho/2 + rho^dag/2.
+
+    rho must be Hermitian entrywise within 1e-8 (``linalg.is_hermitian``),
+    of unit trace and with no eigenvalue below -1e-8.  The Hermitian part it
+    returns, the halves as ``is_hermitian`` compares them, is exact to the
+    last bit, so both outcome paths read the same matrix and the route's
+    ``linalg.hermitian_eig`` accepts whatever passed here.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim} x {dim}, got {rho.shape}")
     if not linalg.is_hermitian(rho, atol=_TRACE_ATOL):
         raise ValueError("density matrix must be Hermitian")
+    half = rho / 2
+    rho = half + half.conj().T
     if abs(np.trace(rho).real - 1.0) > _TRACE_ATOL:
         raise ValueError(f"density matrix must have unit trace, got {np.trace(rho).real}")
-    if not linalg.is_positive_semidefinite(rho, atol=_TRACE_ATOL):
+    if np.linalg.eigvalsh(rho)[0] < -_TRACE_ATOL:
         raise ValueError("density matrix must be positive semidefinite")
     return rho
 
@@ -83,8 +93,10 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
 def pgm_probabilities(
     inst: PGMInstance, rho: np.ndarray, chi: np.ndarray | None = None
 ) -> np.ndarray:
-    """Outcome distribution p(j) = <chi_j| rho |chi_j>, chi = ``pgm_vectors(inst)`` if not given."""
-    rho = _check_density(rho, inst.dim)
+    """Outcome distribution p(j) = <chi_j| rho |chi_j>, chi = ``pgm_vectors(inst)`` if not given.
+
+    ``rho`` is what ``density_matrix`` returns; it is not checked again.
+    """
     chi = pgm_vectors(inst) if chi is None else chi
     return np.real(np.einsum("ij,ik,kj->j", chi.conj(), rho, chi))
 
@@ -99,14 +111,15 @@ def pgm_via_polar(
     Every eigenvector of rho rides the sign transform of the dilation of
     A = sum_j |j><phi_j| as one block, exactly when ``config`` is None and
     through the simulated pipeline otherwise; the isometry U carries each to
-    the index basis, where p(j) = <j| U rho U^dag |j> is read off.  The
-    slightly negative eigenvalues the density check admits are kept, so both
+    the index basis, where p(j) = <j| U rho U^dag |j> is read off.  ``rho``
+    is what ``density_matrix`` returns, as for ``pgm_probabilities``, and
+    the slightly negative eigenvalues that check admits are kept, so both
     paths read the same rho.
     """
-    rho = _check_density(rho, inst.dim)
     w, vecs = linalg.hermitian_eig(rho)
     psi = embedding.inject_right(vecs, inst.n_states)
-    kept, _, _ = polar.apply_polar_isometry(inst.stacking_map(), psi, config)
+    dil = polar.dilation(inst.stacking_map())
+    kept, _, _ = polar.apply_polar_isometry(dil, psi, config)
     return np.abs(kept[inst.dim :]) ** 2 @ w
 
 

@@ -1,9 +1,11 @@
 """Polar-decomposition primitives realized as spectral transforms of a dilation.
 
-Each operation embeds the target matrix A in its Hermitian dilation, rescales
-so the top singular value is 1 (``evolve`` undoes the scale before reading
-its g), and applies a spectral function, exactly when ``config`` is None and
-through the simulated phase-estimation pipeline at ``config.bits`` otherwise:
+``dilation(a)`` embeds the target matrix A in its Hermitian dilation
+H = embed(A) and factors it once; every primitive takes that ``Dilation``,
+rescales the spectrum so the top singular value is 1 (``evolve`` undoes the
+scale before reading its g), and applies a spectral function, exactly when
+``config`` is None and through the simulated phase-estimation pipeline at
+``config.bits`` otherwise:
 
 * ``apply_polar_isometry``, the sign phase: (psi_R, psi_L) maps to
   (U^dag psi_L, U psi_R), identity on kernel/cokernel;
@@ -17,17 +19,19 @@ the state into a well-conditioned branch (singular values >= 1/kappa_tilde,
 after rescaling) that receives the isometry and a flagged branch left
 untouched; ``SpectralFunction.sign_phase`` is where kappa_tilde is checked.
 
-Each call factors its dilation once and computes no oracle (``verify`` holds
-those).  A state is a plain (n+m,) vector on the direct sum, input block
-first, or an (n+m, k) block of k states, whose diagnostics aggregate over the
-columns as ``SimDiagnostics`` describes.  Every call returns what
-``spectral.spectral_transform`` returns: the unnormalized (kept, flagged)
-branches shaped like the state, flagged all zeros without a flag threshold,
-and the diagnostics.
+A caller factors each operator once and hands the ``Dilation`` to every
+primitive it runs on it; no primitive factors anything or computes an oracle
+(``verify`` holds those).  A state is a plain (n+m,) vector on the direct
+sum, input block first, or an (n+m, k) block of k states, whose diagnostics
+aggregate over the columns as ``SimDiagnostics`` describes.  Every call
+returns what ``spectral.spectral_transform`` returns: the unnormalized (kept,
+flagged) branches shaped like the state, flagged all zeros without a flag
+threshold, and the diagnostics.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -36,24 +40,40 @@ from . import embedding, linalg, spectral
 from .spectral import QPEConfig, SimDiagnostics, SpectralFunction
 
 
-def _prepared(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-    """Eigenpairs of the dilation of A/sigma_max and the scale divided out.
+@dataclasses.dataclass(frozen=True)
+class Dilation:
+    """The dilation H = embed(A) of an (m, n) matrix A, factored once.
 
-    The dilation's spectrum is +/- sigma_j padded with zeros, so one
-    eigendecomposition gives both: sigma_max = max |eigenvalue| (1.0 for A = 0).
+    Attributes:
+        eig: H's unscaled (eigenvalues, eigenvectors) from one
+            ``linalg.hermitian_eig``; ``linalg.exp_from_eig(eig, t)`` is e^{-iHt}.
+        scale: sigma_max = max |eigenvalue| (1.0 for A = 0), divided out by
+            every primitive.
     """
+
+    eig: tuple[np.ndarray, np.ndarray]
+    scale: float
+
+
+def dilation(a: np.ndarray) -> Dilation:
+    """Factor the dilation of A: its spectrum is +/- sigma_j padded with zeros,
+    so one eigendecomposition gives the eigenpairs and sigma_max."""
     w, v = linalg.hermitian_eig(embedding.embed(a))
-    scale = float(np.max(np.abs(w), initial=0.0)) or 1.0
-    return (w / scale, v), scale
+    return Dilation(eig=(w, v), scale=float(np.max(np.abs(w), initial=0.0)) or 1.0)
+
+
+def _rescaled(dil: Dilation) -> tuple[np.ndarray, np.ndarray]:
+    w, v = dil.eig
+    return w / dil.scale, v
 
 
 def apply_polar_isometry(
-    a: np.ndarray,
+    dil: Dilation,
     psi: np.ndarray,
     config: QPEConfig | None = None,
     kappa_tilde: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Apply the polar (partial) isometry of A through its dilation.
+    """Apply the polar (partial) isometry of A through its dilation ``dil``.
 
     On the co-kernel the exact route equals the block map
     (psi_R, psi_L) -> (U^dag psi_L, U psi_R) with U from the classical polar
@@ -65,18 +85,17 @@ def apply_polar_isometry(
     sets the flag.
     """
     f = SpectralFunction.sign_phase(kappa_tilde)
-    eig, _ = _prepared(a)
-    return spectral.spectral_transform(eig, f, psi, config)
+    return spectral.spectral_transform(_rescaled(dil), f, psi, config)
 
 
 def evolve(
-    a: np.ndarray,
+    dil: Dilation,
     g: Callable[[np.ndarray], np.ndarray],
     t: float,
     psi: np.ndarray,
     config: QPEConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Evolve for time t under g of the dilation: e^{-i g(H) t}, H = embed(A).
+    """Evolve for time t under g of the dilation: e^{-i g(H) t}, ``dil`` of H = embed(A).
 
     g is a real function of H's signed, unscaled eigenvalues +/- sigma_j and
     the zeros padding them: the internal rescale is undone before g reads
@@ -88,9 +107,7 @@ def evolve(
     e^{-i f(B) t} (+) e^{-i f(B~) t}.  Eigenvalues within ZERO_BAND of zero on
     the rescaled spectrum, where the rank cutoff is calibrated, are read as 0.
     """
-    eig, scale = _prepared(a)
-
     def phase(x: np.ndarray) -> np.ndarray:
-        return g(np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x) * scale) * t
+        return g(np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x) * dil.scale) * t
 
-    return spectral.spectral_transform(eig, SpectralFunction(phase), psi, config)
+    return spectral.spectral_transform(_rescaled(dil), SpectralFunction(phase), psi, config)

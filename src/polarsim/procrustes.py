@@ -197,7 +197,7 @@ def apply_procrustes_quantum(
     a = inst.cross_covariance()
     psi = embedding.inject_right(chi, inst.output_dim)
     if config is None or n_steps is None:
-        kept, _, diag = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
+        kept, _, diag = polar.apply_polar_isometry(polar.dilation(a), psi, config, kappa_tilde)
         return kept[inst.input_dim :], diag
     if pair is None:
         raise TypeError("the walk route needs pair=reduced_density(inst)")

@@ -69,20 +69,21 @@ def sign_expected(
 
 
 def evolution_expected(
-    function: str, a: np.ndarray, t: float, psi: np.ndarray
+    function: str, res: linalg.SVDResult, t: float, psi: np.ndarray
 ) -> np.ndarray:
     """Oracle for e^{-i|H|t} (``"abs"``) or e^{-iHt} (``"linear"``), H = embed(A).
 
-    ``psi`` is split after its first n = ``a.shape[1]`` rows.  Both take one
-    SVD A = L S R^dag.  ``"abs"`` is e^{-iBt} on the top block,
+    ``res`` is ``linalg.svd(A)``, A = L S R^dag, so one SVD grades any number
+    of times t.  ``psi`` is split after its first n rows, n the number of
+    columns of A.  ``"abs"`` is e^{-iBt} on the top block,
     psi_top + R(e^{-iSt} - 1)R^dag psi_top with B = R S R^dag, and the same
     through L on the bottom.  ``"linear"`` gives the top block
     psi_top + R((cos St - 1) R^dag psi_top - i sin St L^dag psi_bottom) and
     the bottom block its mirror image.
     """
-    res = linalg.svd(a)
     left, right = res.left_vectors, res.right_vectors
-    psi_top, psi_bottom = psi[: a.shape[1]], psi[a.shape[1] :]
+    n = right.shape[0]
+    psi_top, psi_bottom = psi[:n], psi[n:]
     top, bottom = right.conj().T @ psi_top, left.conj().T @ psi_bottom
     if function == "abs":
         phase = np.exp(-1j * res.singular_values * t) - 1.0
@@ -172,7 +173,7 @@ def check_polar_oracle_equivalence(seed: int) -> tuple[bool, dict]:
         a = generate.random_complex_matrix(m, n, rng)
         a = a / float(np.linalg.norm(a, ord=2))
         psi = generate.random_state(n + m, rng)
-        kept, _, _ = polar.apply_polar_isometry(a, psi)
+        kept, _, _ = polar.apply_polar_isometry(polar.dilation(a), psi)
         expected, _ = sign_expected(restricted_isometry(linalg.svd(a), None), psi)
         err = float(np.linalg.norm(kept - expected))
         worst = np.maximum(worst, err)
@@ -202,7 +203,8 @@ def check_qpe_dyadic_exactness(seed: int) -> tuple[bool, dict]:
             n = int(rng.integers(2, 7))
             a = generate.dyadic_singular_matrix(bits, m, n, rng)
             psi = generate.random_state(n + m, rng)
-            kept, flagged, diag = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
+            dil = polar.dilation(a)
+            kept, flagged, diag = polar.apply_polar_isometry(dil, psi, QPEConfig(bits=bits))
             u = restricted_isometry(linalg.svd(a), None)
             fid = branch_fidelity(kept, flagged, *sign_expected(u, psi))
             worst_fid = np.minimum(worst_fid, fid)
@@ -247,9 +249,10 @@ def check_condition_number_scaling(seed: int) -> tuple[bool, dict]:
                 right = generate.random_state(4, rng)
             psi = embedding.inject_right(right, a.shape[0])
             oracle = sign_expected(restricted_isometry(linalg.svd(a), None), psi)
+            dil = polar.dilation(a)
             fids = []
             for bits in range(2, b_req + 2):
-                kept, flagged, _ = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
+                kept, flagged, _ = polar.apply_polar_isometry(dil, psi, QPEConfig(bits=bits))
                 fid = branch_fidelity(kept, flagged, *oracle)
                 fids.append(fid)
                 if inst == 0:
@@ -286,9 +289,10 @@ def check_positive_factor_evolution(seed: int) -> tuple[bool, dict]:
         else:
             a = generate.random_complex_matrix(m, n, rng)
         psi = generate.random_state(n + m, rng)
+        dil, res = polar.dilation(a), linalg.svd(a)
         for t in (0.1, 1.0, math.pi):
-            kept, _, _ = polar.evolve(a, np.abs, t, psi)
-            expected = evolution_expected("abs", a, t, psi)
+            kept, _, _ = polar.evolve(dil, np.abs, t, psi)
+            expected = evolution_expected("abs", res, t, psi)
             err = float(np.linalg.norm(kept - expected))
             worst = np.maximum(worst, err)
     return bool(worst <= tol), {
@@ -324,8 +328,9 @@ def check_flag_semantics(seed: int) -> tuple[bool, dict]:
         keep = (~ill).astype(float)
         expected_branch = np.concatenate([keep * bottom, keep * top])
         configs = [None] if bits is None else [None, QPEConfig(bits=bits)]
+        dil = polar.dilation(a)
         for config in configs:
-            kept, _, diag = polar.apply_polar_isometry(a, psi, config, kappa_tilde)
+            kept, _, diag = polar.apply_polar_isometry(dil, psi, config, kappa_tilde)
             prob_err = abs(diag.flag_probability - expected_prob)
             branch_err = float(np.linalg.norm(kept - expected_branch))
             worst_prob = np.maximum(worst_prob, prob_err)
@@ -350,11 +355,12 @@ def check_trotter_step_order(seed: int) -> tuple[bool, dict]:
     rng = generate.rng_for(seed, 6)
     inst = generate.random_procrustes_instance(2, 2, 3, rng)
     pair = procrustes.reduced_density(inst)
-    h_over_r = embedding.embed(inst.cross_covariance()) / inst.n_pairs
+    # one factorization of H/r gives the target at every dt
+    generator = linalg.hermitian_eig(embedding.embed(inst.cross_covariance()) / inst.n_pairs)
     dts = np.array([1e-1, 1e-2, 1e-3])
     errs = []
     for dt in dts:
-        target = linalg.matrix_exp_hermitian(h_over_r, dt)
+        target = linalg.exp_from_eig(generator, dt)
         errs.append(
             float(np.linalg.norm(procrustes.dme_step(pair, dt) - target, ord=2))
         )
@@ -476,6 +482,7 @@ def check_pgm_dual_path(seed: int) -> tuple[bool, dict]:
         else:
             v = generate.random_state(d, rng)
             rho = np.outer(v, v.conj())
+        rho = pgm.density_matrix(rho, d)
         chi = pgm.pgm_vectors(inst)
         p_direct = pgm.pgm_probabilities(inst, rho, chi)
         p_polar = pgm.pgm_via_polar(inst, rho)
@@ -629,11 +636,12 @@ def taylor_exp(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _controlled_powers(walk: np.ndarray, n: int) -> np.ndarray:
+def controlled_powers(walk: np.ndarray, n: int) -> np.ndarray:
     """W^k for the pointer values k = 0 .. N-1, stacked as an (N, d, d) array.
 
     Bit j of the pointer controls W^(2^j): each round appends W^(2^j) times
-    every power built so far, then squares.
+    every power built so far, then squares.  The table is what
+    ``pointer_circuit`` takes, so one walk's table serves every run on it.
     """
     powers = np.eye(len(walk), dtype=complex)[None]
     square = np.asarray(walk, dtype=complex)
@@ -643,50 +651,52 @@ def _controlled_powers(walk: np.ndarray, n: int) -> np.ndarray:
     return powers
 
 
-def _correlate(walk: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
+def _correlate(powers: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Stage one of the literal circuit: the (d, N) table over the N pointer codes.
 
-    The pointer starts uniform and controls powers of W, so column k holds
-    W^k psi / sqrt(N); the inverse Fourier transform on the pointer,
-    |k> -> sum_c e^{-2 pi i ck/N} |c> / sqrt(N), then gathers an
+    The pointer starts uniform and controls the N powers of W in ``powers``,
+    so column k holds W^k psi / sqrt(N); the inverse Fourier transform on the
+    pointer, |k> -> sum_c e^{-2 pi i ck/N} |c> / sqrt(N), then gathers an
     eigencomponent of eigenphase phi near code N phi.
     """
-    table = (_controlled_powers(walk, n) @ psi).T / math.sqrt(n)
+    n = len(powers)
+    table = (powers @ psi).T / math.sqrt(n)
     return np.fft.fft(table, axis=1) / math.sqrt(n)
 
 
-def _uncompute(walk: np.ndarray, branches: np.ndarray) -> tuple[np.ndarray, float]:
+def _uncompute(powers: np.ndarray, branches: np.ndarray) -> tuple[np.ndarray, float]:
     """Stage three on (..., d, N) branch tables: code-0 vectors, squared norm elsewhere.
 
     The Fourier transform undoes stage one's, pointer value k applies
-    (W^dag)^k to its column, and the inverse transform returns to the codes.
+    (W^dag)^k, from the N powers of W in ``powers``, to its column, and the
+    inverse transform returns to the codes.
     """
     n = branches.shape[-1]
     y = np.fft.ifft(branches, axis=-1) * math.sqrt(n)
-    back = np.einsum("kji,...jk->...ik", _controlled_powers(walk, n).conj(), y)
+    back = np.einsum("kji,...jk->...ik", powers.conj(), y)
     out = np.fft.fft(back, axis=-1) / math.sqrt(n)
     return out[..., 0], float(np.linalg.norm(out[..., 1:]) ** 2)
 
 
 def pointer_circuit(
-    walk: np.ndarray, f: SpectralFunction, psi: np.ndarray, config: QPEConfig
+    powers: np.ndarray, f: SpectralFunction, psi: np.ndarray, config: QPEConfig
 ) -> tuple[np.ndarray, np.ndarray, spectral.SimDiagnostics]:
     """Literal phase estimation of e^{-i f(H)} on one state, given W = e^{2 pi i H/4}.
 
-    The reference ``spectral_transform`` is graded against.  It takes W
-    itself (a synthesized walk, or ``taylor_exp`` of 2 pi i H/4) and factors
-    nothing.  Stage two multiplies code c by e^{-i f(x_c)}, or moves it
-    unphased to the flag branch where ``f.flags(x_c)``, at x_c =
-    ``config.decode(c)``.  Returns the code-0 (kept, flagged) vectors, the
-    leakage (the norm both branches leave off code 0) and the flag branch's
-    weight.
+    The reference ``spectral_transform`` is graded against.  It takes
+    ``controlled_powers(walk, config.grid_size)`` of W itself (a synthesized
+    walk, or ``taylor_exp`` of 2 pi i H/4) and factors nothing.  Stage two
+    multiplies code c by e^{-i f(x_c)}, or moves it unphased to the flag
+    branch where ``f.flags(x_c)``, at x_c = ``config.decode(c)``.  Returns
+    the code-0 (kept, flagged) vectors, the leakage (the norm both branches
+    leave off code 0) and the flag branch's weight.
     """
     n = config.grid_size
-    table = _correlate(walk, np.asarray(psi, dtype=complex), n)
+    table = _correlate(powers, np.asarray(psi, dtype=complex))
     x = config.decode(np.arange(n))
     ill = f.flags(x)
     branches = np.stack([np.where(ill, 0.0, np.exp(-1j * f(x))) * table, ill * table])
-    (kept, flagged), leak_sq = _uncompute(walk, branches)
+    (kept, flagged), leak_sq = _uncompute(powers, branches)
     diag = spectral.SimDiagnostics(
         leakage_norm=math.sqrt(leak_sq),
         flag_probability=float(np.linalg.norm(branches[1]) ** 2),
@@ -706,12 +716,12 @@ def _accounted_weight(
 def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
     """The closed form against a literal phase-estimation circuit.
 
-    ``pointer_circuit`` on W = ``taylor_exp(2 pi i H/4)`` must return the
-    state under a zero phase (roundtrip) with its norm, and account for the
-    whole norm when a thresholded sign flags some of it (flag completeness).
-    ``spectral_transform`` on ``hermitian_eig(H)`` must match it for sign,
-    thresholded sign and |x| phases (closed-form gap) and act linearly on a
-    block of states.
+    ``pointer_circuit`` on the powers of W = ``taylor_exp(2 pi i H/4)``, one
+    table per walk, must return the state under a zero phase (roundtrip)
+    with its norm, and account for the whole norm when a thresholded sign
+    flags some of it (flag completeness).  ``spectral_transform`` on
+    ``hermitian_eig(H)`` must match it for sign, thresholded sign and |x|
+    phases (closed-form gap) and act linearly on a block of states.
     """
     rng = generate.rng_for(seed, 12)
     worst_roundtrip = 0.0
@@ -731,9 +741,9 @@ def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
         h = generate.random_hermitian(d, rng)
         h = 0.9 * h / float(np.linalg.norm(h, ord=2))
         eig = linalg.hermitian_eig(h)
-        walk = taylor_exp(0.5j * np.pi * h)
+        powers = controlled_powers(taylor_exp(0.5j * np.pi * h), config.grid_size)
         psi = generate.random_state(d, rng)
-        out, flagged, diag = pointer_circuit(walk, zero, psi, config)
+        out, flagged, diag = pointer_circuit(powers, zero, psi, config)
         norm = math.sqrt(_accounted_weight(out, flagged, diag))
         worst_norm = np.maximum(worst_norm, abs(norm - 1.0))
         worst_roundtrip = np.maximum(worst_roundtrip, float(np.linalg.norm(out - psi)))
@@ -752,7 +762,7 @@ def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
         )
         for g in graded:
             kept, flagged, diag = spectral.spectral_transform(eig, g, psi, config)
-            ref_kept, ref_flagged, ref = pointer_circuit(walk, g, psi, config)
+            ref_kept, ref_flagged, ref = pointer_circuit(powers, g, psi, config)
             if g.flag_threshold > 0.0:
                 worst_flag = np.maximum(
                     worst_flag, abs(_accounted_weight(ref_kept, ref_flagged, ref) - 1.0)

@@ -295,11 +295,11 @@ def test_polar_state_output_is_graded(workdir, capsys, monkeypatch):
     # a route that corrupts only the state call, not the column basis, fails
     original = polar.apply_polar_isometry
 
-    def corrupted(a, psi, *args, **kwargs):
-        kept, flagged, diag = original(a, psi, *args, **kwargs)
+    def corrupted(dil, psi, *args, **kwargs):
+        kept, flagged, diag = original(dil, psi, *args, **kwargs)
         if np.ndim(psi) == 2:
             return kept, flagged, diag
-        n = a.shape[1]
+        n = len(kept) // 2  # A is square
         return np.concatenate([kept[:n], -kept[n:]]), flagged, diag
 
     monkeypatch.setattr(polar, "apply_polar_isometry", corrupted)
@@ -322,9 +322,9 @@ def test_hsvt_grades_its_route_against_the_oracle(workdir, capsys, monkeypatch, 
     assert code == 0, out
     original = polar.apply_polar_isometry
 
-    def wrong_swap(a, psi, *args, **kwargs):
-        kept, flagged, diag = original(a, psi, *args, **kwargs)
-        n = a.shape[1]
+    def wrong_swap(dil, psi, *args, **kwargs):
+        kept, flagged, diag = original(dil, psi, *args, **kwargs)
+        n = len(kept) // 2  # the split is 2 + 2
         return np.concatenate([kept[:n], -kept[n:]]), flagged, diag
 
     monkeypatch.setattr(polar, "apply_polar_isometry", wrong_swap)
@@ -392,40 +392,23 @@ def test_nan_state_is_malformed(workdir, capsys):
     capsys.readouterr()
 
 
-def _count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
-    # (kind, shape) per factorization, in call order: "eigh" and "svd" for
-    # linalg.hermitian_eig and linalg.svd, and "np.eig", "np.eigh" and "np.qr"
-    # for numpy's own factorizations where they are called outside linalg
-    calls: list[tuple[str, tuple[int, ...]]] = []
-    for name, attr in (("eigh", "hermitian_eig"), ("svd", "svd")):
-
-        def counting(mat, *args, _name=name, _original=getattr(linalg, attr), **kwargs):
-            calls.append((_name, np.shape(mat)))
-            return _original(mat, *args, **kwargs)
-
-        monkeypatch.setattr(linalg, attr, counting)
-    for attr in ("eig", "eigh", "qr"):
-
-        def counting_np(mat, *args, _name=f"np.{attr}", _original=getattr(np.linalg, attr),
-                        **kwargs):
-            if sys._getframe(1).f_globals.get("__name__") != linalg.__name__:
-                calls.append((_name, np.shape(mat)))
-            return _original(mat, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, attr, counting_np)
-    return calls
-
-
-def test_polar_factors_the_operator_once(workdir, capsys, monkeypatch):
+def test_polar_factors_the_operator_once(workdir, capsys, count_factorizations):
     io.write_matrix(
         str(workdir / "a6.json"),
         generate.random_complex_matrix(6, 6, generate.rng_for(902)),
     )
-    calls = _count_factorizations(monkeypatch)
-    cli.main(["polar", "--input", str(workdir / "a6.json"), "--mode", "qpe",
-              "--bits", "6", "--tolerance", "1"])
-    capsys.readouterr()
-    assert calls == [("eigh", (12, 12)), ("svd", (6, 6))]
+    io.write_matrix(
+        str(workdir / "state12.json"),
+        generate.random_state(12, generate.rng_for(907)).reshape(12, 1),
+    )
+    argv = ["polar", "--input", str(workdir / "a6.json"), "--mode", "qpe",
+            "--bits", "6", "--tolerance", "1"]
+    # the column basis and the --state run share the dilation and the oracle SVD
+    for extra in ([], ["--state", str(workdir / "state12.json")]):
+        calls = count_factorizations()
+        assert cli.main(argv + extra) == 0
+        capsys.readouterr()
+        assert calls == [("eigh", (12, 12)), ("svd", (6, 6))]
 
 
 def _write_operator_and_split(path, a, rng) -> tuple[str, str]:
@@ -469,21 +452,21 @@ def test_evolve_abs_and_hsvt_abs_take_one_path(tmp_path, capsys, mode):
     assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
 
 
-def test_evolve_abs_factors_the_operator_once(workdir, capsys, monkeypatch):
+def test_evolve_abs_factors_the_operator_once(workdir, capsys, count_factorizations):
     # the dilation for the route, one SVD for the oracle
-    calls = _count_factorizations(monkeypatch)
+    calls = count_factorizations()
     assert cli.main(["evolve", "--input", str(workdir / "a.json"), "--time", "0.5"]) == 0
     capsys.readouterr()
     assert calls == [("eigh", (6, 6)), ("svd", (3, 3))]
 
 
 @pytest.mark.parametrize("d, n", [(4, 3), (5, 8)])
-def test_pgm_factors_each_operator_once(tmp_path, capsys, monkeypatch, d, n):
+def test_pgm_factors_each_operator_once(tmp_path, capsys, count_factorizations, d, n):
     # the route: rho and the stacking map's dilation; the direct path: one SVD
     # of the states; the residuals: one SVD of the stacking map, never shared
     path = tmp_path / "pgm.json"
     io.write_pgm_instance(str(path), generate.random_pgm_instance(d, n, generate.rng_for(903)))
-    calls = _count_factorizations(monkeypatch)
+    calls = count_factorizations()
     assert cli.main(["pgm", "--input", str(path), "--mode", "qpe", "--bits", "6",
                      "--tolerance", "1"]) == 0
     capsys.readouterr()
@@ -527,28 +510,73 @@ def test_pgm_paths_read_one_rho(tmp_path, capsys):
     assert lines_of(out)["counts.0"] == "100"
 
 
+def test_pgm_verdict_grades_the_repreparation(tmp_path, capsys, monkeypatch):
+    # a phase e^{0.3ij} on each chi_j leaves the probabilities and the
+    # completeness intact; only the re-preparation U^dag|j> = chi_j sees it
+    path = tmp_path / "pgm.json"
+    io.write_pgm_instance(str(path), generate.random_pgm_instance(5, 4, generate.rng_for(3)))
+    code, out = run_cli(capsys, "pgm", "--input", str(path))
+    assert code == 0, out
+    original = pgm.pgm_vectors
+    monkeypatch.setattr(
+        pgm, "pgm_vectors", lambda inst: original(inst) * np.exp(0.3j * np.arange(4))
+    )
+    code, out = run_cli(capsys, "pgm", "--input", str(path))
+    entries = lines_of(out)
+    assert float(entries["dual_path_gap"]) <= 1e-12
+    assert float(entries["completeness_residual"]) <= 1e-12
+    assert float(entries["repreparation_error"]) > 0.5
+    assert (code, entries["verdict"]) == (1, "fail")
+
+
+def test_pgm_checks_rho_once_under_one_rule(tmp_path, capsys, monkeypatch):
+    # 4e-9i on one side of the diagonal passes the entrywise 1e-8 check and
+    # must pass the route too: both paths read the Hermitian part
+    rho = generate.random_density(3, generate.rng_for(11))
+    rho[0, 1] += 4e-9j
+    path = tmp_path / "pgm.json"
+    io.write_pgm_instance(
+        str(path), generate.random_pgm_instance(3, 4, generate.rng_for(12)), rho=rho
+    )
+    calls = []
+    for owner, attr in ((linalg, "is_hermitian"), (linalg, "require_hermitian"),
+                        (np.linalg, "eigvalsh")):
+
+        def counting(mat, *args, _name=attr, _original=getattr(owner, attr), **kwargs):
+            if np.shape(mat) == (3, 3):
+                calls.append(_name)
+            return _original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    code, out = run_cli(capsys, "pgm", "--input", str(path))
+    assert code == 0, out
+    # the reader's entrywise test and the route's hermitian_eig; one spectrum
+    assert calls.count("is_hermitian") + calls.count("require_hermitian") <= 2
+    assert calls.count("eigvalsh") <= 1
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
           "--steps", "20", "--tolerance", "1"], 2),
         (["hsvt", "--input", "m.json", "--mode", "qpe", "--bits", "6",
-          "--tolerance", "1"], 3),
+          "--tolerance", "1"], 2),
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
           "--steps", "20", "--kappa-tilde", "2", "--tolerance", "1"], 2),
     ],
 )
 def test_product_formulas_factor_each_generator_once(
-    workdir, capsys, monkeypatch, argv, expected
+    workdir, capsys, count_factorizations, argv, expected
 ):
     # procrustes: rho once for both the walk and the three trotter_deviation
     # lines, the target once for all three, one SVD for the classical
     # solution, whose columns also give U_r under --kappa-tilde, and one numpy
-    # eigh of the walk's Cayley transform; hsvt: M and the target for the
-    # Trotter product, the dilation for the route, and one SVD for the oracle
-    # isometry
+    # eigh of the walk's Cayley transform; hsvt: M for the Trotter product,
+    # the coupling's dilation once for its target and the route, and one SVD
+    # for the oracle isometry
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
-    calls = _count_factorizations(monkeypatch)
+    calls = count_factorizations()
     assert cli.main(argv) == 0
     capsys.readouterr()
     kinds = [name for name, _ in calls]
@@ -557,10 +585,11 @@ def test_product_formulas_factor_each_generator_once(
     assert (kinds.count("np.eigh"), kinds.count("np.eig"), kinds.count("np.qr")) == (walks, 0, 0)
 
 
-def test_product_formula_evolutions_make_two_factorizations(monkeypatch):
+def test_product_formula_evolutions_make_two_factorizations(monkeypatch, count_factorizations):
     # one for the generator (rho or M), one for the exact target; the DME
     # deviations at three step counts share both, rho taken as the caller
-    # factors it for the walk
+    # factors it for the walk, and the Trotter target is the coupling's
+    # dilation as the caller factors it for the route
     rng = generate.rng_for(904)
     inst = generate.random_procrustes_instance(2, 3, 4, rng)
     sh = generate.random_split_hamiltonian(2, 3, rng)
@@ -568,19 +597,21 @@ def test_product_formula_evolutions_make_two_factorizations(monkeypatch):
         lambda: procrustes.dme_deviations(
             inst, procrustes.reduced_density(inst), 1.0, [10, 100, 1000]
         ),
-        lambda: hsvt.trotter_offdiagonal_evolution(sh, 1.0, 10),
+        lambda: hsvt.trotter_offdiagonal_evolution(
+            sh, polar.dilation(hsvt.isolate_offdiagonal(sh)), 1.0, 10
+        ),
     ):
-        calls = _count_factorizations(monkeypatch)
+        calls = count_factorizations()
         evolve()
         assert calls == [("eigh", (5, 5)), ("eigh", (5, 5))]
         monkeypatch.undo()
 
 
-def test_walk_eig_makes_one_eigh(monkeypatch):
+def test_walk_eig_makes_one_eigh(count_factorizations):
     # the Cayley transform's eigh; no general eig, no QR
     h = generate.random_hermitian(6, generate.rng_for(905))
     walk = linalg.matrix_exp_hermitian(0.9 * h / np.linalg.norm(h, ord=2), -0.5 * np.pi)
-    calls = _count_factorizations(monkeypatch)
+    calls = count_factorizations()
     spectral.walk_eig(walk)
     assert calls == [("np.eigh", (6, 6))]
 

@@ -70,7 +70,8 @@ def test_isolation_keeps_a_huge_coupling_finite(tmp_path, capsys):
 def test_trotter_converges_and_identity_without_coupling():
     rng = generate.rng_for(604)
     sh = generate.random_split_hamiltonian(2, 2, rng)
-    devs = [hsvt.trotter_offdiagonal_evolution(sh, 1.0, n) for n in (8, 64, 512)]
+    coupling = polar.dilation(hsvt.isolate_offdiagonal(sh))
+    devs = [hsvt.trotter_offdiagonal_evolution(sh, coupling, 1.0, n) for n in (8, 64, 512)]
     assert devs[0] > devs[1] > devs[2]
     step = hsvt.trotter_step(sh, 1.0 / 8)
     np.testing.assert_allclose(step.conj().T @ step, np.eye(4), atol=1e-12)
@@ -79,10 +80,11 @@ def test_trotter_converges_and_identity_without_coupling():
     block[:2, :2] = generate.random_hermitian(2, rng)
     block[2:, 2:] = generate.random_hermitian(2, rng)
     sh0 = SplitHamiltonian(matrix=block, split=2)
-    assert hsvt.trotter_offdiagonal_evolution(sh0, 3.0, 5) < 1e-12
+    coupling0 = polar.dilation(hsvt.isolate_offdiagonal(sh0))
+    assert hsvt.trotter_offdiagonal_evolution(sh0, coupling0, 3.0, 5) < 1e-12
     np.testing.assert_allclose(hsvt.trotter_step(sh0, 3.0 / 5), np.eye(4), atol=1e-12)
     with pytest.raises(ValueError):
-        hsvt.trotter_offdiagonal_evolution(sh, 1.0, 0)
+        hsvt.trotter_offdiagonal_evolution(sh, coupling, 1.0, 0)
 
 
 def test_trotter_step_matches_the_two_exponential_reference():
@@ -120,9 +122,9 @@ def test_diagonal_blocks_never_enter():
     for kappa_tilde in (None, 2.0):
         outs = []
         for seed in (1, 2):
-            a = hsvt.isolate_offdiagonal(build(seed))
-            sign, _, _ = polar.apply_polar_isometry(a, psi, kappa_tilde=kappa_tilde)
-            evolved, _, _ = polar.evolve(a, g, 0.7, psi)
+            dil = polar.dilation(hsvt.isolate_offdiagonal(build(seed)))
+            sign, _, _ = polar.apply_polar_isometry(dil, psi, kappa_tilde=kappa_tilde)
+            evolved, _, _ = polar.evolve(dil, g, 0.7, psi)
             outs.append((sign, evolved))
         for out1, out2 in zip(*outs):
             np.testing.assert_array_equal(out1, out2)

@@ -193,3 +193,17 @@ def test_fix_column_phases_matches_the_loop_bit_for_bit():
     tied = np.array([[1j, 0.0], [-1.0, 0.0]])
     fixed, _ = linalg._fix_column_phases(tied)
     np.testing.assert_array_equal(fixed, np.array([[1.0, 0.0], [1j, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, np.inf), complex(0.0, np.nan)],
+    ids=["nan", "inf", "imaginary-inf", "imaginary-nan"],
+)
+def test_non_finite_entries_are_refused(entry):
+    # one finiteness pass over the complex entries covers both parts
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = a[1, 0] = entry
+    for call in (linalg.svd, linalg.hermitian_eig, linalg.is_hermitian):
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            call(a)

@@ -89,15 +89,22 @@ def test_probabilities_form_distribution_on_span():
 
 
 def test_density_validation():
-    rng = generate.rng_for(705)
-    inst = generate.random_pgm_instance(3, 3, rng)
-    with pytest.raises(ValueError):
-        pgm.pgm_probabilities(inst, np.eye(2, dtype=complex) / 2.0)
-    with pytest.raises(ValueError):
-        pgm.pgm_probabilities(inst, np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="must be 3 x 3"):
+        pgm.density_matrix(np.eye(2, dtype=complex) / 2.0, 3)
+    with pytest.raises(ValueError, match="unit trace"):
+        pgm.density_matrix(np.eye(3, dtype=complex), 3)
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        pgm.pgm_probabilities(inst, bad)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        pgm.density_matrix(bad, 3)
+    skew = np.eye(3, dtype=complex) / 3
+    skew[0, 1] = 2e-8j
+    with pytest.raises(ValueError, match="Hermitian"):
+        pgm.density_matrix(skew, 3)
+    # within the entrywise tolerance the Hermitian part comes back, exactly so
+    skew[0, 1] = 4e-9j
+    rho = pgm.density_matrix(skew, 3)
+    np.testing.assert_array_equal(rho, rho.conj().T)
+    assert rho[0, 1] == 2e-9j
 
 
 def test_polar_route_agrees_exactly():

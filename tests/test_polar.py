@@ -25,7 +25,7 @@ def test_exact_isometry_matches_block_oracle():
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         a = generate.random_complex_matrix(m, n, rng)
         psi = generate.random_state(n + m, rng)
-        kept, flagged, _ = polar.apply_polar_isometry(a, psi)
+        kept, flagged, _ = polar.apply_polar_isometry(polar.dilation(a), psi)
         u = linalg.classical_polar(a).isometry
         np.testing.assert_allclose(kept, _block_action(u, psi, n), atol=1e-10)
         np.testing.assert_array_equal(flagged, np.zeros_like(psi))
@@ -37,7 +37,7 @@ def test_isometry_handles_scaling_and_rank_deficiency():
         s = np.array([1.4, 0.6, 0.0]) * scale
         a = generate.matrix_with_singular_values(s, 5, 3, rng)
         psi = generate.random_state(8, rng)
-        kept, _, _ = polar.apply_polar_isometry(a, psi)
+        kept, _, _ = polar.apply_polar_isometry(polar.dilation(a), psi)
         u = linalg.classical_polar(a).isometry
         np.testing.assert_allclose(kept, _block_action(u, psi, 3), atol=1e-9)
 
@@ -46,7 +46,7 @@ def test_kernel_components_pass_through():
     # A e_3 = 0: a top-block kernel state is returned unchanged
     a = np.diag([1.0, 0.5, 0.0]).astype(complex)
     psi = embedding.inject_right(np.array([0.0, 0.0, 1.0], dtype=complex), 3)
-    kept, _, _ = polar.apply_polar_isometry(a, psi)
+    kept, _, _ = polar.apply_polar_isometry(polar.dilation(a), psi)
     np.testing.assert_allclose(kept, psi, atol=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_flag_split_conserves_weight():
     rng = generate.rng_for(403)
     a = np.diag([1.0, 0.3, 0.05]).astype(complex)
     psi = generate.random_state(6, rng)
-    kept, flagged, diag = polar.apply_polar_isometry(a, psi, kappa_tilde=5.0)
+    kept, flagged, diag = polar.apply_polar_isometry(polar.dilation(a), psi, kappa_tilde=5.0)
     kept_w = float(np.linalg.norm(kept) ** 2)
     flag_w = float(np.linalg.norm(flagged) ** 2)
     assert kept_w + flag_w == pytest.approx(1.0, abs=1e-12)
@@ -71,7 +71,7 @@ def test_wellconditioned_validates_kappa():
     psi = embedding.inject_right(np.array([1.0, 0.0], dtype=complex), 2)
     for kt in (0.5, 1.0, float("nan")):
         with pytest.raises(ValueError, match="condition number"):
-            polar.apply_polar_isometry(a, psi, kappa_tilde=kt)
+            polar.apply_polar_isometry(polar.dilation(a), psi, kappa_tilde=kt)
 
 
 def test_qpe_equals_exact_on_dyadic_spectra():
@@ -79,8 +79,9 @@ def test_qpe_equals_exact_on_dyadic_spectra():
     for bits in (4, 6):
         a = generate.dyadic_singular_matrix(bits, 4, 4, rng)
         psi = generate.random_state(8, rng)
-        exact, _, _ = polar.apply_polar_isometry(a, psi)
-        sim, _, diag = polar.apply_polar_isometry(a, psi, QPEConfig(bits=bits))
+        dil = polar.dilation(a)
+        exact, _, _ = polar.apply_polar_isometry(dil, psi)
+        sim, _, diag = polar.apply_polar_isometry(dil, psi, QPEConfig(bits=bits))
         np.testing.assert_allclose(sim, exact, atol=1e-9)
         assert diag.leakage_norm < 1e-10
 
@@ -90,8 +91,9 @@ def test_qpe_flag_matches_exact_on_grid():
     a = np.diag([1.0, 0.5, 0.125]).astype(complex)
     psi = generate.random_state(6, rng)
     kt = 3.0
-    exact_kept, exact_flagged, exact_diag = polar.apply_polar_isometry(a, psi, kappa_tilde=kt)
-    kept, flagged, diag = polar.apply_polar_isometry(a, psi, QPEConfig(bits=6), kappa_tilde=kt)
+    dil = polar.dilation(a)
+    exact_kept, exact_flagged, exact_diag = polar.apply_polar_isometry(dil, psi, kappa_tilde=kt)
+    kept, flagged, diag = polar.apply_polar_isometry(dil, psi, QPEConfig(bits=6), kappa_tilde=kt)
     np.testing.assert_allclose(kept, exact_kept, atol=1e-9)
     np.testing.assert_allclose(flagged, exact_flagged, atol=1e-9)
     assert diag.flag_probability == pytest.approx(exact_diag.flag_probability, abs=1e-10)
@@ -101,12 +103,13 @@ def test_positive_evolution_norm_and_composition():
     rng = generate.rng_for(407)
     a = generate.random_complex_matrix(4, 3, rng)
     psi = generate.random_state(7, rng)
-    r1, _, _ = polar.evolve(a, np.abs, 0.6, psi)
+    dil = polar.dilation(a)
+    r1, _, _ = polar.evolve(dil, np.abs, 0.6, psi)
     assert np.linalg.norm(r1) == pytest.approx(1.0, abs=1e-12)
-    r2, _, _ = polar.evolve(a, np.abs, 0.9, r1)
-    direct, _, _ = polar.evolve(a, np.abs, 1.5, psi)
+    r2, _, _ = polar.evolve(dil, np.abs, 0.9, r1)
+    direct, _, _ = polar.evolve(dil, np.abs, 1.5, psi)
     np.testing.assert_allclose(r2, direct, atol=1e-10)
-    r0, _, _ = polar.evolve(a, np.abs, 0.0, psi)
+    r0, _, _ = polar.evolve(dil, np.abs, 0.0, psi)
     np.testing.assert_allclose(r0, psi, atol=1e-12)
 
 
@@ -114,7 +117,7 @@ def test_generalized_odd_identity_is_plain_evolution():
     rng = generate.rng_for(408)
     a = generate.random_complex_matrix(3, 3, rng)
     psi = generate.random_state(6, rng)
-    kept, _, _ = polar.evolve(a, lambda x: x, 1.1, psi)
+    kept, _, _ = polar.evolve(polar.dilation(a), lambda x: x, 1.1, psi)
     h = embedding.embed(a)
     expected = linalg.matrix_exp_hermitian(h, 1.1) @ psi
     np.testing.assert_allclose(kept, expected, atol=1e-10)
@@ -128,7 +131,7 @@ def test_generalized_even_acts_blockwise():
     psi = generate.random_state(7, rng)
     base = lambda x: np.cos(x) + x  # noqa: E731
     t = 0.8
-    kept, _, _ = polar.evolve(a, lambda x: base(np.abs(x)), t, psi)
+    kept, _, _ = polar.evolve(polar.dilation(a), lambda x: base(np.abs(x)), t, psi)
     factors = linalg.classical_polar(a)
 
     def blockwise(b: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -158,14 +161,14 @@ def test_generalized_function_sees_unscaled_spectrum():
         return v @ (np.exp(-1j * g(w) * t) * (v.conj().T @ psi))
 
     for scale, t in ((0.5, 1.0), (1.0, 1.0), (40.0, 1.0), (1e-13, 1e13)):
-        kept, _, _ = polar.evolve(scale * a, g, t, psi)
+        kept, _, _ = polar.evolve(polar.dilation(scale * a), g, t, psi)
         np.testing.assert_allclose(kept, oracle(scale * a, t), atol=1e-10)
 
 
 def test_zero_matrix_is_identity_action():
     a = np.zeros((2, 3), dtype=complex)
     psi = generate.random_state(5, generate.rng_for(411))
-    kept, _, _ = polar.apply_polar_isometry(a, psi)
+    kept, _, _ = polar.apply_polar_isometry(polar.dilation(a), psi)
     np.testing.assert_allclose(kept, psi, atol=1e-12)
 
 
@@ -176,10 +179,11 @@ def test_block_equals_single_state_calls(mode):
     a = generate.matrix_with_singular_values(np.array([1.0, 0.5, 0.2]), 4, 3, rng)
     block = np.column_stack([generate.random_state(7, rng) for _ in range(4)])
     config = QPEConfig(bits=5) if mode == "qpe" else None
+    dil = polar.dilation(a)
     calls = (
-        lambda psi: polar.apply_polar_isometry(a, psi, config),
-        lambda psi: polar.apply_polar_isometry(a, psi, config, kappa_tilde=3.0),
-        lambda psi: polar.evolve(a, np.abs, 0.7, psi, config),
+        lambda psi: polar.apply_polar_isometry(dil, psi, config),
+        lambda psi: polar.apply_polar_isometry(dil, psi, config, kappa_tilde=3.0),
+        lambda psi: polar.evolve(dil, np.abs, 0.7, psi, config),
     )
     for call in calls:
         kept, flagged, diag = call(block)
@@ -224,7 +228,8 @@ def _sign_property(check, mode: str, kappa_tilde: float | None) -> None:
         psi = generate.random_state(n + m, rng)
 
         def sign(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-            kept, flagged, _ = polar.apply_polar_isometry(mat, vec, config, kappa_tilde)
+            dil = polar.dilation(mat)
+            kept, flagged, _ = polar.apply_polar_isometry(dil, vec, config, kappa_tilde)
             return np.concatenate([kept, flagged])
 
         check(sign, a, psi, n, c, rng)
@@ -295,7 +300,8 @@ def test_sign_transform_keeps_a_singular_value_at_the_threshold(kappa_tilde):
         s = np.concatenate([levels[:2], rng.choice(levels, size=min(m, n) - 2)])
         a = generate.matrix_with_singular_values(c * np.sort(s)[::-1], m, n, rng)
         psi = generate.random_state(n + m, rng)
-        kept, flagged, _ = polar.apply_polar_isometry(a, psi, kappa_tilde=kappa_tilde)
+        dil = polar.dilation(a)
+        kept, flagged, _ = polar.apply_polar_isometry(dil, psi, kappa_tilde=kappa_tilde)
         u = verify.restricted_isometry(linalg.svd(a), kappa_tilde)
         expected, expected_flagged = verify.sign_expected(u, psi, kappa_tilde)
         np.testing.assert_allclose(kept, expected, atol=1e-12)

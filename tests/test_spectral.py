@@ -30,12 +30,17 @@ def _walk(h):
     return verify.taylor_exp(0.5j * np.pi * np.asarray(h, dtype=complex))
 
 
+def _powers(h, cfg):
+    """The controlled powers of ``_walk(h)`` that the reference circuit runs on."""
+    return verify.controlled_powers(_walk(h), cfg.grid_size)
+
+
 def test_identity_lands_on_single_code():
     # eigenvalue +1 at 3 bits sits exactly on code 2; -1 on code 6
     cfg = QPEConfig(bits=3)
     psi = np.array([1.0 + 0j])
     for h, code in ((np.eye(1), 2), (-np.eye(1), 6)):
-        weights = np.abs(verify._correlate(_walk(h), psi, cfg.grid_size)[0]) ** 2
+        weights = np.abs(verify._correlate(_powers(h, cfg), psi)[0]) ** 2
         assert weights[code] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -47,7 +52,7 @@ def test_correlate_closed_form():
     h = np.array([[lam]], dtype=complex)
     psi = np.array([1.0 + 0j])
     n = cfg.grid_size
-    table = verify._correlate(_walk(h), psi, n)
+    table = verify._correlate(_powers(h, cfg), psi)
     phi = lam / 4.0
     k = np.arange(n)
     expected = np.array(
@@ -99,7 +104,7 @@ def test_phase_on_zero_hamiltonian():
     psi = np.array([0.6, 0.8], dtype=complex)
     f = SpectralFunction.sign_phase()
     for out, flagged, diag in (
-        verify.pointer_circuit(_walk(h), f, psi, cfg),
+        verify.pointer_circuit(_powers(h, cfg), f, psi, cfg),
         spectral.spectral_transform(linalg.hermitian_eig(h), f, psi, cfg),
     ):
         np.testing.assert_allclose(out, psi, atol=1e-12)
@@ -116,10 +121,10 @@ def test_uncompute_inverts_correlate():
         h = generate.random_hermitian(d, rng)
         h = 0.95 * h / float(np.linalg.norm(h, ord=2))
         psi = generate.random_state(d, rng)
-        walk = _walk(h)
-        table = verify._correlate(walk, psi, cfg.grid_size)
+        powers = _powers(h, cfg)
+        table = verify._correlate(powers, psi)
         assert np.linalg.norm(table) == pytest.approx(1.0, abs=1e-12)
-        out, _, diag = verify.pointer_circuit(walk, zero, psi, cfg)
+        out, _, diag = verify.pointer_circuit(powers, zero, psi, cfg)
         np.testing.assert_allclose(out, psi, atol=1e-12)
         assert diag.leakage_norm < 1e-12
 
@@ -176,7 +181,7 @@ def test_flag_routes_small_codes():
     hmat[:2, 2:] = a.conj().T
     psi = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     _, flagged, diag = verify.pointer_circuit(
-        _walk(hmat), SpectralFunction.sign_phase(kappa_tilde=4.0), psi, cfg
+        _powers(hmat, cfg), SpectralFunction.sign_phase(kappa_tilde=4.0), psi, cfg
     )
     # flagged weight: the two eigencomponents with |lambda| = 1/16
     assert diag.flag_probability == pytest.approx(0.25 + 0.25, abs=1e-10)
@@ -190,23 +195,24 @@ def test_pointer_transform_is_unitary_qft():
     # a correlated one: code 0 and the rest add back to the table's norm
     rng = generate.rng_for(304)
     x = (rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
-    code0, rest = verify._uncompute(generate.random_unitary(3, rng), x)
+    powers = verify.controlled_powers(generate.random_unitary(3, rng), 8)
+    code0, rest = verify._uncompute(powers, x)
     assert np.linalg.norm(code0) ** 2 + rest == pytest.approx(np.linalg.norm(x) ** 2, abs=1e-12)
     # with W = 1 the Fourier pair cancels: basis pointer |c> returns to |c>,
     # so code 0 keeps its own amplitude and nothing else
     e1 = np.zeros((1, 8), dtype=complex)
     e1[0, 1] = 1.0
-    code0, rest = verify._uncompute(np.eye(1), e1)
+    code0, rest = verify._uncompute(verify.controlled_powers(np.eye(1), 8), e1)
     assert abs(code0[0]) < 1e-15 and rest == pytest.approx(1.0, abs=1e-12)
     # the uniform pointer, all columns psi/sqrt(N), transforms onto code 0 alone
-    table = verify._correlate(np.eye(1), np.array([1.0 + 0j]), 8)
+    table = verify._correlate(verify.controlled_powers(np.eye(1), 8), np.array([1.0 + 0j]))
     np.testing.assert_allclose(table[0], np.eye(8)[0], atol=1e-15)
 
 
 def _literal_circuit(h, f, block, cfg):
     """The literal circuit on W = e^{2 pi i H/4}, one column at a time: the reference."""
-    walk = _walk(h)
-    runs = [verify.pointer_circuit(walk, f, col, cfg) for col in block.T]
+    powers = _powers(h, cfg)
+    runs = [verify.pointer_circuit(powers, f, col, cfg) for col in block.T]
     kept = np.column_stack([run[0] for run in runs])
     flagged = np.column_stack([run[1] for run in runs])
     leakage = max(run[2].leakage_norm for run in runs)
@@ -357,11 +363,12 @@ def test_walk_route_is_code_zero_of_the_literal_walk_table(bits):
     for dims in ((2, 2, 3), (2, 4, 3), (3, 1, 4)):
         walk = _dme_walk(generate.random_procrustes_instance(*dims, rng), 20)
         psi = generate.random_state(walk.shape[0], rng)
+        powers = verify.controlled_powers(walk, cfg.grid_size)
         for f in (SpectralFunction.sign_phase(), SpectralFunction.sign_phase(kappa_tilde=3.0)):
             kept, flagged, diag = spectral.spectral_transform(
                 spectral.walk_eig(walk), f, psi, cfg
             )
-            ref_kept, ref_flagged, ref = verify.pointer_circuit(walk, f, psi, cfg)
+            ref_kept, ref_flagged, ref = verify.pointer_circuit(powers, f, psi, cfg)
             np.testing.assert_allclose(kept, ref_kept, atol=1e-10)
             np.testing.assert_allclose(flagged, ref_flagged, atol=1e-10)
             assert diag.leakage_norm**2 == pytest.approx(ref.leakage_norm**2, abs=1e-10)

@@ -13,11 +13,11 @@ def test_nan_output_fails_the_item(monkeypatch):
     original = polar.apply_polar_isometry
     calls = []
 
-    def poisoned(a, *args, **kwargs):
-        result = original(a, *args, **kwargs)
+    def poisoned(*args, **kwargs):
+        result = original(*args, **kwargs)
         calls.append(result)
         if len(calls) == 100:
-            result[0][: a.shape[1]] = np.nan
+            result[0][0] = np.nan
         return result
 
     monkeypatch.setattr(polar, "apply_polar_isometry", poisoned)
@@ -48,13 +48,14 @@ def test_sampled_residuals_match_the_per_unitary_loop():
 
 def _mispair(monkeypatch, spectrum):
     # the route's dilation eigenvalues, moved by ``spectrum`` off their eigenvectors
-    original = polar._prepared
+    original = polar.dilation
 
     def wrong(a):
-        (w, v), scale = original(a)
-        return (spectrum(w), v), scale
+        dil = original(a)
+        w, v = dil.eig
+        return polar.Dilation(eig=(spectrum(w), v), scale=dil.scale)
 
-    monkeypatch.setattr(polar, "_prepared", wrong)
+    monkeypatch.setattr(polar, "dilation", wrong)
 
 
 def test_qpe_fidelity_grades_fail_on_mispaired_eigenpairs(monkeypatch, tmp_path, capsys):
@@ -126,3 +127,38 @@ def test_pipeline_stage_inverse_fails_on_the_defect_catalogue(monkeypatch, seed,
     passed, metrics = verify.check_pipeline_stage_inverse(seed)
     assert not passed
     assert metrics["max_closed_form_gap"] > 0.1
+
+
+# (hermitian_eig, svd) calls per run of a battery item at seed 7
+_BATTERY_FACTORIZATIONS = {
+    # one dilation and one oracle SVD per matrix, for all three t
+    "positive-factor-evolution": (100, 100),
+    # one dilation per instance for every pointer width
+    "condition-number-scaling": (9, 9),
+    # one dilation per case, for the exact and the qpe run alike
+    "flag-semantics": (3, 0),
+    # rho, the per-step target for the three dt, the deviations' target
+    "trotter-step-order": (3, 0),
+}
+
+
+@pytest.mark.parametrize("item", list(_BATTERY_FACTORIZATIONS))
+def test_battery_factors_each_instance_once(count_factorizations, item):
+    calls = count_factorizations()
+    assert verify.run_item(item, 7).passed
+    kinds = [name for name, _ in calls]
+    assert (kinds.count("eigh"), kinds.count("svd")) == _BATTERY_FACTORIZATIONS[item]
+
+
+def test_pipeline_stage_inverse_builds_one_power_table_per_walk(monkeypatch):
+    # 20 walks, each run through the literal circuit four times
+    tables = []
+    original = verify.controlled_powers
+
+    def counting(walk, n):
+        tables.append(n)
+        return original(walk, n)
+
+    monkeypatch.setattr(verify, "controlled_powers", counting)
+    assert verify.check_pipeline_stage_inverse(7)[0]
+    assert tables == [32] * 20
