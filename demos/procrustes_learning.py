@@ -15,7 +15,7 @@ the learned isometry to fresh inputs.
 
 import numpy as np
 
-from polarsim import embedding, generate, linalg, procrustes
+from polarsim import embedding, generate, linalg, polar, procrustes
 from polarsim.procrustes import dme_step, reduced_density
 
 
@@ -53,7 +53,7 @@ def run(seed: int = 5) -> None:
     # Full evolution: more steps, proportionally less error.
     print("steps     global deviation")
     counts = [10, 100, 1000]
-    deviations = procrustes.dme_deviations(inst, pair, 1.0, counts)
+    deviations = procrustes.dme_deviations(inst, pair, polar.dilation(m), 1.0, counts)
     for n_steps, dev in zip(counts, deviations):
         print(f"{n_steps:<9d} {dev:.3e}")
     assert deviations[0] > deviations[1] > deviations[2]

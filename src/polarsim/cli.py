@@ -324,10 +324,10 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     rep.add("residual", inst.residual(u))
     chi = _state(args, inst.input_dim, "this instance")
     n_steps = args.steps if (args.mode == "qpe" and args.steps > 0) else None
-    # rho once, for the walk and for the trotter_deviation lines
-    pair = procrustes.reduced_density(inst)
+    # rho and the dilation of A once each, for the route and the trotter_deviation lines
+    pair, dil = procrustes.reduced_density(inst), polar.dilation(inst.cross_covariance())
     bottom, diag = procrustes.apply_procrustes_quantum(
-        inst, chi, _config(args), n_steps, args.kappa_tilde, pair
+        inst, chi, _config(args), n_steps, args.kappa_tilde, pair, dil
     )
     if args.kappa_tilde is not None:  # the flagged rest is not mapped: grade by U_r
         u = verify.restricted_isometry(res, args.kappa_tilde)
@@ -337,7 +337,7 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     rep.add("leakage", diag.leakage_norm)
     _add_vector(rep, "mapped_state", bottom)
     counts = sorted({10, 100, max(args.steps, 1)})
-    for n, deviation in zip(counts, procrustes.dme_deviations(inst, pair, 1.0, counts)):
+    for n, deviation in zip(counts, procrustes.dme_deviations(inst, pair, dil, 1.0, counts)):
         rep.add(f"trotter_deviation.n{n}", deviation)
     return rep, fidelity >= 1.0 - tol
 
@@ -373,7 +373,8 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
         for j in range(inst.n_states):
             rep.add(f"counts.{j}", int(counts[j]))
         rep.add("counts.outside", int(counts[-1]))
-    passed = gap <= tol and completeness <= max(tol, 1e-10) and reprep <= max(tol, 1e-8)
+    passed = gap <= tol and completeness <= max(tol, verify.PGM_COMPLETENESS_BOUND)
+    passed = passed and reprep <= max(tol, verify.PGM_REPREPARATION_BOUND)
     return rep, passed
 
 

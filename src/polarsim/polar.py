@@ -17,7 +17,8 @@ scale before reading its g), and applies a spectral function, exactly when
 Given an effective condition number kappa_tilde, the sign transform splits
 the state into a well-conditioned branch (singular values >= 1/kappa_tilde,
 after rescaling) that receives the isometry and a flagged branch left
-untouched; ``SpectralFunction.sign_phase`` is where kappa_tilde is checked.
+untouched: ``SpectralFunction.sign_phase`` checks kappa_tilde and gives that
+band the amplitude pair (0, 1).
 
 A caller factors each operator once and hands the ``Dilation`` to every
 primitive it runs on it; no primitive factors anything or computes an oracle
@@ -110,4 +111,4 @@ def evolve(
     def phase(x: np.ndarray) -> np.ndarray:
         return g(np.where(np.abs(x) <= spectral.ZERO_BAND, 0.0, x) * dil.scale) * t
 
-    return spectral.spectral_transform(_rescaled(dil), SpectralFunction(phase), psi, config)
+    return spectral.spectral_transform(_rescaled(dil), SpectralFunction.phase(phase), psi, config)

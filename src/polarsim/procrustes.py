@@ -11,8 +11,8 @@ e^{-i t (A + A^dag)} (density-matrix exponentiation).  The walk this
 synthesizes feeds the same closed-form phase-estimation sign transform used
 everywhere else, through the eigenpairs it implies.  Since
 e^{+i dt V rho V} = V (e^{-i dt rho})^dag V, one factorization of rho serves
-every step: the caller factors rho once (``reduced_density``) and hands the
-pair to the walk and to the product-formula deviations alike.
+every step: the caller factors rho once (``reduced_density``), and the
+dilation of A once, for the routes and the product-formula deviations alike.
 """
 
 from __future__ import annotations
@@ -136,20 +136,20 @@ def dme_step(pair: DensityPair, delta_t: float) -> np.ndarray:
 
 
 def dme_deviations(
-    inst: ProcrustesInstance, pair: DensityPair, t: float, step_counts: list[int]
+    inst: ProcrustesInstance, pair: DensityPair, dil: polar.Dilation, t: float, counts: list[int]
 ) -> list[float]:
     """Operator-norm deviation of n DME steps from e^{-i t (A + A^dag)}, per n.
 
-    ``pair`` is ``reduced_density(inst)``.  Each of the n steps runs dme_step
-    at delta_t = t r / n, so the r in the reduced density is compensated and
-    the product targets the dilated evolution.  The target is factored once
-    for all counts.
+    ``pair`` is ``reduced_density(inst)`` and ``dil`` the target's factored
+    ``polar.dilation(inst.cross_covariance())``.  Each of the n steps runs
+    dme_step at delta_t = t r / n, so the r in the reduced density is
+    compensated and the product targets the dilated evolution.
     """
-    if min(step_counts) < 1:
+    if min(counts) < 1:
         raise ValueError("n_steps must be positive")
-    target = linalg.matrix_exp_hermitian(embedding.embed(inst.cross_covariance()), t)
+    target = linalg.exp_from_eig(dil.eig, t)
     deviations = []
-    for n in step_counts:
+    for n in counts:
         step = dme_step(pair, t * inst.n_pairs / n)
         product = np.linalg.matrix_power(step, n)
         deviations.append(float(np.linalg.norm(product - target, ord=2)))
@@ -175,6 +175,7 @@ def apply_procrustes_quantum(
     n_steps: int | None = None,
     kappa_tilde: float | None = None,
     pair: DensityPair | None = None,
+    dil: polar.Dilation | None = None,
 ) -> tuple[np.ndarray, SimDiagnostics]:
     """Map a new input state through the learned isometry, quantum style.
 
@@ -186,7 +187,8 @@ def apply_procrustes_quantum(
     n_steps density-exponentiation steps on ``pair``, which must then be
     ``reduced_density(inst)``, and the pointer runs on the eigenpairs that W
     implies (``spectral.walk_eig``); with ``config`` alone the exact dilation
-    drives the pointer.  With ``kappa_tilde`` the sign transform flags
+    drives the pointer; both run on ``dil``, A's ``polar.dilation``, factored
+    here if not given.  With ``kappa_tilde`` the sign transform flags
     singular values below sigma_max/kappa_tilde instead of mapping them.
     """
     chi = np.asarray(chi, dtype=complex)
@@ -197,7 +199,8 @@ def apply_procrustes_quantum(
     a = inst.cross_covariance()
     psi = embedding.inject_right(chi, inst.output_dim)
     if config is None or n_steps is None:
-        kept, _, diag = polar.apply_polar_isometry(polar.dilation(a), psi, config, kappa_tilde)
+        dil = polar.dilation(a) if dil is None else dil
+        kept, _, diag = polar.apply_polar_isometry(dil, psi, config, kappa_tilde)
         return kept[inst.input_dim :], diag
     if pair is None:
         raise TypeError("the walk route needs pair=reduced_density(inst)")

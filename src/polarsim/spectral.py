@@ -1,23 +1,20 @@
 """Spectral-function application, exact or through a simulated phase register.
 
-The transform implemented here sends a state psi to e^{-i f(H)} psi for a
-Hermitian H and a scalar function f.  It takes H as its precomputed
-(eigenvalues, eigenvectors) pair, so the caller factors each operator once,
-and states as one vector or a (d, k) block.  ``spectral_transform`` scales
-each eigencomponent by a kept factor g and a flagged factor h:
+A spectral function maps each eigenvalue x of a Hermitian H to an amplitude
+pair (a(x), b(x)), kept and flagged, with |a|^2 + |b|^2 <= 1.  The
+transform takes H as its precomputed (eigenvalues, eigenvectors) pair, so
+the caller factors each operator once, and states as one vector or a (d, k)
+block.  ``spectral_transform`` scales each eigencomponent by a kept factor
+g and a flagged factor h:
 
-* without a pointer setting, g and h come from the true spectrum: g =
-  e^{-i f} off the flag mask, h the mask, nothing leaks (the exact route);
+* without a pointer setting, (g, h) is the pair at the true spectrum and
+  nothing leaks (the exact route);
 * with a ``QPEConfig`` they are what textbook phase estimation with a b-bit
-  pointer register leaves on pointer code 0 after applying e^{-i f(.)} at
-  the decoded grid values only and inverting the estimation.  For each
+  pointer register leaves on pointer code 0 after applying the pair at the
+  decoded grid values only and inverting the estimation.  For each
   eigenpair of H that is one fixed number: ``transfer_function`` evaluates
   it in closed form (the Fejer kernel of phase estimation, weighted by the
-  phase table), with the exact leakage.  It takes no sine per (eigenvalue,
-  code) cell: by angle addition the kernel's denominator is a per-row mix of
-  two sine and cosine tables built once per call, each row reading one
-  contiguous window of them, and an unflagged call never forms the flag
-  branch, whose factor is exactly 0 there.
+  pair), with the exact leakage and no sine per (eigenvalue, code) cell.
 
 No pointer register is ever built here: the closed form is the only
 simulation of it.  ``verify`` grades it against a literal phase-estimation
@@ -55,8 +52,8 @@ ZERO_BAND = 1e-12
 # per-code arrays at _POINTER_CODE_BYTES each.
 POINTER_BUDGET_BYTES = 2**30
 
-# Peak bytes per code of the closed form: its real phase rows (24 with a flag
-# mask, 16 without), sine and cosine tables (32) and one-row chunk of both
+# Peak bytes per code of the closed form: its real factor rows (24 with a flag
+# branch, 16 without), sine and cosine tables (32) and one-row chunk of both
 # windows (16): 72 under tracemalloc at b = 18, 19 and 20, any dimension.
 _POINTER_CODE_BYTES = 72
 
@@ -95,53 +92,36 @@ class QPEConfig:
     def grid_size(self) -> int:
         return 2 ** self.bits
 
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Two's-complement decode of pointer codes to signed eigenvalue estimates."""
-        phi = np.asarray(codes, dtype=float) / self.grid_size
-        return 4.0 * np.where(phi < 0.5, phi, phi - 1.0)
-
     def grid_values(self) -> np.ndarray:
-        """Decoded estimates for all codes 0 .. 2^b - 1, in code order."""
-        return self.decode(np.arange(self.grid_size))
+        """Two's-complement decode of codes 0 .. 2^b - 1 to signed eigenvalue estimates."""
+        phi = np.arange(self.grid_size, dtype=float) / self.grid_size
+        return 4.0 * np.where(phi < 0.5, phi, phi - 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
 class SpectralFunction:
-    """Scalar function f with the metadata the phase stage needs.
+    """The amplitude map x -> (a(x), b(x)) every route reads, exact or pointer.
 
-    ``values`` maps arrays of (decoded or true) eigenvalues to phases f(x);
-    ``flag_threshold``, set only by ``sign_phase``, defers inputs more than
-    ZERO_BAND below it in |x| to the flag branch instead of evaluating (0
-    flags none).
+    ``amplitudes`` maps an array of (true or decoded) eigenvalues to the
+    complex kept factor a and the real flagged factor b, |a|^2 + |b|^2 <= 1;
+    any norm the pair leaves out is a conditional rotation's failure branch.
     """
 
-    values: Callable[[np.ndarray], np.ndarray]
-    flag_threshold: float = 0.0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.values(np.asarray(x, dtype=float)), dtype=float)
-
-    def flags(self, x: np.ndarray) -> np.ndarray:
-        """Mask of the inputs deferred to the flag branch.
-
-        A value within ZERO_BAND below the threshold is kept, as the oracle
-        ``verify.restricted_isometry`` keeps it, so round-off in two different
-        factorizations cannot split a tie at sigma_max/kappa_tilde.
-        """
-        return np.abs(x) < self.flag_threshold - ZERO_BAND
+    amplitudes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def sign_phase(cls, kappa_tilde: float | None = None) -> SpectralFunction:
-        """f(x) = (pi/2)(1 - sign(x)) with sign(0) := +1.
+        """(e^{-i f(x)}, 0) with f(x) = (pi/2)(1 - sign(x)) and sign(0) := +1.
 
         e^{-i f} multiplies negative-eigenvalue components by -1 and leaves
         the rest alone.  Values within ZERO_BAND of zero count as zero, so
         float noise around a kernel cannot flip signs.  With ``kappa_tilde``
-        the band |x| < 1/kappa_tilde is flagged rather than signed (see
-        ``flags``).  An effective condition number that is not above 1 (NaN
-        included) is refused, and so is one whose threshold is not clear of
-        the zero band: the kernel is flagged only while 1/kappa_tilde exceeds
-        2 ZERO_BAND.
+        the band |x| < 1/kappa_tilde - ZERO_BAND is flagged, (0, 1), rather
+        than signed: a tie at sigma_max/kappa_tilde is kept on both sides of
+        round-off, as ``verify.restricted_isometry`` keeps it.  An effective
+        condition number that is not above 1 (NaN included) is refused, and
+        so is one whose threshold is not clear of the zero band: the kernel
+        is flagged only while 1/kappa_tilde exceeds 2 ZERO_BAND.
         """
         if kappa_tilde is not None and not 1 < kappa_tilde < 0.5 / ZERO_BAND:
             raise ValueError(
@@ -150,20 +130,17 @@ class SpectralFunction:
             )
         threshold = 0.0 if kappa_tilde is None else 1.0 / kappa_tilde
 
-        def values(x: np.ndarray) -> np.ndarray:
-            return (np.pi / 2.0) * (1.0 - np.where(x < -ZERO_BAND, -1.0, 1.0))
+        def amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            flag = np.abs(x) < threshold - ZERO_BAND
+            phase = (np.pi / 2.0) * (1.0 - np.where(x < -ZERO_BAND, -1.0, 1.0))
+            return np.where(flag, 0.0, np.exp(-1j * phase)), flag.astype(float)
 
-        return cls(values=values, flag_threshold=threshold)
-
-    @classmethod
-    def abs_times(cls, t: float) -> SpectralFunction:
-        """f(x) = |x| t, the positive-factor evolution phase."""
-        return cls(values=lambda x: np.abs(x) * t)
+        return cls(amplitudes)
 
     @classmethod
-    def linear(cls, t: float) -> SpectralFunction:
-        """f(x) = x t, plain Hamiltonian evolution (useful as a pipeline check)."""
-        return cls(values=lambda x: x * t)
+    def phase(cls, f: Callable[[np.ndarray], np.ndarray]) -> SpectralFunction:
+        """(e^{-i f(x)}, 0) for a real phase f: an evolution, nothing flagged."""
+        return cls(lambda x: (np.exp(-1j * f(x)), np.zeros(np.shape(x))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,7 +153,8 @@ class SimDiagnostics:
     Attributes:
         leakage_norm: 2-norm of the amplitude not returned to pointer code 0
             (0 on the exact route).
-        flag_probability: squared norm of the flag=1 branch.
+        flag_probability: squared norm of the flag=1 branch over all pointer
+            codes, sum_j |c_j|^2 sum_c K_jc b_c^2 (b(lambda_j)^2 if exact).
     """
 
     leakage_norm: float = 0.0
@@ -198,7 +176,7 @@ def _check_pointer_budget(dim: int, config: QPEConfig) -> None:
     Each (eigenvalue, code) cell is charged 16 bytes, one complex amplitude of
     the pointer table the closed form stands in for.  The closed form never
     builds that table: it walks the cells in chunks, so the count bounds its
-    work.  Its arrays (phase table, sine and cosine tables, one chunk) grow
+    work.  Its arrays (factor rows, sine and cosine tables, one chunk) grow
     with 2^b alone and are charged ``_POINTER_CODE_BYTES`` per code.  The
     check runs before any of them is allocated.
     """
@@ -221,42 +199,37 @@ def _check_spectrum(w: np.ndarray, config: QPEConfig) -> None:
         raise ValueError("eigenvalue bound violated: max |eigenvalue| > 1 or not finite")
 
 
-def _phase_table(f: SpectralFunction, config: QPEConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stage two per pointer code: the kept-branch factor p0(c) and the 0/1 flag mask m(c)."""
-    grid = config.grid_values()
-    ill = f.flags(grid)
-    return np.where(ill, 0.0, np.exp(-1j * f(grid))), ill.astype(float)
-
-
 def transfer_function(
     eigenvalues: np.ndarray, f: SpectralFunction, config: QPEConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-eigenvalue action of correlate -> phase -> uncompute -> keep code 0.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-eigenvalue action of correlate -> amplitudes -> uncompute -> keep code 0.
 
     Stage one puts eigencomponent j on code c with the Fejer weight
     K_jc = [sin(pi N d_jc) / (N sin(pi d_jc))]^2, d_jc = lambda_j/4 - c/N,
     and code 0 of stage three collects every code back with the same weight.
-    With p0(c) the kept-branch factor and m(c) the flag mask of stage two,
-    returns, one entry per eigenvalue,
+    With (a(c), b(c)) = ``f.amplitudes`` at the decoded grid, stage two's
+    kept and flagged factors, returns, one entry per eigenvalue,
 
-    * g = sum_c K p0, the kept amplitude factor;
-    * h = sum_c K m, the flagged amplitude factor;
-    * loss = sum_c K (|p0 - g|^2 + (m - h)^2), the squared norm stage three
+    * g = sum_c K a, the kept amplitude factor;
+    * h = sum_c K b, the flagged amplitude factor;
+    * loss = sum_c K (|a - g|^2 + (b - h)^2), the squared norm stage three
       leaves off code 0.  Summed from nonnegative terms, it stays exact far
-      below the round-off of the equal 1 - |g|^2 - |h|^2.
+      below the round-off of the equal 1 - |g|^2 - |h|^2;
+    * flag = sum_c K b^2, the flag branch's weight: h itself for a 0/1 mask.
 
     No sine is taken per (eigenvalue, code) cell.  With N d_jc = D_jc + rem_j,
     D_jc the wrapped integer distance to the nearest code, angle addition
     splits the denominator's N sin(pi d_jc) into [N sin(pi D / N)] and
     [N cos(pi D / N)], read from two tables of 2N - 1 entries built once per
     call, times per-row factors cos(pi rem_j / N) and sin(pi rem_j / N).  Row
-    j's codes are one contiguous window of each table.  When no code is
-    flagged, h is exactly 0 and (m - h)^2 adds exactly 0, so neither is formed.
+    j's codes are one contiguous window of each table.  When b is 0 on every
+    code, h and flag are exactly 0 and (b - h)^2 adds 0, so none is formed.
     """
-    p0, mask = _phase_table(f, config)
-    # real rows Re p0, Im p0 and, only if some code is flagged, m
-    phase = np.array((p0.real, p0.imag, mask) if mask.any() else (p0.real, p0.imag))
-    del p0, mask
+    a, b = f.amplitudes(config.grid_values())
+    # real rows Re a, Im a and, only if some code is flagged, b
+    factors = np.array((a.real, a.imag, b) if b.any() else (a.real, a.imag))
+    fractional = not np.array_equal(b * b, b)
+    del a, b
     n = config.grid_size
     # N phi_j is exact (N is a power of two); split it into the nearest code
     # and a remainder, so the wrapped code distance N d_jc = D_jc + rem_j, with
@@ -292,8 +265,9 @@ def transfer_function(
     )
     g = np.empty(turns.size, dtype=complex)
     h = np.zeros(turns.size)
+    flag = np.empty(turns.size) if fractional else h
     loss = np.zeros(turns.size)
-    amps = (g.real, g.imag, h)  # what each phase row sums to; zip stops at the rows
+    amps = (g.real, g.imag, h)  # what each factor row sums to; zip stops at the rows
     rows = max(1, _TRANSFER_CHUNK_CELLS // n)
     for lo in range(0, turns.size, rows):
         part = slice(lo, lo + rows)
@@ -305,18 +279,22 @@ def transfer_function(
         np.square(kern, out=kern)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(numer[part, None], kern, out=kern)
-        for row, amp in zip(phase, amps):
+        for row, amp in zip(factors, amps):
             amp[part] = kern @ row
             np.subtract(row, amp[part, None], out=tmp)
             np.square(tmp, out=tmp)
             loss[part] += np.einsum("ij,ij->i", kern, tmp)
+        if fractional:  # b^2 in the chunk's spent buffer, so the weight costs no memory
+            flag[part] = kern @ np.square(factors[2], out=tmp[0])
         del kern, tmp  # released before the next chunk is gathered
     if on_code.any():
         code = n - 1 - start[on_code]
-        for row, amp in zip(phase, amps):
+        for row, amp in zip(factors, amps):
             amp[on_code] = row[code]
+        if fractional:
+            flag[on_code] = np.square(factors[2][code])
         loss[on_code] = 0.0
-    return g, h, loss
+    return g, h, loss, flag
 
 
 def spectral_transform(
@@ -325,19 +303,18 @@ def spectral_transform(
     psi: np.ndarray,
     config: QPEConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SimDiagnostics]:
-    """Apply e^{-i f(H)}, split by the flag threshold, exactly or through the pointer.
+    """Apply the amplitude pair of ``f`` to H's eigencomponents, exactly or through the pointer.
 
     ``eig`` is the (eigenvalues, eigenvectors) pair of H and ``psi`` one state
     or a (d, k) block.  Each eigencomponent of every column is scaled by a
-    kept factor g and a flagged factor h.  Without ``config`` they come from
-    the true spectrum: eigencomponents with |eigenvalue| below the flag
-    threshold pass unphased into the flagged part (h = 1, g = 0), the rest
-    receive g = e^{-i f} and nothing leaks.  With ``config`` they are the
-    ``transfer_function`` factors, which is exactly the three circuit stages
-    followed by keeping pointer code 0.  Leakage and flag probability per column are
-    the eigenweighted loss and h.  Returns the unnormalized (kept, flagged)
-    parts shaped like ``psi`` and the diagnostics.  A state whose length is
-    not the dimension of H is refused.
+    kept factor g and a flagged factor h.  Without ``config`` they are
+    ``f.amplitudes`` at the true spectrum, (g, h) = (a, b), and nothing
+    leaks.  With ``config`` they are the ``transfer_function`` factors,
+    which is exactly the three circuit stages followed by keeping pointer
+    code 0.  Leakage and flag probability per column are the eigenweighted
+    loss and flag weight (b^2 on the exact route).  Returns the unnormalized
+    (kept, flagged) parts shaped like ``psi`` and the diagnostics.  A state
+    whose length is not the dimension of H is refused.
     """
     w, v = eig
     if len(psi) != v.shape[0]:
@@ -346,12 +323,11 @@ def spectral_transform(
         )
     psi = _check_unit_norm(psi)
     if config is None:
-        ill = f.flags(w)
-        g, h = np.where(ill, 0.0, np.exp(-1j * f(w))), ill.astype(float)
-        loss = np.zeros(w.size)
+        g, h = f.amplitudes(w)
+        loss, flag = np.zeros(w.size), h * h
     else:
         _check_spectrum(w, config)
-        g, h, loss = transfer_function(w, f, config)
+        g, h, loss, flag = transfer_function(w, f, config)
     block = psi.reshape(psi.shape[0], -1)
     coeff = v.conj().T @ block
     weight = np.abs(coeff) ** 2
@@ -359,7 +335,7 @@ def spectral_transform(
     flagged = v @ (h[:, None] * coeff)
     diag = SimDiagnostics(
         leakage_norm=float(np.max(np.sqrt(loss @ weight))),
-        flag_probability=float(np.sum(h @ weight)),
+        flag_probability=float(np.sum(flag @ weight)),
     )
     return kept.reshape(psi.shape), flagged.reshape(psi.shape), diag
 

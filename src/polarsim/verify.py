@@ -36,7 +36,7 @@ def restricted_isometry(res: linalg.SVDResult, kappa_tilde: float | None) -> np.
     U_r over sigma >= sigma_max/kt.
 
     A ratio sigma/sigma_max within ``spectral.ZERO_BAND`` below 1/kt counts as
-    kept, as ``SpectralFunction.flags`` keeps it on the route.
+    kept, as ``SpectralFunction.sign_phase`` keeps it on the route.
     """
     s = res.singular_values
     if s.size == 0 or s[0] == 0.0:
@@ -135,6 +135,11 @@ def isolation_error(sh: hsvt.SplitHamiltonian) -> float:
     direct[n:, :n] = sh.matrix[n:, :n]
     direct[:n, n:] = sh.matrix[:n, n:]
     return float(np.max(np.abs(embedding.embed(hsvt.isolate_offdiagonal(sh)) - direct)))
+
+
+# Largest completeness and re-preparation residuals a PGM passes with.
+PGM_COMPLETENESS_BOUND = 1e-10
+PGM_REPREPARATION_BOUND = 1e-8
 
 
 def pgm_residuals(inst: pgm.PGMInstance, chi: np.ndarray) -> tuple[float, float]:
@@ -366,7 +371,8 @@ def check_trotter_step_order(seed: int) -> tuple[bool, dict]:
         )
     local_slope = float(np.polyfit(np.log10(dts), np.log10(errs), 1)[0])
     steps = np.array([10, 100, 1000])
-    devs = procrustes.dme_deviations(inst, pair, 1.0, steps.tolist())
+    dil = polar.dilation(inst.cross_covariance())
+    devs = procrustes.dme_deviations(inst, pair, dil, 1.0, steps.tolist())
     global_slope = float(np.polyfit(np.log10(steps), np.log10(devs), 1)[0])
     passed = abs(local_slope - 2.0) <= 0.2 and abs(global_slope + 1.0) <= 0.2
     metrics: dict[str, float | int | str] = {
@@ -490,7 +496,10 @@ def check_pgm_dual_path(seed: int) -> tuple[bool, dict]:
         completeness, reprep = pgm_residuals(inst, chi)
         worst_complete = np.maximum(worst_complete, completeness)
         worst_reprep = np.maximum(worst_reprep, reprep)
-    passed = bool(worst_gap <= 1e-8 and worst_complete <= 1e-10 and worst_reprep <= 1e-8)
+    passed = bool(
+        worst_gap <= 1e-8 and worst_complete <= PGM_COMPLETENESS_BOUND
+        and worst_reprep <= PGM_REPREPARATION_BOUND
+    )
     return passed, {
         "instances": n_instances,
         "max_probability_gap": worst_gap,
@@ -681,21 +690,19 @@ def _uncompute(powers: np.ndarray, branches: np.ndarray) -> tuple[np.ndarray, fl
 def pointer_circuit(
     powers: np.ndarray, f: SpectralFunction, psi: np.ndarray, config: QPEConfig
 ) -> tuple[np.ndarray, np.ndarray, spectral.SimDiagnostics]:
-    """Literal phase estimation of e^{-i f(H)} on one state, given W = e^{2 pi i H/4}.
+    """Literal phase estimation of ``f`` on one state, given W = e^{2 pi i H/4}.
 
     The reference ``spectral_transform`` is graded against.  It takes
     ``controlled_powers(walk, config.grid_size)`` of W itself (a synthesized
     walk, or ``taylor_exp`` of 2 pi i H/4) and factors nothing.  Stage two
-    multiplies code c by e^{-i f(x_c)}, or moves it unphased to the flag
-    branch where ``f.flags(x_c)``, at x_c = ``config.decode(c)``.  Returns
-    the code-0 (kept, flagged) vectors, the leakage (the norm both branches
-    leave off code 0) and the flag branch's weight.
+    copies code c into a kept branch times a(x_c) and a flag branch times
+    b(x_c), (a, b) = ``f.amplitudes`` at x_c = ``config.grid_values()[c]``.
+    Returns the code-0 (kept, flagged) vectors, the leakage (the norm both
+    branches leave off code 0) and the flag branch's weight over all codes.
     """
-    n = config.grid_size
     table = _correlate(powers, np.asarray(psi, dtype=complex))
-    x = config.decode(np.arange(n))
-    ill = f.flags(x)
-    branches = np.stack([np.where(ill, 0.0, np.exp(-1j * f(x))) * table, ill * table])
+    a, b = f.amplitudes(config.grid_values())
+    branches = np.stack([a * table, b * table])
     (kept, flagged), leak_sq = _uncompute(powers, branches)
     diag = spectral.SimDiagnostics(
         leakage_norm=math.sqrt(leak_sq),
@@ -713,15 +720,23 @@ def _accounted_weight(
     )
 
 
+def _filtered_inversion(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of filtered inversion as the linear-systems algorithm applies it:
+    a = 1/(3x) on |x| >= 1/3 and 0 below, b = sqrt(1 - a^2) flags the rest."""
+    kept = np.divide(1.0, 3.0 * x, out=np.zeros(np.shape(x)), where=np.abs(x) >= 1.0 / 3.0)
+    return kept.astype(complex), np.sqrt(1.0 - kept * kept)
+
+
 def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
     """The closed form against a literal phase-estimation circuit.
 
     ``pointer_circuit`` on the powers of W = ``taylor_exp(2 pi i H/4)``, one
     table per walk, must return the state under a zero phase (roundtrip)
-    with its norm, and account for the whole norm when a thresholded sign
-    flags some of it (flag completeness).  ``spectral_transform`` on
-    ``hermitian_eig(H)`` must match it for sign, thresholded sign and |x|
-    phases (closed-form gap) and act linearly on a block of states.
+    with its norm, and account for the whole norm when a table flags some of
+    it (flag completeness).  ``spectral_transform`` on ``hermitian_eig(H)``
+    must match it for sign, thresholded sign and |x| phases and a filtered
+    inversion, |a| < 1 and b fractional (closed-form gap, flag probability
+    included), and act linearly on a block of states.
     """
     rng = generate.rng_for(seed, 12)
     worst_roundtrip = 0.0
@@ -730,12 +745,14 @@ def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
     worst_flag = 0.0
     worst_closed = 0.0
     config = QPEConfig(bits=5)
-    zero = SpectralFunction(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    zero = SpectralFunction.phase(np.zeros_like)
     graded = (
         SpectralFunction.sign_phase(),
         SpectralFunction.sign_phase(kappa_tilde=3.0),
-        SpectralFunction.abs_times(1.0),
+        SpectralFunction.phase(np.abs),
+        SpectralFunction(_filtered_inversion),
     )
+    flags_any = [g.amplitudes(config.grid_values())[1].any() for g in graded]
     for _ in range(20):
         d = int(rng.integers(2, 7))
         h = generate.random_hermitian(d, rng)
@@ -748,7 +765,7 @@ def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
         worst_norm = np.maximum(worst_norm, abs(norm - 1.0))
         worst_roundtrip = np.maximum(worst_roundtrip, float(np.linalg.norm(out - psi)))
         # linearity of the unnormalized closed form, the three states as one block
-        f = SpectralFunction.linear(0.7)
+        f = SpectralFunction.phase(lambda x: x * 0.7)
         psi2 = generate.random_state(d, rng)
         alpha, beta = complex(0.6, 0.3), complex(-0.2, 0.7)
         mix = alpha * psi + beta * psi2
@@ -760,10 +777,10 @@ def check_pipeline_stage_inverse(seed: int) -> tuple[bool, dict]:
         worst_linear = np.maximum(
             worst_linear, float(np.linalg.norm(outs[:, 2] - combo))
         )
-        for g in graded:
+        for g, flagging in zip(graded, flags_any):
             kept, flagged, diag = spectral.spectral_transform(eig, g, psi, config)
             ref_kept, ref_flagged, ref = pointer_circuit(powers, g, psi, config)
-            if g.flag_threshold > 0.0:
+            if flagging:
                 worst_flag = np.maximum(
                     worst_flag, abs(_accounted_weight(ref_kept, ref_flagged, ref) - 1.0)
                 )

@@ -564,15 +564,19 @@ def test_pgm_checks_rho_once_under_one_rule(tmp_path, capsys, monkeypatch):
           "--tolerance", "1"], 2),
         (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
           "--steps", "20", "--kappa-tilde", "2", "--tolerance", "1"], 2),
+        (["procrustes", "--input", "inst.json", "--tolerance", "1"], 2),
+        (["procrustes", "--input", "inst.json", "--mode", "qpe", "--bits", "6",
+          "--steps", "0", "--tolerance", "1"], 2),
     ],
 )
 def test_product_formulas_factor_each_generator_once(
     workdir, capsys, count_factorizations, argv, expected
 ):
     # procrustes: rho once for both the walk and the three trotter_deviation
-    # lines, the target once for all three, one SVD for the classical
-    # solution, whose columns also give U_r under --kappa-tilde, and one numpy
-    # eigh of the walk's Cayley transform; hsvt: M for the Trotter product,
+    # lines, the dilation of A once for all three targets and, without a
+    # walk, for the route, one SVD for the classical solution, whose columns
+    # also give U_r under --kappa-tilde, and one numpy eigh of the walk's
+    # Cayley transform; hsvt: M for the Trotter product,
     # the coupling's dilation once for its target and the route, and one SVD
     # for the oracle isometry
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
@@ -580,7 +584,7 @@ def test_product_formulas_factor_each_generator_once(
     assert cli.main(argv) == 0
     capsys.readouterr()
     kinds = [name for name, _ in calls]
-    walks = int("--steps" in argv)
+    walks = int("--steps" in argv and argv[argv.index("--steps") + 1] != "0")
     assert (kinds.count("eigh"), kinds.count("svd")) == (expected, 1)
     assert (kinds.count("np.eigh"), kinds.count("np.eig"), kinds.count("np.qr")) == (walks, 0, 0)
 
@@ -588,14 +592,18 @@ def test_product_formulas_factor_each_generator_once(
 def test_product_formula_evolutions_make_two_factorizations(monkeypatch, count_factorizations):
     # one for the generator (rho or M), one for the exact target; the DME
     # deviations at three step counts share both, rho taken as the caller
-    # factors it for the walk, and the Trotter target is the coupling's
-    # dilation as the caller factors it for the route
+    # factors it for the walk, and either target is the dilation of the
+    # coupling as the caller factors it for the route
     rng = generate.rng_for(904)
     inst = generate.random_procrustes_instance(2, 3, 4, rng)
     sh = generate.random_split_hamiltonian(2, 3, rng)
     for evolve in (
         lambda: procrustes.dme_deviations(
-            inst, procrustes.reduced_density(inst), 1.0, [10, 100, 1000]
+            inst,
+            procrustes.reduced_density(inst),
+            polar.dilation(inst.cross_covariance()),
+            1.0,
+            [10, 100, 1000],
         ),
         lambda: hsvt.trotter_offdiagonal_evolution(
             sh, polar.dilation(hsvt.isolate_offdiagonal(sh)), 1.0, 10

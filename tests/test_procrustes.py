@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarsim import embedding, generate, linalg, procrustes, verify
+from polarsim import embedding, generate, linalg, polar, procrustes, verify
 from polarsim.procrustes import ProcrustesInstance
 from polarsim.spectral import QPEConfig
 
@@ -102,13 +102,14 @@ def test_effective_evolution_converges():
     rng = generate.rng_for(508)
     inst = generate.random_procrustes_instance(2, 2, 4, rng)
     pair = procrustes.reduced_density(inst)
-    devs = procrustes.dme_deviations(inst, pair, 1.0, [10, 100, 1000])
+    dil = polar.dilation(inst.cross_covariance())
+    devs = procrustes.dme_deviations(inst, pair, dil, 1.0, [10, 100, 1000])
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-2
     # each count is graded on its own: one count alone gives the same number
-    assert procrustes.dme_deviations(inst, pair, 1.0, [100]) == devs[1:2]
+    assert procrustes.dme_deviations(inst, pair, dil, 1.0, [100]) == devs[1:2]
     with pytest.raises(ValueError):
-        procrustes.dme_deviations(inst, pair, 1.0, [10, 0])
+        procrustes.dme_deviations(inst, pair, dil, 1.0, [10, 0])
 
 
 def test_classical_solver_optimality():

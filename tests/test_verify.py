@@ -106,22 +106,30 @@ def _rolled_eigenvectors(monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_eig", rolled)
 
 
-def _conjugated_phase_table(monkeypatch):
+def _patch_transfer(monkeypatch, defect):
+    # the closed form's per-eigenvalue factors (g, h, loss, flag), altered by ``defect``
+    original = spectral.transfer_function
+    monkeypatch.setattr(spectral, "transfer_function", lambda *a: defect(*original(*a)))
+
+
+def _conjugated_closed_form(monkeypatch):
     # the closed form applies e^{+i f} on every code; a real sign phase hides it
-    original = spectral._phase_table
+    _patch_transfer(monkeypatch, lambda g, h, loss, flag: (g.conj(), h, loss, flag))
 
-    def conjugated(f, config):
-        p0, mask = original(f, config)
-        return p0.conj(), mask
 
-    monkeypatch.setattr(spectral, "_phase_table", conjugated)
+def _flag_weight_from_h(monkeypatch):
+    # the flag probability summed as sum_c K b, which only a 0/1 mask makes sum_c K b^2
+    _patch_transfer(monkeypatch, lambda g, h, loss, flag: (g, h, loss, h))
 
 
 @pytest.mark.parametrize("seed", [7, 11])
-@pytest.mark.parametrize("defect", [_rolled_eigenvectors, _conjugated_phase_table])
+@pytest.mark.parametrize(
+    "defect", [_rolled_eigenvectors, _conjugated_closed_form, _flag_weight_from_h]
+)
 def test_pipeline_stage_inverse_fails_on_the_defect_catalogue(monkeypatch, seed, defect):
-    # the literal circuit shares neither the eigenpairs nor the phase table
-    # with the closed form, so either defect opens the closed-form gap
+    # the literal circuit reads the same amplitude pair as the closed form but
+    # shares neither its eigenpairs nor its kernel sums, so each defect opens
+    # the closed-form gap
     assert verify.check_pipeline_stage_inverse(seed)[0]
     defect(monkeypatch)
     passed, metrics = verify.check_pipeline_stage_inverse(seed)
@@ -151,7 +159,7 @@ def test_battery_factors_each_instance_once(count_factorizations, item):
 
 
 def test_pipeline_stage_inverse_builds_one_power_table_per_walk(monkeypatch):
-    # 20 walks, each run through the literal circuit four times
+    # 20 walks, each run through the literal circuit five times
     tables = []
     original = verify.controlled_powers
 
