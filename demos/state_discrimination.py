@@ -21,9 +21,11 @@ def run(seed: int = 13) -> None:
     inst = generate.random_pgm_instance(4, 3, rng)
 
     # The source emitted state 0; the measurement should usually say so.
-    emitted = pgm.density_matrix(np.outer(inst.states[:, 0], inst.states[:, 0].conj()), 4)
+    emitted, emitted_eig = pgm.density_matrix(
+        np.outer(inst.states[:, 0], inst.states[:, 0].conj()), 4
+    )
     direct = pgm.pgm_probabilities(inst, emitted)
-    via_polar = pgm.pgm_via_polar(inst, emitted)
+    via_polar = pgm.pgm_via_polar(inst, emitted_eig)
     gap = np.max(np.abs(direct - via_polar))
     print("guess probabilities (direct):   ", np.round(direct, 6))
     print("guess probabilities (via polar):", np.round(via_polar, 6))
@@ -31,7 +33,8 @@ def run(seed: int = 13) -> None:
     assert gap < 1e-12 and np.argmax(direct) == 0
 
     # Averaged over the whole ensemble the outcomes flatten out exactly.
-    avg = pgm.pgm_probabilities(inst, pgm.density_matrix(inst.gram_operator() / inst.n_states, 4))
+    mixed, _ = pgm.density_matrix(inst.gram_operator() / inst.n_states, 4)
+    avg = pgm.pgm_probabilities(inst, mixed)
     print("ensemble-average outcomes:      ", np.round(avg, 6))
 
     # chi chi+ is the projector onto the ensemble span; U+ re-prepares chi_j.
@@ -46,7 +49,7 @@ def run(seed: int = 13) -> None:
         c, d = np.sqrt((1 + s) / 2), np.sqrt((1 - s) / 2)
         states = np.array([[c, c], [d, -d]], dtype=complex)
         two = PGMInstance(states)
-        avg = pgm.density_matrix(two.gram_operator() / 2, 2)
+        avg, _ = pgm.density_matrix(two.gram_operator() / 2, 2)
         probs = pgm.pgm_probabilities(two, avg)
         # success = mean over j of |<chi_j|phi_j>|^2
         vecs = pgm.pgm_vectors(two)

@@ -354,10 +354,10 @@ def _cmd_pgm(args: _Args) -> tuple[Report, bool]:
         rep.add("rho", "ensemble-average")
     else:
         rep.add("rho", "from-file")
-    rho = pgm.density_matrix(rho, inst.dim)
+    rho, rho_eig = pgm.density_matrix(rho, inst.dim)
     chi = pgm.pgm_vectors(inst)
     p_direct = pgm.pgm_probabilities(inst, rho, chi)
-    p_polar = pgm.pgm_via_polar(inst, rho, _config(args))
+    p_polar = pgm.pgm_via_polar(inst, rho_eig, _config(args))
     gap = float(np.max(np.abs(p_direct - p_polar)))
     completeness, reprep = verify.pgm_residuals(inst, chi)
     for j, p in enumerate(p_direct):

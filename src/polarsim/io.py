@@ -9,10 +9,11 @@ interchangeably and reject the non-finite literals NaN, Infinity and
 -Infinity.
 
 Entries are handled in bulk.  A writer fills one repeated "[%.17g, %.17g]"
-template with every pair at once.  A reader scans the element types once,
-converts the whole pair list with one ``np.array`` and checks finiteness on
-the array; only when that fails does it walk the entries one by one, and
-then only to name the first bad one.  The procrustes and pgm readers convert
+template with every pair at once.  A reader scans the element types and
+the entry lengths once, converts the whole pair list with one
+``np.fromiter`` over its flattened numbers and checks finiteness on the
+array; only when that fails does it walk the entries one by one, and then
+only to name the first bad one.  The procrustes and pgm readers convert
 every vector of a document in that one step.  Every rejection of an entry
 names its index.
 """
@@ -70,21 +71,22 @@ def _bulk_pairs(entries: list[Any]) -> np.ndarray | None:
     numbers that fits a float, else None.
 
     The element types are scanned before the conversion because numpy would
-    quietly read true as 1.0, "1" as 1.0 and null as nan.
+    quietly read true as 1.0, "1" as 1.0 and null as nan, and the lengths
+    because the conversion reads the numbers flattened, 2 per entry, into
+    one preallocated array.
     """
     try:
         kinds = set(map(type, itertools.chain.from_iterable(entries)))
     except TypeError:  # an entry that is not an array
         return None
-    if not kinds <= {int, float}:
+    if not kinds <= {int, float} or set(map(len, entries)) != {2}:
         return None
+    numbers = itertools.chain.from_iterable(entries)
     try:
-        pairs = np.array(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        pairs = np.fromiter(numbers, float, count=2 * len(entries))
+    except OverflowError:  # an integer literal too large for a float
         return None
-    if pairs.shape != (len(entries), 2):
-        return None
-    return pairs.view(complex).reshape(-1)
+    return pairs.view(complex)
 
 
 def _pairs_one_by_one(entries: list[Any], where: str) -> np.ndarray:

@@ -67,14 +67,18 @@ def pgm_vectors(inst: PGMInstance) -> np.ndarray:
     return linalg.classical_polar(inst.states).isometry
 
 
-def density_matrix(rho: np.ndarray, dim: int) -> np.ndarray:
-    """rho checked once as a density matrix on C^dim, returned as rho/2 + rho^dag/2.
+def density_matrix(
+    rho: np.ndarray, dim: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """rho checked once as a density matrix on C^dim: rho/2 + rho^dag/2 and its eigenpairs.
 
     rho must be Hermitian entrywise within 1e-8 (``linalg.is_hermitian``),
     of unit trace and with no eigenvalue below -1e-8.  The Hermitian part it
     returns, the halves as ``is_hermitian`` compares them, is exact to the
-    last bit, so both outcome paths read the same matrix and the route's
-    ``linalg.hermitian_eig`` accepts whatever passed here.
+    last bit, so both outcome paths read the same matrix.  Its one
+    ``linalg.hermitian_eig`` gives the positivity check its smallest
+    eigenvalue and is returned with it for ``pgm_via_polar``, so one
+    outcome computation takes one spectrum of rho.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
@@ -85,9 +89,10 @@ def density_matrix(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = half + half.conj().T
     if abs(np.trace(rho).real - 1.0) > _TRACE_ATOL:
         raise ValueError(f"density matrix must have unit trace, got {np.trace(rho).real}")
-    if np.linalg.eigvalsh(rho)[0] < -_TRACE_ATOL:
+    eig = linalg.hermitian_eig(rho)
+    if eig[0][0] < -_TRACE_ATOL:
         raise ValueError("density matrix must be positive semidefinite")
-    return rho
+    return rho, eig
 
 
 def pgm_probabilities(
@@ -95,7 +100,7 @@ def pgm_probabilities(
 ) -> np.ndarray:
     """Outcome distribution p(j) = <chi_j| rho |chi_j>, chi = ``pgm_vectors(inst)`` if not given.
 
-    ``rho`` is what ``density_matrix`` returns; it is not checked again.
+    ``rho`` is the matrix ``density_matrix`` returns; it is not checked again.
     """
     chi = pgm_vectors(inst) if chi is None else chi
     return np.real(np.einsum("ij,ik,kj->j", chi.conj(), rho, chi))
@@ -103,20 +108,21 @@ def pgm_probabilities(
 
 def pgm_via_polar(
     inst: PGMInstance,
-    rho: np.ndarray,
+    rho_eig: tuple[np.ndarray, np.ndarray],
     config: QPEConfig | None = None,
 ) -> np.ndarray:
     """Outcome distribution through the polar isometry of the stacking map.
 
-    Every eigenvector of rho rides the sign transform of the dilation of
-    A = sum_j |j><phi_j| as one block, exactly when ``config`` is None and
-    through the simulated pipeline otherwise; the isometry U carries each to
-    the index basis, where p(j) = <j| U rho U^dag |j> is read off.  ``rho``
-    is what ``density_matrix`` returns, as for ``pgm_probabilities``, and
-    the slightly negative eigenvalues that check admits are kept, so both
-    paths read the same rho.
+    ``rho_eig`` is the (eigenvalues, eigenvectors) pair of rho that
+    ``density_matrix`` returns, so the route factors no rho of its own, as
+    routes take a ``polar.Dilation``.  Every eigenvector rides the sign
+    transform of the dilation of A = sum_j |j><phi_j| as one block, exactly
+    when ``config`` is None and through the simulated pipeline otherwise;
+    the isometry U carries each to the index basis, where
+    p(j) = <j| U rho U^dag |j> is read off.  The slightly negative
+    eigenvalues that check admits are kept, so both paths read the same rho.
     """
-    w, vecs = linalg.hermitian_eig(rho)
+    w, vecs = rho_eig
     psi = embedding.inject_right(vecs, inst.n_states)
     dil = polar.dilation(inst.stacking_map())
     kept, _, _ = polar.apply_polar_isometry(dil, psi, config)

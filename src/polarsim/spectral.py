@@ -52,9 +52,10 @@ ZERO_BAND = 1e-12
 # per-code arrays at _POINTER_CODE_BYTES each.
 POINTER_BUDGET_BYTES = 2**30
 
-# Peak bytes per code of the closed form: its real factor rows (24 with a flag
-# branch, 16 without), sine and cosine tables (32) and one-row chunk of both
-# windows (16): 72 under tracemalloc at b = 18, 19 and 20, any dimension.
+# Peak bytes per code of the closed form: its real factor rows (8 for each of
+# Re a, Im a and b that is nonzero somewhere, at most 24), sine and cosine
+# tables (32) and one-row chunk of both windows (16): 72 under tracemalloc at
+# b = 18 and 20 for a complex flagged table, 56 for an unflagged sign table.
 _POINTER_CODE_BYTES = 72
 
 # Largest ||W Q - Q e^{i theta}||_F a walk's eigenpairs may leave.  The
@@ -111,17 +112,20 @@ class SpectralFunction:
 
     @classmethod
     def sign_phase(cls, kappa_tilde: float | None = None) -> SpectralFunction:
-        """(e^{-i f(x)}, 0) with f(x) = (pi/2)(1 - sign(x)) and sign(0) := +1.
+        """(sign(x), 0) with sign(0) := +1, a complex array exactly real.
 
-        e^{-i f} multiplies negative-eigenvalue components by -1 and leaves
-        the rest alone.  Values within ZERO_BAND of zero count as zero, so
-        float noise around a kernel cannot flip signs.  With ``kappa_tilde``
-        the band |x| < 1/kappa_tilde - ZERO_BAND is flagged, (0, 1), rather
-        than signed: a tie at sigma_max/kappa_tilde is kept on both sides of
-        round-off, as ``verify.restricted_isometry`` keeps it.  An effective
-        condition number that is not above 1 (NaN included) is refused, and
-        so is one whose threshold is not clear of the zero band: the kernel
-        is flagged only while 1/kappa_tilde exceeds 2 ZERO_BAND.
+        The kept factor multiplies negative-eigenvalue components by -1 and
+        leaves the rest alone; it is the phase e^{-i (pi/2)(1 - sign(x))}
+        without that exponential's e^{-i pi} round-off, so every table of it
+        has an imaginary part of exactly 0.  Values within ZERO_BAND of zero
+        count as zero, so float noise around a kernel cannot flip signs.
+        With ``kappa_tilde`` the band |x| < 1/kappa_tilde - ZERO_BAND is
+        flagged, (0, 1), rather than signed: a tie at sigma_max/kappa_tilde
+        is kept on both sides of round-off, as ``verify.restricted_isometry``
+        keeps it.  An effective condition number that is not above 1 (NaN
+        included) is refused, and so is one whose threshold is not clear of
+        the zero band: the kernel is flagged only while 1/kappa_tilde exceeds
+        2 ZERO_BAND.
         """
         if kappa_tilde is not None and not 1 < kappa_tilde < 0.5 / ZERO_BAND:
             raise ValueError(
@@ -132,8 +136,8 @@ class SpectralFunction:
 
         def amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             flag = np.abs(x) < threshold - ZERO_BAND
-            phase = (np.pi / 2.0) * (1.0 - np.where(x < -ZERO_BAND, -1.0, 1.0))
-            return np.where(flag, 0.0, np.exp(-1j * phase)), flag.astype(float)
+            sign = np.where(x < -ZERO_BAND, -1.0, 1.0)
+            return np.where(flag, 0.0, sign).astype(complex), flag.astype(float)
 
         return cls(amplitudes)
 
@@ -222,19 +226,30 @@ def transfer_function(
     splits the denominator's N sin(pi d_jc) into [N sin(pi D / N)] and
     [N cos(pi D / N)], read from two tables of 2N - 1 entries built once per
     call, times per-row factors cos(pi rem_j / N) and sin(pi rem_j / N).  Row
-    j's codes are one contiguous window of each table.  When b is 0 on every
-    code, h and flag are exactly 0 and (b - h)^2 adds 0, so none is formed.
+    j's codes are one contiguous window of each table.  A factor row (Re a,
+    Im a or b) that is 0 on every code sums to exactly 0 and adds exactly 0
+    to the loss, so it is not formed: the rows kept give the same bits as all
+    three.  A sign table, exactly real, forms no Im a row, and an unflagged
+    one no b row; when b is 0 on every code, h and flag are exactly 0.
     """
-    a, b = f.amplitudes(config.grid_values())
-    # real rows Re a, Im a and, only if some code is flagged, b
-    factors = np.array((a.real, a.imag, b) if b.any() else (a.real, a.imag))
-    fractional = not np.array_equal(b * b, b)
-    del a, b
     n = config.grid_size
     # N phi_j is exact (N is a power of two); split it into the nearest code
     # and a remainder, so the wrapped code distance N d_jc = D_jc + rem_j, with
     # D_jc = wrap(nearest_j - c) in [-N/2, N/2), is exact where the kernel peaks
     turns = n * (np.asarray(eigenvalues, dtype=float) / 4.0)
+    g = np.zeros(turns.size, dtype=complex)
+    h = np.zeros(turns.size)
+    a, b = f.amplitudes(config.grid_values())
+    b = np.ascontiguousarray(b, dtype=float)
+    fractional = not np.array_equal(b * b, b)
+    # the contiguous real factor rows, each with the amplitude it sums to
+    rows = [
+        (np.ascontiguousarray(row, dtype=float), amp)
+        for row, amp in ((a.real, g.real), (a.imag, g.imag), (b, h))
+        if row.any()
+    ]
+    flag_row = b if fractional else None  # the b row itself, not a copy
+    del a, b
     nearest = np.rint(turns)
     rem = turns - nearest
     # sin(pi N d_jc) = +/- sin(pi rem_j) for every c: the numerator is one number per row
@@ -263,15 +278,12 @@ def transfer_function(
     windows = np.lib.stride_tricks.as_strided(
         table, (2, n, n), (table.strides[0], step, step), writeable=False
     )
-    g = np.empty(turns.size, dtype=complex)
-    h = np.zeros(turns.size)
     flag = np.empty(turns.size) if fractional else h
     loss = np.zeros(turns.size)
-    amps = (g.real, g.imag, h)  # what each factor row sums to; zip stops at the rows
-    rows = max(1, _TRANSFER_CHUNK_CELLS // n)
-    for lo in range(0, turns.size, rows):
-        part = slice(lo, lo + rows)
-        # the chunk's one (rows x N) allocation: both windows of every row
+    chunk = max(1, _TRANSFER_CHUNK_CELLS // n)
+    for lo in range(0, turns.size, chunk):
+        part = slice(lo, lo + chunk)
+        # the chunk's one (eigenvalues x N) allocation: both windows of every row
         kern, tmp = windows[:, start[part]]
         kern *= cos_rem[part, None]
         tmp *= sin_rem[part, None]
@@ -279,20 +291,20 @@ def transfer_function(
         np.square(kern, out=kern)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(numer[part, None], kern, out=kern)
-        for row, amp in zip(factors, amps):
+        for row, amp in rows:
             amp[part] = kern @ row
             np.subtract(row, amp[part, None], out=tmp)
             np.square(tmp, out=tmp)
             loss[part] += np.einsum("ij,ij->i", kern, tmp)
         if fractional:  # b^2 in the chunk's spent buffer, so the weight costs no memory
-            flag[part] = kern @ np.square(factors[2], out=tmp[0])
+            flag[part] = kern @ np.square(flag_row, out=tmp[0])
         del kern, tmp  # released before the next chunk is gathered
     if on_code.any():
         code = n - 1 - start[on_code]
-        for row, amp in zip(factors, amps):
+        for row, amp in rows:
             amp[on_code] = row[code]
         if fractional:
-            flag[on_code] = np.square(factors[2][code])
+            flag[on_code] = np.square(flag_row[code])
         loss[on_code] = 0.0
     return g, h, loss, flag
 
@@ -313,8 +325,10 @@ def spectral_transform(
     which is exactly the three circuit stages followed by keeping pointer
     code 0.  Leakage and flag probability per column are the eigenweighted
     loss and flag weight (b^2 on the exact route).  Returns the unnormalized
-    (kept, flagged) parts shaped like ``psi`` and the diagnostics.  A state
-    whose length is not the dimension of H is refused.
+    (kept, flagged) parts shaped like ``psi`` and the diagnostics.  When h
+    is 0 on every eigenvalue (every evolution, every unflagged sign run) the
+    flagged part is exactly zero and is not multiplied out.  A state whose
+    length is not the dimension of H is refused.
     """
     w, v = eig
     if len(psi) != v.shape[0]:
@@ -332,7 +346,8 @@ def spectral_transform(
     coeff = v.conj().T @ block
     weight = np.abs(coeff) ** 2
     kept = v @ (g[:, None] * coeff)
-    flagged = v @ (h[:, None] * coeff)
+    # h is 0 on every eigenvalue for an evolution and an unflagged sign run
+    flagged = v @ (h[:, None] * coeff) if h.any() else np.zeros_like(kept)
     diag = SimDiagnostics(
         leakage_norm=float(np.max(np.sqrt(loss @ weight))),
         flag_probability=float(np.sum(flag @ weight)),

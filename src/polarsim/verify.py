@@ -488,10 +488,10 @@ def check_pgm_dual_path(seed: int) -> tuple[bool, dict]:
         else:
             v = generate.random_state(d, rng)
             rho = np.outer(v, v.conj())
-        rho = pgm.density_matrix(rho, d)
+        rho, rho_eig = pgm.density_matrix(rho, d)
         chi = pgm.pgm_vectors(inst)
         p_direct = pgm.pgm_probabilities(inst, rho, chi)
-        p_polar = pgm.pgm_via_polar(inst, rho)
+        p_polar = pgm.pgm_via_polar(inst, rho_eig)
         worst_gap = np.maximum(worst_gap, float(np.max(np.abs(p_direct - p_polar))))
         completeness, reprep = pgm_residuals(inst, chi)
         worst_complete = np.maximum(worst_complete, completeness)

@@ -550,9 +550,10 @@ def test_pgm_checks_rho_once_under_one_rule(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(owner, attr, counting)
     code, out = run_cli(capsys, "pgm", "--input", str(path))
     assert code == 0, out
-    # the reader's entrywise test and the route's hermitian_eig; one spectrum
+    # the reader's entrywise test and the one hermitian_eig, whose smallest
+    # eigenvalue the positivity check reads and whose pairs the route pushes
     assert calls.count("is_hermitian") + calls.count("require_hermitian") <= 2
-    assert calls.count("eigvalsh") <= 1
+    assert calls.count("eigvalsh") == 0
 
 
 @pytest.mark.parametrize(

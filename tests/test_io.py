@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,39 @@ def test_every_reader_rejection_names_the_entry(tmp_path, entry, message):
         with pytest.raises(io.FormatError) as exc:
             reader(str(path))
         assert str(exc.value) == f"{path}: {where} {message}"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [None, [[1, 0], [0, 0]], [1, 0, 0], [1], [True, 0], ["1", 0], "1", "10", {}, 1],
+    ids=["null", "nested", "three", "one", "bool", "string-part", "string",
+         "two-char-string", "object", "number"],
+)
+def test_bulk_conversion_leaves_every_malformed_entry_to_the_per_entry_reading(entry):
+    # the one conversion reads the numbers flattened, two per entry, so an
+    # entry that is not a pair of numbers must send the whole list to the
+    # per-entry reading, which names it with the message pinned above
+    entries = [[1, 0], [0.5, -2], entry]
+    assert io._bulk_pairs(entries) is None
+    with pytest.raises(io.FormatError, match=r"^f: entry 2 must be a \[re, im\] pair, got "):
+        io._parse_entries(entries, "f")
+    np.testing.assert_array_equal(io._bulk_pairs(entries[:2]), [1, 0.5 - 2j])
+
+
+def test_bulk_conversion_fills_one_preallocated_array():
+    # 16 bytes per entry for the complex values and one byte for the
+    # finiteness mask; a nested conversion through an (n, 2) object pass
+    # peaked at 48 bytes per entry
+    entries = json.loads(json.dumps(generate.random_state(4096, generate.rng_for(809))
+                                    .view(float).reshape(-1, 2).tolist()))
+    io._parse_entries(entries, "f")
+    tracemalloc.start()
+    try:
+        io._parse_entries(entries, "f")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * len(entries) + 2**13
 
 
 def _reference_entries(entries, where):

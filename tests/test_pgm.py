@@ -102,9 +102,11 @@ def test_density_validation():
         pgm.density_matrix(skew, 3)
     # within the entrywise tolerance the Hermitian part comes back, exactly so
     skew[0, 1] = 4e-9j
-    rho = pgm.density_matrix(skew, 3)
+    rho, (w, v) = pgm.density_matrix(skew, 3)
     np.testing.assert_array_equal(rho, rho.conj().T)
     assert rho[0, 1] == 2e-9j
+    # with the one factorization of that part, which the route reads
+    np.testing.assert_allclose((v * w) @ v.conj().T, rho, rtol=0, atol=1e-15)
 
 
 def test_polar_route_agrees_exactly():
@@ -112,9 +114,9 @@ def test_polar_route_agrees_exactly():
     for _ in range(10):
         d, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         inst = generate.random_pgm_instance(d, n, rng)
-        rho = generate.random_density(d, rng)
+        rho, rho_eig = pgm.density_matrix(generate.random_density(d, rng), d)
         direct = pgm.pgm_probabilities(inst, rho)
-        routed = pgm.pgm_via_polar(inst, rho)
+        routed = pgm.pgm_via_polar(inst, rho_eig)
         np.testing.assert_allclose(routed, direct, atol=1e-10)
         # U^dag |j> re-prepares the measurement direction chi_j
         assert max(verify.pgm_residuals(inst, pgm.pgm_vectors(inst))) < 1e-10
@@ -125,9 +127,9 @@ def test_polar_route_qpe_on_orthonormal_states():
     rng = generate.rng_for(707)
     q = generate.random_unitary(4, rng)
     inst = PGMInstance(states=q[:, :4])
-    rho = generate.random_density(4, rng)
+    rho, rho_eig = pgm.density_matrix(generate.random_density(4, rng), 4)
     direct = pgm.pgm_probabilities(inst, rho)
-    routed = pgm.pgm_via_polar(inst, rho, QPEConfig(bits=5))
+    routed = pgm.pgm_via_polar(inst, rho_eig, QPEConfig(bits=5))
     np.testing.assert_allclose(routed, direct, atol=1e-9)
 
 
@@ -162,9 +164,9 @@ def test_residuals_scale_with_the_ensemble_condition_number():
         inst = PGMInstance(states=phi / np.linalg.norm(phi, axis=0))
         sv = np.linalg.svd(inst.states, compute_uv=False)
         bound = 100.0 * eps * sv[0] / sv[-1]
-        rho = generate.random_density(d, rng)
+        rho, rho_eig = pgm.density_matrix(generate.random_density(d, rng), d)
         chi = pgm.pgm_vectors(inst)
-        gap = np.max(np.abs(pgm.pgm_probabilities(inst, rho, chi) - pgm.pgm_via_polar(inst, rho)))
+        gap = np.max(np.abs(pgm.pgm_probabilities(inst, rho, chi) - pgm.pgm_via_polar(inst, rho_eig)))
         assert max(gap, *verify.pgm_residuals(inst, chi)) <= bound
 
     run()

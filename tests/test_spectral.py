@@ -89,11 +89,12 @@ def test_correlate_rejects_unbounded_spectrum():
 
 
 def test_sign_phase_conventions():
-    # kept factor -1 on negative inputs, +1 elsewhere, nothing flagged; the
-    # zero band counts as +
+    # kept factor exactly -1 on negative inputs, +1 elsewhere, nothing
+    # flagged; the zero band counts as +
     x = np.array([-1.0, -1e-15, 0.0, 1e-15, 2.0])
     a, b = SpectralFunction.sign_phase().amplitudes(x)
-    np.testing.assert_allclose(a, np.array([-1.0, 1.0, 1.0, 1.0, 1.0]), atol=1e-15)
+    assert a.dtype == complex
+    np.testing.assert_array_equal(a.real, np.array([-1.0, 1.0, 1.0, 1.0, 1.0]))
     np.testing.assert_array_equal(b, np.zeros(5))
     # with kappa_tilde = 4 exactly |x| < 0.25 - ZERO_BAND goes to the flag,
     # (0, 1); a value within the band below 0.25 is kept, as the oracle keeps it
@@ -103,7 +104,12 @@ def test_sign_phase_conventions():
     flagged = np.abs(x) < 0.25 - band
     np.testing.assert_array_equal(b, flagged.astype(float))
     np.testing.assert_array_equal(a[flagged], np.zeros(4))
-    np.testing.assert_allclose(a[~flagged], np.array([-1.0, -1.0, 1.0, 1.0, 1.0]), atol=1e-15)
+    np.testing.assert_array_equal(a[~flagged], np.array([-1.0, -1.0, 1.0, 1.0, 1.0]))
+    # every table is exactly real, -1, 0 or 1, on any grid
+    for f in (SpectralFunction.sign_phase(), SpectralFunction.sign_phase(kappa_tilde=4.0)):
+        a, _ = f.amplitudes(QPEConfig(bits=7).grid_values())
+        assert not a.imag.any()
+        assert set(a.real.tolist()) <= {-1.0, 0.0, 1.0}
     # NaN compares false both ways, so it must not slip past as "no threshold";
     # a threshold inside twice the zero band could not flag the kernel
     for bad in (1.0, 0.5, -3.0, float("nan"), 0.5 / spectral.ZERO_BAND):
@@ -354,6 +360,72 @@ def test_transfer_function_matches_a_long_double_reference(bits):
         np.testing.assert_array_equal(h[: on_code.size], b[code])
         np.testing.assert_array_equal(flag[: on_code.size], b[code] ** 2)
         np.testing.assert_array_equal(loss[: on_code.size], 0.0)
+
+
+@pytest.mark.parametrize(
+    "f, rows",
+    [
+        (SpectralFunction.sign_phase(), 1),
+        (SpectralFunction.sign_phase(kappa_tilde=3.0), 2),
+        (_linear(0.7), 2),
+        (SpectralFunction(verify._filtered_inversion), 2),
+        (SpectralFunction(lambda x: (np.exp(-1j * x) / 2, np.full(np.shape(x), 0.5))), 3),
+    ],
+    ids=["sign", "thresholded-sign", "linear", "inversion", "flagged-phase"],
+)
+def test_transfer_function_forms_only_the_nonzero_factor_rows(monkeypatch, f, rows):
+    # one loss einsum per chunk for each of Re a, Im a and b that is nonzero on
+    # some code: a sign table is exactly real, and only a threshold flags it;
+    # the phases, with a nonzero Im a row, are the control
+    cfg = QPEConfig(bits=10)
+    w = generate.rng_for(340).uniform(-1.0, 1.0, 48)
+    chunks = -(-w.size // (spectral._TRANSFER_CHUNK_CELLS // cfg.grid_size))
+    assert chunks == 2
+    calls = []
+    original = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    spectral.transfer_function(w, f, cfg)
+    assert calls == ["ij,ij->i"] * (rows * chunks)
+
+
+class _CountingMatrix(np.ndarray):
+    """Eigenvectors that count the products taken with them on the left."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+@pytest.mark.parametrize("config", [None, QPEConfig(bits=6)], ids=["exact", "qpe"])
+def test_spectral_transform_skips_an_all_zero_flag_branch(config):
+    # h = 0 on every eigenvalue: the flagged branch is exactly zero and is
+    # never multiplied out, two products (coefficients, kept) instead of three
+    rng = generate.rng_for(341)
+    h = generate.random_hermitian(5, rng)
+    w, v = linalg.hermitian_eig(0.9 * h / float(np.linalg.norm(h, ord=2)))
+    psi = np.column_stack([generate.random_state(5, rng) for _ in range(3)])
+    for f, products in (
+        (SpectralFunction.sign_phase(), 2),
+        (_abs_times(0.4), 2),
+        (SpectralFunction.sign_phase(kappa_tilde=1.5), 3),
+    ):
+        _CountingMatrix.products = 0
+        kept, flagged, _ = spectral.spectral_transform(
+            (w, v.view(_CountingMatrix)), f, psi, config
+        )
+        assert _CountingMatrix.products == products
+        if products == 2:
+            assert flagged.shape == psi.shape and flagged.dtype == complex
+            np.testing.assert_array_equal(flagged, np.zeros_like(psi))
+        else:
+            assert np.linalg.norm(flagged) > 0.1
 
 
 @pytest.mark.parametrize("kappa_tilde", [None, 4.0])

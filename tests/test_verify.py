@@ -113,7 +113,8 @@ def _patch_transfer(monkeypatch, defect):
 
 
 def _conjugated_closed_form(monkeypatch):
-    # the closed form applies e^{+i f} on every code; a real sign phase hides it
+    # the closed form applies e^{+i f} on every code; a sign table, exactly
+    # real, is its own conjugate, so only the |x| phase table catches it
     _patch_transfer(monkeypatch, lambda g, h, loss, flag: (g.conj(), h, loss, flag))
 
 
