@@ -331,8 +331,11 @@ def _cmd_procrustes(args: _Args) -> tuple[Report, bool]:
     )
     if args.kappa_tilde is not None:  # the flagged rest is not mapped: grade by U_r
         u = verify.restricted_isometry(res, args.kappa_tilde)
-    fidelity = verify.overlap_fidelity(u @ chi, bottom)
+    expected = u @ chi
+    fidelity = verify.overlap_fidelity(expected, bottom)
     rep.add("fidelity", fidelity)
+    # unlike the overlap fidelity, a deviation sees a global sign; a report line only
+    rep.add("deviation", float(np.linalg.norm(bottom - expected)))
     rep.add("flag_probability", diag.flag_probability)
     rep.add("leakage", diag.leakage_norm)
     _add_vector(rep, "mapped_state", bottom)

@@ -187,28 +187,27 @@ def apply_procrustes_quantum(
     n_steps density-exponentiation steps on ``pair``, which must then be
     ``reduced_density(inst)``, and the pointer runs on the eigenpairs that W
     implies (``spectral.walk_eig``); with ``config`` alone the exact dilation
-    drives the pointer; both run on ``dil``, A's ``polar.dilation``, factored
-    here if not given.  With ``kappa_tilde`` the sign transform flags
-    singular values below sigma_max/kappa_tilde instead of mapping them.
+    drives the pointer.  Both run on ``dil``, A's ``polar.dilation``, factored
+    here if not given; the walk takes its time scale sigma_max from it.  With
+    ``kappa_tilde`` the sign transform flags singular values below
+    sigma_max/kappa_tilde instead of mapping them.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (inst.input_dim,):
         raise ValueError(
             f"input state has dimension {chi.shape}, expected ({inst.input_dim},)"
         )
-    a = inst.cross_covariance()
     psi = embedding.inject_right(chi, inst.output_dim)
+    dil = polar.dilation(inst.cross_covariance()) if dil is None else dil
     if config is None or n_steps is None:
-        dil = polar.dilation(a) if dil is None else dil
         kept, _, diag = polar.apply_polar_isometry(dil, psi, config, kappa_tilde)
         return kept[inst.input_dim :], diag
     if pair is None:
         raise TypeError("the walk route needs pair=reduced_density(inst)")
-    scale = float(np.linalg.norm(a, ord=2))
-    if scale == 0.0:
+    if not np.any(dil.eig[0]):  # dil.scale reads 1.0 for A = 0
         raise ValueError("cross-covariance vanishes; no isometry to learn")
     # W = e^{2 pi i embed(A/scale)/4} = e^{-i embed(A) t_w}, t_w = -pi/(2 scale)
-    t_w = -np.pi / (2.0 * scale)
+    t_w = -np.pi / (2.0 * dil.scale)
     delta_t = t_w * inst.n_pairs / n_steps
     # W is released once factored, before the pointer allocates its tables
     eig = spectral.walk_eig(np.linalg.matrix_power(dme_step(pair, delta_t), n_steps))

@@ -625,6 +625,35 @@ def test_walk_eig_makes_one_eigh(count_factorizations):
     assert calls == [("np.eigh", (6, 6))]
 
 
+def test_procrustes_deviation_sees_the_sign_of_a_minus_h_walk(tmp_path, capsys, monkeypatch):
+    # orthonormal inputs give A one singular value, so the walk's eigenphases
+    # sit on the pointer grid and the route is exact to round-off; a walk
+    # that implies -H maps chi to -U chi, which an overlap cannot tell apart
+    rng = generate.rng_for(906)
+    inputs = generate.random_unitary(2, rng)
+    path = str(tmp_path / "orth.json")
+    outputs = generate.random_unitary(2, rng) @ inputs
+    io.write_procrustes_instance(
+        path, procrustes.ProcrustesInstance(inputs=inputs, outputs=outputs)
+    )
+    argv = ("procrustes", "--input", path, "--mode", "qpe", "--bits", "6", "--steps", "50")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert float(lines_of(out)["deviation"]) < 1e-12
+    walk_eig = spectral.walk_eig
+
+    def minus_h_walk_eig(walk):
+        w, v = walk_eig(walk)
+        return -w, v
+
+    monkeypatch.setattr(spectral, "walk_eig", minus_h_walk_eig)
+    code, out = run_cli(capsys, *argv)
+    report = lines_of(out)
+    assert code == 0  # the verdict grades the overlap only
+    assert float(report["fidelity"]) >= 1.0 - 1e-9
+    assert abs(float(report["deviation"]) - 2.0) < 1e-9
+
+
 @pytest.mark.parametrize(
     "step, message",
     [

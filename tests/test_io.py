@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import tracemalloc
@@ -358,3 +359,72 @@ def test_non_hermitian_split_matrix_is_format_error(tmp_path):
     io.write_matrix(path, a)
     with pytest.raises(io.FormatError, match="Hermitian"):
         io.read_split_hamiltonian(path, split=1)
+
+
+@pytest.fixture()
+def collections():
+    """The generation of every cyclic collection started while the test runs,
+    with the collector enabled at the start and its state restored after."""
+    runs: list[int] = []
+
+    def hook(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    yield runs
+    gc.callbacks.remove(hook)
+    if not enabled:
+        gc.disable()
+
+
+def _paused_reads(tmp_path) -> list:
+    """One read of each document type, each large enough that its thousands
+    of [re, im] lists would set off collections with the collector running."""
+    rng = generate.rng_for(811)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("a", "sh", "pr", "pgm")}
+    io.write_matrix(paths["a"], generate.random_complex_matrix(64, 64, rng))
+    io.write_split_hamiltonian(paths["sh"], generate.random_split_hamiltonian(32, 32, rng))
+    io.write_procrustes_instance(
+        paths["pr"], generate.random_procrustes_instance(32, 32, 48, rng)
+    )
+    ensemble = generate.random_pgm_instance(32, 32, rng)
+    io.write_pgm_instance(paths["pgm"], ensemble, ensemble.gram_operator() / 32)
+    return [
+        lambda: io.read_matrix(paths["a"]),
+        lambda: io.read_split_hamiltonian(paths["sh"]),
+        lambda: io.read_procrustes_instance(paths["pr"]),
+        lambda: io.read_pgm_instance(paths["pgm"]),
+    ]
+
+
+def test_readers_run_no_collection(tmp_path, collections):
+    # every list of a document is freed by reference counting before the
+    # reader returns, so a paused collector has nothing left to traverse
+    reads = _paused_reads(tmp_path)
+    gc.collect()
+    collections.clear()
+    for read in reads:
+        read()
+    assert collections == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_readers_restore_the_collector_state(tmp_path, collections, enabled):
+    reads = _paused_reads(tmp_path)
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        fh.write('{"rows": 1, "cols": 1, "data": [[NaN, 0]]}')
+    if not enabled:  # a caller who disabled the collector finds it still disabled
+        gc.disable()
+    for read in reads:
+        read()
+        assert gc.isenabled() is enabled
+    with pytest.raises(io.FormatError):
+        io.read_matrix(bad)
+    assert gc.isenabled() is enabled
+    with pytest.raises(io.FormatError):
+        io.read_split_hamiltonian(bad)
+    assert gc.isenabled() is enabled
