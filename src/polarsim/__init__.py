@@ -6,8 +6,8 @@ simulated phase register (``spectral``), the user-facing transforms
 (``polar``: the dilation factored once, the polar isometry and ``evolve``,
 e^{-i g(H) t} for any real g of the dilation's signed eigenvalues), and
 three applications built on them (``procrustes``, ``pgm``, ``hsvt``).
-``verify`` holds the oracles every route is graded against and the
-deterministic invariant battery, and ``cli`` the command-line front end.
+``verify`` holds the oracles, ``graded_run``, where every route meets its
+oracle, and the invariant battery, and ``cli`` the command-line front end.
 A state on the dilation is a plain (n+m,) array or an (n+m, k) block, input
 block first, and every ``polar`` route returns the (kept, flagged,
 diagnostics) triple of ``spectral.spectral_transform``.

@@ -36,10 +36,6 @@ EXIT_MALFORMED = 4
 _DEFAULT_TOLERANCE = 1e-9
 _DEFAULT_SEED = 7
 
-# the g of ``polar.evolve`` for each --function of evolve, and of hsvt but sign
-_GENERATORS = {"abs": np.abs, "linear": lambda x: x}
-
-
 class _Args(argparse.Namespace):
     pass
 
@@ -157,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=_finite_float, required=True, help="evolution time t")
     p.add_argument(
         "--function",
-        choices=tuple(_GENERATORS),
+        choices=tuple(verify.EVOLUTIONS),
         default="abs",
         help="abs: e^{-i|H|t} (positive polar factors); linear: e^{-iHt}",
     )
@@ -183,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument(
         "--function",
-        choices=("sign", *_GENERATORS),
+        choices=verify.FUNCTIONS,
         default="sign",
         help="spectral function applied to the coupling block; --kappa-tilde needs sign",
     )
@@ -260,29 +256,25 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
     rep = _input_report(args)
     rep.add("rows", m)
     rep.add("cols", n)
-    config = _config(args)
-    # one factorization of the dilation for the column basis and the state
-    dil = polar.dilation(a)
+    # one factorization each of the dilation and of A, for the column basis and the state
+    dil, res = polar.dilation(a), linalg.svd(a)
     basis = embedding.inject_right(np.eye(n, dtype=complex), m)
-    kept, flagged, diag = polar.apply_polar_isometry(dil, basis, config, args.kappa_tilde)
-    u_pipe = kept[n:]
-    u = verify.restricted_isometry(linalg.svd(a), args.kappa_tilde)
-    deviation = float(np.linalg.norm(u_pipe - u, ord=2))
+    cols = verify.graded_run("sign", dil, res, basis, _config(args), None, args.kappa_tilde)
+    u_pipe = cols.kept[n:]  # the basis comes out as U's columns, the oracle's U below n
+    deviation = float(np.linalg.norm(u_pipe - cols.expected[n:], ord=2))
     rep.add("isometry_deviation", deviation)
-    column_oracle = verify.sign_expected(u, basis, args.kappa_tilde)
-    rep.add("min_column_fidelity", verify.branch_fidelity(kept, flagged, *column_oracle))
-    rep.add("max_leakage", diag.leakage_norm)
-    rep.add("mean_flag_probability", diag.flag_probability / n)
+    rep.add("min_column_fidelity", cols.fidelity())
+    rep.add("max_leakage", cols.diag.leakage_norm)
+    rep.add("mean_flag_probability", cols.diag.flag_probability / n)
     passed = deviation <= tol
     if getattr(args, "state", None):
         psi = _state(args, n + m, "this dilation")
-        out, flagged, diag = polar.apply_polar_isometry(dil, psi, config, args.kappa_tilde)
-        expected, expected_flagged = verify.sign_expected(u, psi, args.kappa_tilde)
-        state_deviation = float(np.linalg.norm(out - expected))
+        run = verify.graded_run("sign", dil, res, psi, _config(args), None, args.kappa_tilde)
+        state_deviation = run.deviation()
         rep.add("state_deviation", state_deviation)
-        rep.add("state_fidelity", verify.branch_fidelity(out, flagged, expected, expected_flagged))
-        rep.add("state_flag_probability", diag.flag_probability)
-        _add_vector(rep, "state_output", out)
+        rep.add("state_fidelity", run.fidelity())
+        rep.add("state_flag_probability", run.diag.flag_probability)
+        _add_vector(rep, "state_output", run.kept)
         passed = passed and state_deviation <= tol
     if m <= 8 and n <= 8:
         for i in range(m):
@@ -293,21 +285,18 @@ def _cmd_polar(args: _Args) -> tuple[Report, bool]:
 
 def _cmd_evolve(args: _Args) -> tuple[Report, bool]:
     a = io.read_matrix(args.input)
-    m, n = a.shape
     tol = _tolerance(args)
     rep = _input_report(args)
     rep.add("function", args.function)
     rep.add("time", args.time)
-    psi = _state(args, n + m, "this dilation")
-    config = _config(args)
-    g = _GENERATORS[args.function]
-    out, flagged, diag = polar.evolve(polar.dilation(a), g, args.time, psi, config)
-    expected = verify.evolution_expected(args.function, linalg.svd(a), args.time, psi)
-    deviation = float(np.linalg.norm(out - expected))
+    psi = _state(args, sum(a.shape), "this dilation")
+    dil, res = polar.dilation(a), linalg.svd(a)
+    run = verify.graded_run(args.function, dil, res, psi, _config(args), args.time)
+    deviation = run.deviation()
     rep.add("deviation", deviation)
-    rep.add("fidelity", verify.branch_fidelity(out, flagged, expected, None))
-    rep.add("leakage", diag.leakage_norm)
-    _add_vector(rep, "output", out)
+    rep.add("fidelity", run.fidelity())
+    rep.add("leakage", run.diag.leakage_norm)
+    _add_vector(rep, "output", run.kept)
     return rep, deviation <= tol
 
 
@@ -391,9 +380,8 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
     rep.add("function", args.function)
     rep.add("time", args.time)
     rep.add("steps", args.steps)
-    n, m = sh.top_dim, sh.bottom_dim
     rep.add("isolation_deviation", verify.isolation_error(sh))
-    psi = _state(args, n + m, "this dilation")
+    psi = _state(args, sh.top_dim + sh.bottom_dim, "this dilation")
     # the diagonal blocks never enter: only the isolated coupling is transformed.
     # Its one factorization feeds the route and the Trotter product's target,
     # which grades the product formula, not the route
@@ -404,22 +392,14 @@ def _cmd_hsvt(args: _Args) -> tuple[Report, bool]:
         hsvt.trotter_offdiagonal_evolution(sh, dil, args.time, args.steps),
     )
     rep.add("trotter_step_size", args.time / args.steps)
-    config = _config(args)
-    res = linalg.svd(a)
-    if args.function == "sign":
-        out, flagged, diag = polar.apply_polar_isometry(dil, psi, config, args.kappa_tilde)
-        u = verify.restricted_isometry(res, args.kappa_tilde)
-        expected, expected_flagged = verify.sign_expected(u, psi, args.kappa_tilde)
-    else:
-        g = _GENERATORS[args.function]
-        out, flagged, diag = polar.evolve(dil, g, args.time, psi, config)
-        expected = verify.evolution_expected(args.function, res, args.time, psi)
-        expected_flagged = None
-    deviation = float(np.linalg.norm(out - expected))
+    run = verify.graded_run(
+        args.function, dil, linalg.svd(a), psi, _config(args), args.time, args.kappa_tilde
+    )
+    deviation = run.deviation()
     rep.add("deviation_vs_exact", deviation)
-    rep.add("fidelity", verify.branch_fidelity(out, flagged, expected, expected_flagged))
-    rep.add("flag_probability", diag.flag_probability)
-    _add_vector(rep, "output", out)
+    rep.add("fidelity", run.fidelity())
+    rep.add("flag_probability", run.diag.flag_probability)
+    _add_vector(rep, "output", run.kept)
     return rep, deviation <= tol
 
 

@@ -21,7 +21,7 @@ import numpy as np
 # Relative cutoff below which a singular value counts as zero.
 RANK_TOL_FACTOR = 1e-12
 
-# Default tolerance for the boolean predicates.
+# Tolerance of the Hermitian check and the boolean predicates.
 DEFAULT_ATOL = 1e-10
 
 
@@ -91,12 +91,11 @@ class PolarFactors:
         return (left * self.svd.singular_values) @ left.conj().T
 
 
-def rank_cutoff(singular_values: np.ndarray, tol: float | None = None) -> float:
-    """Absolute cutoff: RANK_TOL_FACTOR (or ``tol``) times the largest singular value."""
-    factor = RANK_TOL_FACTOR if tol is None else tol
+def rank_cutoff(singular_values: np.ndarray) -> float:
+    """Absolute cutoff: RANK_TOL_FACTOR times the largest singular value."""
     if singular_values.size == 0:
         return 0.0
-    return factor * float(np.max(singular_values))
+    return RANK_TOL_FACTOR * float(np.max(singular_values))
 
 
 def svd(a: np.ndarray) -> SVDResult:
@@ -115,7 +114,7 @@ def svd(a: np.ndarray) -> SVDResult:
     return SVDResult(left_vectors=u, singular_values=s, right_vectors=v)
 
 
-def classical_polar(a: np.ndarray, tol: float | None = None) -> PolarFactors:
+def classical_polar(a: np.ndarray) -> PolarFactors:
     """Polar decomposition via the SVD oracle.
 
     The isometry sums l_j r_j^dag over singular values above the rank cutoff,
@@ -124,15 +123,15 @@ def classical_polar(a: np.ndarray, tol: float | None = None) -> PolarFactors:
     left_positive = (A A^dag)^(1/2) keep their kernel blocks at zero.
     """
     res = svd(a)
-    keep = res.singular_values > rank_cutoff(res.singular_values, tol)
+    keep = res.singular_values > rank_cutoff(res.singular_values)
     isometry = res.left_vectors[:, keep] @ res.right_vectors[:, keep].conj().T
     return PolarFactors(isometry=isometry, svd=res)
 
 
-def require_hermitian(h: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def require_hermitian(h: np.ndarray) -> np.ndarray:
     """The finite square matrix h as a complex array, refused unless Hermitian.
 
-    h is rejected if ||h - h^dag||_F exceeds ``atol`` scaled by
+    h is rejected if ||h - h^dag||_F exceeds DEFAULT_ATOL scaled by
     max(1, ||h||_F), both norms computed without overflow; the refusal
     reports that ratio, which stays finite where the norm itself would not.
     """
@@ -146,7 +145,7 @@ def require_hermitian(h: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
     hs = h * scale if scale < 1.0 else h
     asym = float(np.linalg.norm(hs - hs.conj().T))
     size = max(scale, float(np.linalg.norm(hs)))
-    if asym > atol * size:
+    if asym > DEFAULT_ATOL * size:
         raise ValueError(
             f"matrix is not Hermitian: asymmetry norm {asym / size:.3e}"
             " relative to max(1, ||h||_F)"
@@ -154,16 +153,10 @@ def require_hermitian(h: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
     return h
 
 
-def hermitian_eig(h: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, ascending, phase-fixed.
-
-    Args:
-        h: square matrix, checked by ``require_hermitian`` with ``atol``.
-
-    Returns:
-        (eigenvalues, eigenvectors) with eigenvectors in columns.
-    """
-    h = require_hermitian(h, atol)
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of h, checked by ``require_hermitian``:
+    ascending, with the phase-fixed eigenvectors in columns."""
+    h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     v, _ = _fix_column_phases(v)
     return w, v
@@ -202,10 +195,10 @@ def is_hermitian(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     return bool(np.allclose(half, half.conj().T, atol=atol / 2, rtol=0.0))
 
 
-def is_positive_semidefinite(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
+def is_positive_semidefinite(a: np.ndarray) -> bool:
     a = _as_complex_matrix(a)
-    if not is_hermitian(a, atol):
+    if not is_hermitian(a):
         return False
     half = a / 2
     w = np.linalg.eigvalsh(half + half.conj().T)
-    return bool(np.min(w) >= -atol)
+    return bool(np.min(w) >= -DEFAULT_ATOL)

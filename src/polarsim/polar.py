@@ -22,12 +22,12 @@ band the amplitude pair (0, 1).
 
 A caller factors each operator once and hands the ``Dilation`` to every
 primitive it runs on it; no primitive factors anything or computes an oracle
-(``verify`` holds those).  A state is a plain (n+m,) vector on the direct
-sum, input block first, or an (n+m, k) block of k states, whose diagnostics
-aggregate over the columns as ``SimDiagnostics`` describes.  Every call
-returns what ``spectral.spectral_transform`` returns: the unnormalized (kept,
-flagged) branches shaped like the state, flagged all zeros without a flag
-threshold, and the diagnostics.
+(``verify.graded_run`` pairs a route with one).  A state is a plain (n+m,)
+vector on the direct sum, input block first, or an (n+m, k) block of k
+states, whose diagnostics aggregate over the columns as ``SimDiagnostics``
+describes.  Every call returns what ``spectral.spectral_transform`` returns:
+the unnormalized (kept, flagged) branches shaped like the state, flagged all
+zeros without a flag threshold, and the diagnostics.
 """
 
 from __future__ import annotations

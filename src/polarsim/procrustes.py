@@ -182,15 +182,15 @@ def apply_procrustes_quantum(
     The input chi is injected into the top block, the sign transform of the
     dilated cross-covariance moves it to U chi in the bottom block, and the
     bottom component is returned (unnormalized) with the route's diagnostics.
-    Without ``config`` the transform is exact.  With ``config`` and
-    ``n_steps`` the walk unitary W = e^{2 pi i H~/4} is synthesized from
-    n_steps density-exponentiation steps on ``pair``, which must then be
-    ``reduced_density(inst)``, and the pointer runs on the eigenpairs that W
-    implies (``spectral.walk_eig``); with ``config`` alone the exact dilation
-    drives the pointer.  Both run on ``dil``, A's ``polar.dilation``, factored
-    here if not given; the walk takes its time scale sigma_max from it.  With
-    ``kappa_tilde`` the sign transform flags singular values below
-    sigma_max/kappa_tilde instead of mapping them.
+    Without ``config`` the transform is exact and ``n_steps`` is refused.
+    With ``config`` and ``n_steps`` the walk unitary W = e^{2 pi i H~/4} is
+    synthesized from n_steps density-exponentiation steps on ``pair``, which
+    must then be ``reduced_density(inst)``, and the pointer runs on the
+    eigenpairs that W implies (``spectral.walk_eig``); with ``config`` alone
+    the exact dilation drives the pointer.  Both run on ``dil``, A's
+    ``polar.dilation``, factored here if not given; the walk takes its time
+    scale sigma_max from it.  With ``kappa_tilde`` the sign transform flags
+    singular values below sigma_max/kappa_tilde instead of mapping them.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (inst.input_dim,):
@@ -198,8 +198,10 @@ def apply_procrustes_quantum(
             f"input state has dimension {chi.shape}, expected ({inst.input_dim},)"
         )
     psi = embedding.inject_right(chi, inst.output_dim)
+    if config is None and n_steps is not None:
+        raise ValueError("n_steps synthesizes a walk for the pointer: give a config with it")
     dil = polar.dilation(inst.cross_covariance()) if dil is None else dil
-    if config is None or n_steps is None:
+    if n_steps is None:
         kept, _, diag = polar.apply_polar_isometry(dil, psi, config, kappa_tilde)
         return kept[inst.input_dim :], diag
     if pair is None:

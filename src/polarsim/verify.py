@@ -1,11 +1,13 @@
-"""Deterministic invariant battery behind the ``verify`` command.
+"""Classical oracles and the deterministic invariant battery behind ``verify``.
 
-Each item draws its instances from a child stream of one root seed, runs a
-self-contained check with pinned tolerances, and reports scalar metrics plus
-a verdict.  Repeating a run with the same seed reproduces every metric bit
-for bit; wall-clock numbers are kept out of the verdicts so reports stay
-comparable.  The test suite reuses these items one-to-one for the acceptance
-gate.
+``graded_run`` is the one place a dilation route meets its SVD oracle, for
+the ``polar``, ``evolve`` and ``hsvt`` commands, the battery and the tests.
+Each battery item draws its instances from a child stream of one root seed,
+runs a self-contained check with pinned tolerances, and reports scalar
+metrics plus a verdict.  Repeating a run with the same seed reproduces every
+metric bit for bit; wall-clock numbers are kept out of the verdicts so
+reports stay comparable.  The test suite reuses these items one-to-one for
+the acceptance gate.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -109,23 +111,60 @@ def overlap_fidelity(expected: np.ndarray, out: np.ndarray) -> float:
     return min(fids)
 
 
-def branch_fidelity(
-    kept: np.ndarray,
-    flagged: np.ndarray,
-    expected: np.ndarray,
-    expected_flagged: np.ndarray | None,
-) -> float:
-    """``overlap_fidelity`` of the route's flag register with the oracle's.
+# the g of ``polar.evolve`` for each evolution; "sign" is the sign transform
+EVOLUTIONS = {"abs": np.abs, "linear": lambda x: x}
+FUNCTIONS = ("sign", *EVOLUTIONS)
 
-    Each column stacks the kept branch over the flagged one when the oracle
-    has a flagged branch (``sign_expected`` with kappa_tilde); otherwise the
-    kept branches alone are compared.
+
+class GradedRun(NamedTuple):
+    """A route's (kept, flagged, diag) beside the oracle's expected branches,
+    the flagged one None without kappa_tilde; each grade is computed when called."""
+
+    kept: np.ndarray
+    flagged: np.ndarray
+    diag: spectral.SimDiagnostics
+    expected: np.ndarray
+    expected_flagged: np.ndarray | None
+
+    def deviation(self) -> float:
+        """||kept - expected||, the Frobenius norm over a block of states."""
+        return float(np.linalg.norm(self.kept - self.expected))
+
+    def fidelity(self) -> float:
+        """``overlap_fidelity`` of the route's flag register with the oracle's: each
+        column stacks kept over flagged, or is the kept branch alone without kappa_tilde."""
+        if self.expected_flagged is None:
+            return overlap_fidelity(self.expected, self.kept)
+        return overlap_fidelity(
+            np.concatenate([self.expected, self.expected_flagged]),
+            np.concatenate([self.kept, self.flagged]),
+        )
+
+
+def graded_run(
+    function: str,
+    dil: polar.Dilation,
+    res: linalg.SVDResult,
+    psi: np.ndarray,
+    config: QPEConfig | None = None,
+    t: float | None = None,
+    kappa_tilde: float | None = None,
+) -> GradedRun:
+    """Run the route of ``function``, one of ``FUNCTIONS``, and grade it.
+
+    The route reads only ``dil`` = ``polar.dilation(A)`` and the oracle only
+    ``res`` = ``linalg.svd(A)``: ``"sign"`` runs ``polar.apply_polar_isometry``
+    under ``kappa_tilde`` against ``sign_expected``, an evolution ``polar.evolve``
+    for time ``t`` with its g in ``EVOLUTIONS`` against ``evolution_expected``.
     """
-    if expected_flagged is None:
-        return overlap_fidelity(expected, kept)
-    return overlap_fidelity(
-        np.concatenate([expected, expected_flagged]), np.concatenate([kept, flagged])
-    )
+    if function == "sign":
+        kept, flagged, diag = polar.apply_polar_isometry(dil, psi, config, kappa_tilde)
+        u = restricted_isometry(res, kappa_tilde)
+        return GradedRun(kept, flagged, diag, *sign_expected(u, psi, kappa_tilde))
+    if kappa_tilde is not None:
+        raise ValueError(f"kappa_tilde applies to the sign function only, not {function!r}")
+    kept, flagged, diag = polar.evolve(dil, EVOLUTIONS[function], t, psi, config)
+    return GradedRun(kept, flagged, diag, evolution_expected(function, res, t, psi), None)
 
 
 def isolation_error(sh: hsvt.SplitHamiltonian) -> float:
@@ -178,9 +217,7 @@ def check_polar_oracle_equivalence(seed: int) -> tuple[bool, dict]:
         a = generate.random_complex_matrix(m, n, rng)
         a = a / float(np.linalg.norm(a, ord=2))
         psi = generate.random_state(n + m, rng)
-        kept, _, _ = polar.apply_polar_isometry(polar.dilation(a), psi)
-        expected, _ = sign_expected(restricted_isometry(linalg.svd(a), None), psi)
-        err = float(np.linalg.norm(kept - expected))
+        err = graded_run("sign", polar.dilation(a), linalg.svd(a), psi).deviation()
         worst = np.maximum(worst, err)
     return bool(worst <= tol), {
         "instances": n_instances,
@@ -208,12 +245,9 @@ def check_qpe_dyadic_exactness(seed: int) -> tuple[bool, dict]:
             n = int(rng.integers(2, 7))
             a = generate.dyadic_singular_matrix(bits, m, n, rng)
             psi = generate.random_state(n + m, rng)
-            dil = polar.dilation(a)
-            kept, flagged, diag = polar.apply_polar_isometry(dil, psi, QPEConfig(bits=bits))
-            u = restricted_isometry(linalg.svd(a), None)
-            fid = branch_fidelity(kept, flagged, *sign_expected(u, psi))
-            worst_fid = np.minimum(worst_fid, fid)
-            worst_leak = np.maximum(worst_leak, diag.leakage_norm)
+            run = graded_run("sign", polar.dilation(a), linalg.svd(a), psi, QPEConfig(bits=bits))
+            worst_fid = np.minimum(worst_fid, run.fidelity())
+            worst_leak = np.maximum(worst_leak, run.diag.leakage_norm)
     passed = bool(worst_fid >= fid_floor and worst_leak <= leak_cap)
     return passed, {
         "instances": 3 * per_bits,
@@ -253,12 +287,10 @@ def check_condition_number_scaling(seed: int) -> tuple[bool, dict]:
                 a = generate.conditioned_matrix(kappa, 4, rng)
                 right = generate.random_state(4, rng)
             psi = embedding.inject_right(right, a.shape[0])
-            oracle = sign_expected(restricted_isometry(linalg.svd(a), None), psi)
-            dil = polar.dilation(a)
+            dil, res = polar.dilation(a), linalg.svd(a)
             fids = []
             for bits in range(2, b_req + 2):
-                kept, flagged, _ = polar.apply_polar_isometry(dil, psi, QPEConfig(bits=bits))
-                fid = branch_fidelity(kept, flagged, *oracle)
+                fid = graded_run("sign", dil, res, psi, QPEConfig(bits=bits)).fidelity()
                 fids.append(fid)
                 if inst == 0:
                     metrics[f"fidelity.kappa{kappa}.b{bits}"] = fid
@@ -296,10 +328,7 @@ def check_positive_factor_evolution(seed: int) -> tuple[bool, dict]:
         psi = generate.random_state(n + m, rng)
         dil, res = polar.dilation(a), linalg.svd(a)
         for t in (0.1, 1.0, math.pi):
-            kept, _, _ = polar.evolve(dil, np.abs, t, psi)
-            expected = evolution_expected("abs", res, t, psi)
-            err = float(np.linalg.norm(kept - expected))
-            worst = np.maximum(worst, err)
+            worst = np.maximum(worst, graded_run("abs", dil, res, psi, None, t).deviation())
     return bool(worst <= tol), {
         "instances": n_instances,
         "max_error": worst,
@@ -525,16 +554,8 @@ def check_core_oracle_invariants(seed: int) -> tuple[bool, dict]:
         worst = np.max(
             [
                 worst,
-                float(
-                    np.linalg.norm(
-                        res.right_vectors.conj().T @ res.right_vectors - np.eye(k)
-                    )
-                ),
-                float(
-                    np.linalg.norm(
-                        res.left_vectors.conj().T @ res.left_vectors - np.eye(k)
-                    )
-                ),
+                float(np.linalg.norm(res.right_vectors.conj().T @ res.right_vectors - np.eye(k))),
+                float(np.linalg.norm(res.left_vectors.conj().T @ res.left_vectors - np.eye(k))),
             ]
         )
         for j in range(k):
@@ -572,7 +593,7 @@ def check_core_oracle_invariants(seed: int) -> tuple[bool, dict]:
                 float(np.linalg.norm(pos @ pos - h @ h)),
             ]
         )
-        psd_ok = psd_ok and linalg.is_positive_semidefinite(pos, tol)
+        psd_ok = psd_ok and linalg.is_positive_semidefinite(pos)
     passed = bool(worst <= tol and determinism_ok and psd_ok)
     return passed, {
         "max_residual": worst,

@@ -6,6 +6,7 @@ import ast
 import pathlib
 
 import polarsim
+from polarsim import verify
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polarsim"
 
@@ -77,3 +78,32 @@ def test_every_public_function_has_a_caller_in_src():
 def test_every_exported_name_resolves():
     # a name in __all__ that the package does not define breaks star imports
     assert [name for name in polarsim.__all__ if not hasattr(polarsim, name)] == []
+
+
+def test_routes_meet_their_oracles_only_in_graded_run():
+    # a route's output graded by hand against sign_expected or
+    # evolution_expected is a second pairing to keep in step with the first:
+    # in src only verify.graded_run names either oracle
+    oracles = {"sign_expected", "evolution_expected"}
+    naming = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if getattr(node, "id", None) in oracles or getattr(node, "attr", None) in oracles:
+                    naming.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert naming == {"verify.graded_run"}
+
+
+def test_only_verify_tables_the_function_names():
+    # the names a --function accepts, and the route each one runs, live in
+    # verify's one table; a tuple, list, set or dict of them elsewhere is a copy
+    names = set(verify.FUNCTIONS)
+    copies = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "verify":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            entries = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", [])
+            if any(isinstance(e, ast.Constant) and e.value in names for e in entries):
+                copies.append(f"{path.stem}.py:{node.lineno}")
+    assert copies == []

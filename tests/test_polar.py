@@ -201,19 +201,22 @@ def test_block_equals_single_state_calls(mode):
 
 
 
-def _sign_property(check, mode: str, kappa_tilde: float | None) -> None:
+def _route_property(check, function: str, mode: str, kappa_tilde: float | None) -> None:
     # one random instance per example: a rectangular A, either possibly rank
-    # deficient or with repeated singular values, and a dilation state, through
-    # the one sign entry point
+    # deficient or with repeated singular values, a dilation state and a time,
+    # through verify.graded_run, the one entry point of every route in the table
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     config = QPEConfig(bits=6) if mode == "qpe" else None
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(
-        seed=st.integers(0, 2**32 - 1), c=st.floats(1e-3, 300.0), repeated=st.booleans()
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(1e-3, 300.0),
+        repeated=st.booleans(),
+        t=st.floats(0.1, 3.0),
     )
-    def run(seed, c, repeated):
+    def run(seed, c, repeated, t):
         rng = generate.rng_for(seed)
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         if repeated:
@@ -227,60 +230,89 @@ def _sign_property(check, mode: str, kappa_tilde: float | None) -> None:
             )
         psi = generate.random_state(n + m, rng)
 
-        def sign(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-            dil = polar.dilation(mat)
-            kept, flagged, _ = polar.apply_polar_isometry(dil, vec, config, kappa_tilde)
-            return np.concatenate([kept, flagged])
+        def route(mat: np.ndarray, vec: np.ndarray, time: float) -> np.ndarray:
+            graded = verify.graded_run(
+                function, polar.dilation(mat), linalg.svd(mat), vec, config, time, kappa_tilde
+            )
+            return np.concatenate([graded.kept, graded.flagged])
 
-        check(sign, a, psi, n, c, rng)
+        check(route, a, psi, n, c, t, rng)
 
     run()
+
+
+def _scale_invariant(route, a, psi, n, c, t, rng):
+    # A -> cA leaves the isometry, the flag split and the pointer route alone;
+    # an evolution of cA for time t/c is the evolution of A for time t
+    np.testing.assert_allclose(route(c * a, psi, t / c), route(a, psi, t), atol=1e-12)
+
+
+def _adjoint_swaps_blocks(route, a, psi, n, c, t, rng):
+    # the dilation of A^dag is the dilation of A with its blocks swapped, so
+    # the swapped state comes out as the swapped output, flag branch included
+    d = psi.size
+    swap = np.concatenate([np.arange(n, d), np.arange(n)])
+    direct = route(a, psi, t).reshape(-1, d)
+    dual = route(a.conj().T, psi[swap], t).reshape(-1, d)
+    np.testing.assert_allclose(dual, direct[:, swap], atol=1e-12)
+
+
+def _unitarily_equivariant(route, a, psi, n, c, t, rng):
+    # A -> W A V^dag rotates the dilation by V (+) W: the rotated input
+    # (V psi_top, W psi_bottom) comes out as the rotated output, flag branch
+    # included; with repeated singular values only the spectral projectors count
+    m, d = a.shape[0], psi.size
+    v, w = generate.random_unitary(n, rng), generate.random_unitary(m, rng)
+    rotate = np.zeros((d, d), dtype=complex)
+    rotate[:n, :n], rotate[n:, n:] = v, w
+    direct = route(a, psi, t).reshape(-1, d)
+    rotated = route(w @ a @ v.conj().T, rotate @ psi, t).reshape(-1, d)
+    np.testing.assert_allclose(rotated, direct @ rotate.T, atol=1e-12)
 
 
 _SIGN_CASES = pytest.mark.parametrize(
     "mode, kappa_tilde",
     [("exact", None), ("exact", 3.0), ("qpe", None), ("qpe", 3.0)],
 )
+# every other function of the table, in both modes
+_EVOLUTION_CASES = pytest.mark.parametrize(
+    "function, mode", [(f, mode) for f in verify.EVOLUTIONS for mode in ("exact", "qpe")]
+)
+
+
+def test_property_cases_cover_the_table():
+    # a row of FUNCTIONS that is neither sign nor an evolution needs its own cases
+    assert verify.FUNCTIONS == ("sign", *verify.EVOLUTIONS)
 
 
 @_SIGN_CASES
 def test_sign_transform_is_scale_invariant(mode, kappa_tilde):
-    # A -> cA leaves the isometry, the flag split and the pointer route alone
-    def check(sign, a, psi, n, c, rng):
-        np.testing.assert_allclose(sign(c * a, psi), sign(a, psi), atol=1e-12)
-
-    _sign_property(check, mode, kappa_tilde)
+    _route_property(_scale_invariant, "sign", mode, kappa_tilde)
 
 
 @_SIGN_CASES
 def test_sign_transform_adjoint_swaps_blocks(mode, kappa_tilde):
-    # the dilation of A^dag is the dilation of A with its blocks swapped, so
-    # the swapped state comes out as the swapped output, flag branch included
-    def check(sign, a, psi, n, c, rng):
-        d = psi.size
-        swap = np.concatenate([np.arange(n, d), np.arange(n)])
-        direct = sign(a, psi).reshape(-1, d)
-        dual = sign(a.conj().T, psi[swap]).reshape(-1, d)
-        np.testing.assert_allclose(dual, direct[:, swap], atol=1e-12)
-
-    _sign_property(check, mode, kappa_tilde)
+    _route_property(_adjoint_swaps_blocks, "sign", mode, kappa_tilde)
 
 
 @_SIGN_CASES
 def test_sign_transform_is_unitarily_equivariant(mode, kappa_tilde):
-    # A -> W A V^dag rotates the dilation by V (+) W: the rotated input
-    # (V psi_top, W psi_bottom) comes out as the rotated output, flag branch
-    # included; with repeated singular values only the spectral projectors count
-    def check(sign, a, psi, n, c, rng):
-        m, d = a.shape[0], psi.size
-        v, w = generate.random_unitary(n, rng), generate.random_unitary(m, rng)
-        rotate = np.zeros((d, d), dtype=complex)
-        rotate[:n, :n], rotate[n:, n:] = v, w
-        direct = sign(a, psi).reshape(-1, d)
-        rotated = sign(w @ a @ v.conj().T, rotate @ psi).reshape(-1, d)
-        np.testing.assert_allclose(rotated, direct @ rotate.T, atol=1e-12)
+    _route_property(_unitarily_equivariant, "sign", mode, kappa_tilde)
 
-    _sign_property(check, mode, kappa_tilde)
+
+@_EVOLUTION_CASES
+def test_evolution_is_scale_invariant_at_scaled_time(function, mode):
+    _route_property(_scale_invariant, function, mode, None)
+
+
+@_EVOLUTION_CASES
+def test_evolution_adjoint_swaps_blocks(function, mode):
+    _route_property(_adjoint_swaps_blocks, function, mode, None)
+
+
+@_EVOLUTION_CASES
+def test_evolution_is_unitarily_equivariant(function, mode):
+    _route_property(_unitarily_equivariant, function, mode, None)
 
 
 @pytest.mark.parametrize("kappa_tilde", [2.0, 3.0, 4.0])
@@ -300,11 +332,10 @@ def test_sign_transform_keeps_a_singular_value_at_the_threshold(kappa_tilde):
         s = np.concatenate([levels[:2], rng.choice(levels, size=min(m, n) - 2)])
         a = generate.matrix_with_singular_values(c * np.sort(s)[::-1], m, n, rng)
         psi = generate.random_state(n + m, rng)
-        dil = polar.dilation(a)
-        kept, flagged, _ = polar.apply_polar_isometry(dil, psi, kappa_tilde=kappa_tilde)
-        u = verify.restricted_isometry(linalg.svd(a), kappa_tilde)
-        expected, expected_flagged = verify.sign_expected(u, psi, kappa_tilde)
-        np.testing.assert_allclose(kept, expected, atol=1e-12)
-        np.testing.assert_allclose(flagged, expected_flagged, atol=1e-12)
+        graded = verify.graded_run(
+            "sign", polar.dilation(a), linalg.svd(a), psi, kappa_tilde=kappa_tilde
+        )
+        np.testing.assert_allclose(graded.kept, graded.expected, atol=1e-12)
+        np.testing.assert_allclose(graded.flagged, graded.expected_flagged, atol=1e-12)
 
     run()

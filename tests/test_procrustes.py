@@ -179,6 +179,16 @@ def test_quantum_apply_validates_input():
         )
 
 
+def test_quantum_apply_refuses_walk_steps_without_a_pointer():
+    # a walk is synthesized for the pointer only: n_steps without a config
+    # must not quietly run the exact route
+    rng = generate.rng_for(514)
+    inst = generate.random_procrustes_instance(3, 3, 4, rng)
+    pair = procrustes.reduced_density(inst)
+    with pytest.raises(ValueError, match="n_steps.*config"):
+        procrustes.apply_procrustes_quantum(inst, np.ones(3) / np.sqrt(3), None, 50, pair=pair)
+
+
 def test_zero_cross_covariance_rejected():
     # two pairs with opposite outputs cancel the covariance exactly
     inputs = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)

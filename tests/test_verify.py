@@ -171,3 +171,47 @@ def test_pipeline_stage_inverse_builds_one_power_table_per_walk(monkeypatch):
     monkeypatch.setattr(verify, "controlled_powers", counting)
     assert verify.check_pipeline_stage_inverse(7)[0]
     assert tables == [32] * 20
+
+
+def _graded_cases():
+    # every function of the table, sign with and without a flag threshold, both modes
+    for config in (None, spectral.QPEConfig(bits=5)):
+        for function in verify.FUNCTIONS:
+            for kappa_tilde in (None, 3.0) if function == "sign" else (None,):
+                yield function, config, kappa_tilde
+
+
+def test_graded_run_factors_nothing(count_factorizations):
+    # the caller factors A once for the route and once for the oracle; the
+    # graded run, grades read included, factors nothing of its own
+    rng = generate.rng_for(2901)
+    a = generate.random_complex_matrix(3, 4, rng)
+    psi = generate.random_state(7, rng)
+    dil, res = polar.dilation(a), linalg.svd(a)
+    calls = count_factorizations()
+    for function, config, kappa_tilde in _graded_cases():
+        graded = verify.graded_run(function, dil, res, psi, config, 0.7, kappa_tilde)
+        assert graded.deviation() >= 0.0 and graded.fidelity() >= 0.0
+    assert calls == []
+
+
+def test_graded_run_route_never_reads_the_oracle_factorization():
+    # grading against the SVD of another matrix moves the grade and leaves the
+    # route's branches bit for bit: the route reads only the dilation
+    rng = generate.rng_for(2902)
+    a, b = (generate.random_complex_matrix(3, 4, rng) for _ in range(2))
+    psi = generate.random_state(7, rng)
+    dil = polar.dilation(a)
+    for function, config, kappa_tilde in _graded_cases():
+        right = verify.graded_run(function, dil, linalg.svd(a), psi, config, 0.7, kappa_tilde)
+        wrong = verify.graded_run(function, dil, linalg.svd(b), psi, config, 0.7, kappa_tilde)
+        np.testing.assert_array_equal(wrong.kept, right.kept)
+        np.testing.assert_array_equal(wrong.flagged, right.flagged)
+        assert abs(wrong.deviation() - right.deviation()) > 0.1
+
+
+def test_graded_run_refuses_a_flag_threshold_on_an_evolution():
+    a = generate.random_complex_matrix(2, 2, generate.rng_for(2903))
+    dil, res = polar.dilation(a), linalg.svd(a)
+    with pytest.raises(ValueError, match="sign function only"):
+        verify.graded_run("abs", dil, res, np.ones(4) / 2.0, None, 1.0, 3.0)
